@@ -1,11 +1,12 @@
 // Ablation: base parallelogram size (Section III-C, "internal parameters").
 //
 // The recursion stops above single space-time points because tiny bases
-// cost control logic and kill vectorisation; oversized bases stop
-// exploiting the upper cache levels.  This bench sweeps the base size and
-// reports bases per layer plus real wall-clock throughput on this host —
-// the one ablation where the host measurement is directly meaningful,
-// since control overhead is a property of the code, not the machine.
+// cost control logic and per-step neighbour scans; oversized bases stop
+// exploiting the upper cache levels.  Bases always span whole x rows (x
+// is never decomposed, so never cut), so this bench sweeps the y/z base
+// size and the base height, and reports bases per layer plus real
+// wall-clock throughput on the host it runs on — control overhead is a
+// property of the code, not of the simulated machine.
 //
 //   ./ablation_base_size [edge] [threads] [steps]
 #include <cstdlib>
@@ -24,7 +25,7 @@ int main(int argc, char** argv) {
   Table table("base parallelogram size ablation (" + std::to_string(edge) + "^3, " +
               std::to_string(threads) + " threads, " + std::to_string(steps) +
               " steps)");
-  table.set_header({"base (space,time)", "bases/layer", "host Gupdates/s"});
+  table.set_header({"base (y/z,time)", "bases/layer", "host Gupdates/s"});
 
   struct Config {
     Index space;
@@ -46,7 +47,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   std::cout << "\nTiny bases drown in control logic and per-step neighbour "
-               "scans; the defaults (32x8x8 cells, 8 steps) sit on the flat "
-               "part of the curve.\n";
+               "scans; the defaults (whole x rows, 8x8 y/z cells, 8 steps) "
+               "sit on the flat part of the curve.\n";
   return 0;
 }

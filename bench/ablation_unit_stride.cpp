@@ -4,8 +4,10 @@
 // utilisation [Datta'08, Kamil'05]: cutting x shortens the contiguous
 // runs every kernel invocation streams, wasting part of each cache line
 // at tile boundaries and defeating the hardware prefetcher.  This bench
-// compares the default decomposition against one that cuts x, reporting
-// the measured row-segment statistics and host wall time.
+// compares the default decomposition — x never decomposed, so every base
+// parallelogram spans whole unskewed rows — against ones that cut x,
+// where x is skewed like any decomposed dimension and the base recursion
+// cuts it further.  It reports host wall time and tau.
 //
 //   ./ablation_unit_stride [edge] [threads] [steps]
 #include <cstdlib>
@@ -47,8 +49,9 @@ int main(int argc, char** argv) {
     table.add_row(v.name, {run.gupdates_per_second(), run.details.at("tau")});
   }
   table.print(std::cout);
-  std::cout << "\nCutting x shortens the vectorised inner runs (tiles of " <<
-      edge / threads << " doubles instead of " << edge << ") and multiplies "
+  std::cout << "\nCutting x shortens the vectorised inner runs (at most " <<
+      edge / threads << " doubles per tile, split further at base and wrap "
+      "seams, instead of whole " << edge << "-double rows) and multiplies "
       "row-boundary handling; the default decomposition never does it.\n";
   return 0;
 }

@@ -13,9 +13,9 @@
 // exact integer compares and the locality tolerance is gone.  The model
 // output keeps a small relative tolerance only because it runs through
 // libm, which may differ across toolchains.  Wall-clock seconds are
-// only sanity-checked against a generous ratio (--wall-tol, default 4x)
-// so a loaded CI machine cannot fail the build, but a 4x slowdown still
-// does.
+// recorded for information only: single-rep timings of millisecond runs
+// swing by far more than any fixed ratio on a shared host, so wall clock
+// is judged by bench/perf_ledger, which measures with reps.
 //
 //   regress                         # writes BENCH_schemes.json
 //   regress --out=fresh.json --baseline=bench/BENCH_schemes.json
@@ -73,7 +73,7 @@ struct Case {
   double locality = 0.0;
   // Goes through libm: small relative tolerance.
   double model_gupdates_per_core = 0.0;
-  // Wall clock: ratio tolerance only.
+  // Wall clock: informational, never gated.
   double seconds = 0.0;
 };
 
@@ -204,8 +204,7 @@ const metrics::JsonValue* find_case(const metrics::JsonValue& doc,
 
 /// Diffs fresh cases against the baseline document; prints one line per
 /// failure and returns the failure count.
-int compare(const std::vector<Case>& fresh, const metrics::JsonValue& base,
-            double wall_tol) {
+int compare(const std::vector<Case>& fresh, const metrics::JsonValue& base) {
   int failures = 0;
   const auto fail = [&](const Case& c, const std::string& what) {
     std::cerr << "REGRESSION " << c.scheme << " edge=" << c.edge << ": " << what
@@ -252,12 +251,6 @@ int compare(const std::vector<Case>& fresh, const metrics::JsonValue& base,
                   std::to_string(jc->at("model_gupdates_per_core").num()) +
                   " actual " + std::to_string(c.model_gupdates_per_core) +
                   " (rel tol 0.05)");
-    const double base_s = jc->at("seconds").num();
-    if (base_s > 0.0 && c.seconds > base_s * wall_tol)
-      fail(c, "seconds: expected <= " + std::to_string(base_s * wall_tol) +
-                  " (" + std::to_string(wall_tol) + "x baseline " +
-                  std::to_string(base_s) + ") actual " +
-                  std::to_string(c.seconds));
   }
   if (failures > 0)
     std::cerr << "provenance delta (baseline vs candidate):\n"
@@ -273,9 +266,6 @@ int main(int argc, char** argv) try {
   args.add_option("out", "write fresh results as JSON to this file",
                   "BENCH_schemes.json");
   args.add_option("baseline", "compare against this committed baseline", "");
-  args.add_option("wall-tol",
-                  "wall-clock failure threshold as a ratio over baseline",
-                  "4.0");
   if (!args.parse(argc, argv)) return 0;
 
   std::vector<Case> cases;
@@ -292,9 +282,7 @@ int main(int argc, char** argv) try {
   std::cout << "wrote " << args.get("out") << '\n';
 
   if (const std::string baseline = args.get("baseline"); !baseline.empty()) {
-    const double wall_tol = std::stod(args.get("wall-tol"));
-    const int failures =
-        compare(cases, metrics::parse_json_file(baseline), wall_tol);
+    const int failures = compare(cases, metrics::parse_json_file(baseline));
     if (failures > 0) {
       std::cerr << failures << " regression(s) against " << baseline << '\n';
       return 1;

@@ -67,7 +67,9 @@ void decompose_impl(const SpaceTimeTile& tile, const BaseSizes& base,
   // waiting across a thread boundary only ever targets neighbour bases in
   // the same or an earlier time band, and within a band the left-skewed
   // space-cut order guarantees the producing (left-edge) bases carry no
-  // cross-boundary waits of their own.
+  // cross-boundary waits of their own.  Cross-thread waits exist only in
+  // skewed (decomposed) dimensions; an unskewed dimension is a whole
+  // periodic ring with no neighbour, and it is never cut (below).
   if (tile.timesteps() > base.time) {
     const auto [lower, upper] = tile.time_cut(tile.t0 + tile.timesteps() / 2);
     decompose_impl(lower, base, out);  // time cut: lower half first
@@ -75,12 +77,17 @@ void decompose_impl(const SpaceTimeTile& tile, const BaseSizes& base,
     return;
   }
 
-  // Within a band: cut the relatively longest spatial dimension.
+  // Within a band: cut the relatively longest skewed spatial dimension.
+  // An unskewed (slope 0) interval is never bisected: each half would read
+  // the other at the previous step of the same band, so no execution order
+  // of the two halves respects the dependencies.  This keeps unit-stride
+  // rows whole whenever the scheme leaves x unskewed.
   int cut_dim = -2;
   double best = 1.0;
   for (int d = 0; d < tile.rank; ++d) {
-    const Index w = tile.dims[static_cast<std::size_t>(d)].hi -
-                    tile.dims[static_cast<std::size_t>(d)].lo;
+    const SkewedInterval& iv = tile.dims[static_cast<std::size_t>(d)];
+    if (iv.slope_lo == 0 && iv.slope_hi == 0) continue;
+    const Index w = iv.hi - iv.lo;
     const double ratio = static_cast<double>(w) / static_cast<double>(base.space[static_cast<std::size_t>(d)]);
     if (w > base.space[static_cast<std::size_t>(d)] && ratio > best) {
       best = ratio;
@@ -95,9 +102,9 @@ void decompose_impl(const SpaceTimeTile& tile, const BaseSizes& base,
 
   const auto& iv = tile.dims[static_cast<std::size_t>(cut_dim)];
   const auto [left, right] = tile.space_cut(cut_dim, iv.lo + (iv.hi - iv.lo) / 2);
-  if (iv.slope_lo <= 0) {
-    // Left skew (or unskewed): the right child reads the left child's
-    // results, so the left child must execute first.
+  if (iv.slope_lo < 0) {
+    // Left skew: the right child reads the left child's results, so the
+    // left child must execute first.
     decompose_impl(left, base, out);
     decompose_impl(right, base, out);
   } else {

@@ -56,10 +56,11 @@ struct SpaceTimeTile {
 /// parallelograms, appended to `out` in a dependency-respecting sequential
 /// order for slope `-s` (left skew): time cuts emit lower before upper,
 /// space cuts emit left before right.  For slope `+s` tiles the space-cut
-/// order flips automatically based on the sign of the slope.
+/// order flips automatically based on the sign of the slope.  Unskewed
+/// (slope 0) dimensions are never cut: a base spans them whole.
 struct BaseSizes {
   Index time = 8;                       ///< stop when timesteps <= time
-  std::array<Index, 3> space{32, 8, 8}; ///< per-dim spatial stop size
+  std::array<Index, 3> space{32, 8, 8}; ///< per-dim stop size (skewed dims only)
 };
 
 void decompose_parallelogram(const SpaceTimeTile& root, const BaseSizes& base,

@@ -72,7 +72,7 @@ bool higher_is_better(const std::string& metric);
 /// Per-metric minimum relative effect: deterministic metrics use the
 /// caller's min_effect_rel, host-sensitive kernel speedups get a wide
 /// band, and wall-clock seconds are informational only (never gated) —
-/// cross-machine wall clock is covered by bench/regress --wall-tol.
+/// wall clock is measured with reps by bench/perf_ledger.
 bool metric_is_gated(const std::string& metric);
 double metric_min_effect(const std::string& metric, double base_min_effect);
 

@@ -206,6 +206,62 @@ bool right_neighbors_ready(const std::vector<TileState>& states, const TileState
 
 }  // namespace
 
+CoralsLayout plan_corals(const Coord& shape, int threads, int s,
+                         const CoralsParams& params) {
+  const int rank = shape.rank();
+  CoralsLayout l;
+  // Phase I: spatial decomposition into one tile per thread.
+  core::Box domain;
+  domain.lo = Coord::filled(rank, 0);
+  domain.hi = shape;
+  l.counts = decompose_counts(shape, threads);
+  if (params.force_counts.rank() == rank) {
+    NUSTENCIL_CHECK(params.force_counts.product() == threads,
+                    "CoralsParams::force_counts must multiply to the thread count");
+    l.counts = params.force_counts;
+  }
+  l.tiles = decompose_domain(domain, l.counts);
+
+  // Phase II: temporal tiling.  b = smallest decomposed tile extent.
+  for (int d = 0; d < rank; ++d) {
+    if (l.counts[d] <= 1) continue;
+    for (const auto& tile : l.tiles)
+      l.b = l.b == 0 ? tile.extent(d) : std::min(l.b, tile.extent(d));
+  }
+  if (l.b == 0) l.b = l.tiles[0].hi.min();  // single tile: smallest extent
+  NUSTENCIL_CHECK(l.b >= 2 * s, "CORALS: thread tiles must be at least 2s wide");
+  l.tau = params.tau_override > 0 ? params.tau_override : std::max<long>(1, l.b / (2 * s));
+  return l;
+}
+
+core::BaseSizes corals_base_sizes(const CoralsParams& params) {
+  core::BaseSizes sizes;
+  if (params.base_space > 0) sizes.space[1] = sizes.space[2] = params.base_space;
+  if (params.base_time > 0) sizes.time = params.base_time;
+  return sizes;
+}
+
+CoralsLayer corals_layer(const core::Box& tile, const Coord& counts, const Coord& shape,
+                         int s, long tau_act) {
+  CoralsLayer l;
+  l.root.t0 = 0;
+  l.root.t1 = tau_act;
+  l.root.rank = shape.rank();
+  for (int d = 0; d < shape.rank(); ++d) {
+    const auto i = static_cast<std::size_t>(d);
+    const bool decomposed = counts[d] > 1;
+    const Index lo = decomposed ? tile.lo[d] : 0;
+    const Index hi = decomposed ? tile.hi[d] : shape[d];
+    // An undecomposed x is the whole ring left unskewed: it has no
+    // neighbour to skew against, rows never wrap mid-row, and the
+    // recursion never cuts a slope-0 dimension, so rows stay whole.
+    const int k = d == 0 && !decomposed ? 0 : s;
+    l.clip[i] = SkewedInterval{lo, hi, k, k};
+    l.root.dims[i] = SkewedInterval{lo, hi + 2 * k * (tau_act - 1), -k, -k};
+  }
+  return l;
+}
+
 RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
                           const CoralsParams& params) {
   const int rank = problem.shape().rank();
@@ -217,17 +273,9 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
   const int s = problem.stencil().order();
   const Coord& shape = problem.shape();
 
-  // Phase I: spatial decomposition into one tile per thread.
-  core::Box domain;
-  domain.lo = Coord::filled(rank, 0);
-  domain.hi = shape;
-  Coord counts = decompose_counts(shape, n);
-  if (params.force_counts.rank() == rank) {
-    NUSTENCIL_CHECK(params.force_counts.product() == n,
-                    "CoralsParams::force_counts must multiply to the thread count");
-    counts = params.force_counts;
-  }
-  const std::vector<core::Box> tiles = decompose_domain(domain, counts);
+  const CoralsLayout layout = plan_corals(shape, n, s, params);
+  const Coord& counts = layout.counts;
+  const std::vector<core::Box>& tiles = layout.tiles;
 
   // The owner map: tile -> thread.  nuCORALS keeps the allocating thread
   // (owner_shift 0); the CORALS rendition shifts it to model affinity-blind
@@ -245,22 +293,8 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
     sup.serial_init();
   }
 
-  // Phase II: temporal tiling.  b = smallest decomposed tile extent.
-  Index b = 0;
-  for (int d = 0; d < rank; ++d) {
-    if (counts[d] <= 1) continue;
-    for (const auto& tile : tiles)
-      b = b == 0 ? tile.extent(d) : std::min(b, tile.extent(d));
-  }
-  if (b == 0) b = tiles[0].hi.min();  // single tile: smallest extent
-  NUSTENCIL_CHECK(b >= 2 * s, "CORALS: thread tiles must be at least 2s wide");
-  long tau = params.tau_override > 0 ? params.tau_override
-                                     : std::max<long>(1, b / (2 * s));
-
-  core::BaseSizes base_sizes;
-  if (params.base_space > 0)
-    base_sizes.space = {params.base_space * 4, params.base_space, params.base_space};
-  if (params.base_time > 0) base_sizes.time = params.base_time;
+  const long tau = layout.tau;
+  const core::BaseSizes base_sizes = corals_base_sizes(params);
 
   std::vector<TileState> states(static_cast<std::size_t>(n));
   threading::Barrier barrier(n);
@@ -313,20 +347,10 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
         const trace::ScopedSpan build_span(
             rec, trace::Phase::Init,
             {static_cast<std::int32_t>(tb / tau), -1, -1, my_tile});
-        SpaceTimeTile root;
-        root.t0 = 0;
-        root.t1 = tau_act;
-        root.rank = rank;
-        for (int d = 0; d < rank; ++d) {
-          const bool decomposed = counts[d] > 1;
-          const Index lo = decomposed ? tile.lo[d] : 0;
-          const Index hi = decomposed ? tile.hi[d] : shape[d];
-          mine.clip[static_cast<std::size_t>(d)] = SkewedInterval{lo, hi, s, s};
-          root.dims[static_cast<std::size_t>(d)] =
-              SkewedInterval{lo, hi + 2 * s * (tau_act - 1), -s, -s};
-        }
+        const CoralsLayer layer = corals_layer(tile, counts, shape, s, tau_act);
+        mine.clip = layer.clip;
         mine.bases.clear();
-        core::decompose_parallelogram(root, base_sizes, mine.bases);
+        core::decompose_parallelogram(layer.root, base_sizes, mine.bases);
         if (mine.progress_size < mine.bases.size()) {
           mine.progress =
               std::make_unique<threading::ProgressCounter[]>(mine.bases.size());
@@ -438,7 +462,7 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
 
   RunResult r = sup.finish(params.name, seconds);
   r.details["tau"] = static_cast<double>(tau);
-  r.details["b"] = static_cast<double>(b);
+  r.details["b"] = static_cast<double>(layout.b);
   r.details["bases_per_layer"] =
       states.empty() ? 0.0 : static_cast<double>(states[0].bases.size());
   return r;

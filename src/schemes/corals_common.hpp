@@ -10,31 +10,45 @@
 //  Phase II  Time is tiled into layers of height tau = b/(2s) where b is
 //            the smallest decomposed extent of a thread tile.  Within a
 //            layer, each tile owns a *thread parallelogram*: its spatial
-//            window skewed RIGHT with slope s in every dimension (the
-//            window of an undecomposed dimension is the whole ring,
-//            skewed the same way).  Right-skewing makes the window match
-//            the stencil's dependence cone: a thread never reads anything
-//            left of its own window, so dependencies flow exclusively
-//            from the right neighbour to the left one.
+//            window skewed RIGHT with slope s in every decomposed
+//            dimension (the window of an undecomposed y/z is the whole
+//            ring, skewed the same way).  Right-skewing makes the window
+//            match the stencil's dependence cone: a thread never reads
+//            anything left of its own window, so dependencies flow
+//            exclusively from the right neighbour to the left one.  An
+//            undecomposed unit-stride dimension x is the whole ring
+//            *unskewed*, so every row stays one contiguous kernel call
+//            instead of wrapping mid-row (paper Section III-D).
 //
 //  Phase III Each thread covers its thread parallelogram with a *root
-//            parallelogram* skewed LEFT (slope -s), recursively bisected
-//            along the relatively longest dimension into *base
-//            parallelograms* (core::decompose_parallelogram).  Bases are
-//            executed in recursion order — which provably respects every
+//            parallelogram* skewed LEFT (slope -s; an undecomposed x stays
+//            the unskewed ring), recursively bisected along the relatively
+//            longest skewed dimension into *base parallelograms*
+//            (core::decompose_parallelogram, which never cuts an unskewed
+//            dimension, so bases span whole x rows).  Bases are executed
+//            in recursion order — which provably respects every
 //            intra-thread dependency for left-skewed cuts — and clipped
 //            against the thread parallelogram.  A base whose footprint
 //            reaches within 2s of the right window boundary first waits,
 //            for every right-neighbour base overlapping the needed input
-//            region, on that neighbour's completion flag (the paper's
-//            "local synchronisation"); each thread sets its own flag
-//            after finishing the local part of a base.  A global barrier
-//            separates layers.
+//            region, on that neighbour's progress counter (the paper's
+//            "local synchronisation"); each thread advances its own
+//            counter after finishing the local part of a base at a step.
+//            A global barrier separates layers.
+//
+//            Deadlock freedom: time is cut first, so the bases of every
+//            thread share the same time bands; a cross-thread wait targets
+//            a right neighbour's progress at a strictly earlier step and
+//            exists only in decomposed dimensions.  The unskewed x ring
+//            has no neighbour, so whole rows add no wait edge.
 #pragma once
 
+#include <array>
 #include <string>
+#include <vector>
 
 #include "common/types.hpp"
+#include "core/spacetime.hpp"
 
 #include "schemes/scheme.hpp"
 
@@ -50,7 +64,9 @@ struct CoralsParams {
   int owner_shift = 0;
   /// Override tau (0 = the paper's default b/(2s)).
   long tau_override = 0;
-  /// Override base parallelogram sizes (0 = defaults).
+  /// Override the y/z base parallelogram size and the base height (0 =
+  /// defaults).  x needs no size: bases span whole rows unless x is
+  /// decomposed, in which case it keeps the core::BaseSizes default.
   Index base_space = 0;
   long base_time = 0;
 
@@ -59,6 +75,30 @@ struct CoralsParams {
   /// unit-stride dimension).  Used by the unit-stride ablation bench.
   Coord force_counts;
 };
+
+/// Phases I/II: the thread-tile grid, the smallest decomposed extent b
+/// and the layer height tau.
+struct CoralsLayout {
+  Coord counts;
+  std::vector<core::Box> tiles;
+  Index b = 0;
+  long tau = 0;
+};
+CoralsLayout plan_corals(const Coord& shape, int threads, int s,
+                         const CoralsParams& params);
+
+/// Base sizes of the Phase III recursion for `params`.
+core::BaseSizes corals_base_sizes(const CoralsParams& params);
+
+/// Phase III geometry of thread tile `tile` in a layer of `tau_act` steps
+/// (layer-relative time): the thread parallelogram it computes (`clip`)
+/// and the root parallelogram whose recursion covers it.
+struct CoralsLayer {
+  std::array<core::SkewedInterval, 3> clip{};
+  core::SpaceTimeTile root;
+};
+CoralsLayer corals_layer(const core::Box& tile, const Coord& counts, const Coord& shape,
+                         int s, long tau_act);
 
 RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
                           const CoralsParams& params);

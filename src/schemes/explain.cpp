@@ -8,6 +8,7 @@
 #include "numa/traffic.hpp"
 #include "sched/pool.hpp"
 #include "schemes/cats_common.hpp"
+#include "schemes/corals_common.hpp"
 #include "schemes/decompose.hpp"
 #include "schemes/diamond.hpp"
 #include "schemes/mwd_common.hpp"
@@ -62,48 +63,31 @@ void describe_cats(std::ostringstream& os, const Coord& shape,
 void describe_corals(std::ostringstream& os, const Coord& shape,
                      const core::StencilSpec& st, const topology::MachineSpec& m,
                      int threads, long timesteps, bool numa_aware) {
-  const int rank = shape.rank();
   const int s = st.order();
-  const Coord counts = decompose_counts(shape, threads);
-  core::Box domain;
-  domain.lo = Coord::filled(rank, 0);
-  domain.hi = shape;
-  const auto tiles = decompose_domain(domain, counts);
-  Index b = 0;
-  for (int d = 0; d < rank; ++d) {
-    if (counts[d] <= 1) continue;
-    for (const auto& tile : tiles)
-      b = b == 0 ? tile.extent(d) : std::min(b, tile.extent(d));
-  }
-  if (b == 0) b = tiles[0].hi.min();
-  const long tau = std::max<long>(1, b / (2 * s));
+  const CoralsParams params;
+  const CoralsLayout layout = plan_corals(shape, threads, s, params);
+  const Index b = layout.b;
+  const long tau = layout.tau;
   const long tau_act = std::min<long>(tau, timesteps);
-
-  core::SpaceTimeTile root;
-  root.t0 = 0;
-  root.t1 = tau_act;
-  root.rank = rank;
-  for (int d = 0; d < rank; ++d) {
-    const bool decomposed = counts[d] > 1;
-    const Index lo = decomposed ? tiles[0].lo[d] : 0;
-    const Index hi = decomposed ? tiles[0].hi[d] : shape[d];
-    root.dims[static_cast<std::size_t>(d)] =
-        core::SkewedInterval{lo, hi + 2 * s * (tau_act - 1), -s, -s};
-  }
+  const bool rows_whole = layout.counts[0] <= 1;
+  const core::BaseSizes sizes = corals_base_sizes(params);
   std::vector<core::SpaceTimeTile> bases;
-  core::decompose_parallelogram(root, core::BaseSizes{}, bases);
+  core::decompose_parallelogram(
+      corals_layer(layout.tiles[0], layout.counts, shape, s, tau_act).root, sizes, bases);
 
   os << "bidirectional parallelogram tiling (CORALS family)\n"
-     << "  spatial decomposition   : " << counts << " tiles (unit-stride never cut)\n"
+     << "  spatial decomposition   : " << layout.counts
+     << " tiles (unit-stride never cut)\n"
      << "  smallest tile extent b  : " << b << " cells\n"
      << "  layer height tau        : " << tau << " = b/(2s); "
      << ceil_div(timesteps, tau) << " layer(s) with global barriers\n"
      << "  thread parallelograms   : skewed right, slope +" << s
-     << ", wrap at the domain edge\n"
+     << (rows_whole ? " (x: whole unskewed ring)" : "") << ", wrap at the domain edge\n"
      << "  root parallelogram      : skewed left, covers tile + 2s(tau-1) = "
      << 2 * s * (tau_act - 1) << " cells of right overhang\n"
-     << "  base parallelograms     : " << bases.size()
-     << " per thread per layer (default sizes 32x8x8 cells x 8 steps)\n"
+     << "  base parallelograms     : " << bases.size() << " per thread per layer ("
+     << (rows_whole ? "rows whole in x" : "x cut to " + std::to_string(sizes.space[0]) + " cells")
+     << ", other dims cut to " << sizes.space[1] << " cells, " << sizes.time << " steps)\n"
      << "  expected local fraction : ~" << 100 - 100 * tau / (2 * b)
      << "% (paper Section III-C: 1 - tau/2b per decomposed dimension)\n"
      << "  initialisation          : "

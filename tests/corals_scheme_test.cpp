@@ -89,6 +89,41 @@ TEST(NuCoralsScheme, OneDimensional) {
                                  corals_config(4, 6));
 }
 
+// Wide rows: x far exceeds a base, so these exercise the whole-row bases
+// (x is never decomposed, never skewed and never cut).  The 3D sweeps of
+// this path live in scheme_property_test.
+TEST(NuCoralsScheme, WideRowsTwoDimensional) {
+  NuCoralsScheme scheme;
+  test::expect_matches_reference(scheme, Coord{200, 40}, core::StencilSpec::stable_star(2, 1),
+                                 corals_config(3, 13));
+}
+
+TEST(NuCoralsScheme, WideRowsSteal) {
+  NuCoralsScheme scheme;
+  RunConfig cfg = corals_config(4, 17);
+  cfg.schedule = sched::Schedule::Steal;
+  test::expect_matches_reference(scheme, Coord{70, 20, 18}, core::StencilSpec::paper_3d7p(),
+                                 cfg);
+}
+
+TEST(NuCoralsScheme, RowsStayWhole) {
+  // Each (y, z, t) row is one kernel call, exactly as in the naive sweep.
+  const auto kernel_rows = [](const std::string& name) {
+    metrics::Registry registry(4);
+    RunConfig cfg = corals_config(4, 4, /*check=*/false);
+    cfg.metrics = &registry;
+    core::Problem problem(Coord{64, 16, 16}, core::StencilSpec::paper_3d7p());
+    schemes::make_scheme(name)->run(problem, cfg);
+    std::uint64_t rows = 0;
+    for (const auto& [counter, value] : registry.snapshot().counters)
+      if (counter.rfind("kernel/rows/", 0) == 0) rows += value;
+    return rows;
+  };
+  const std::uint64_t naive = kernel_rows("NaiveSSE");
+  EXPECT_EQ(naive, 16u * 16u * 4u);
+  EXPECT_EQ(kernel_rows("nuCORALS"), naive);
+}
+
 TEST(NuCoralsScheme, TauOverride) {
   for (long tau : {1L, 2L, 5L}) {
     NuCoralsScheme scheme(tau);

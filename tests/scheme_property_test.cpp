@@ -66,6 +66,13 @@ std::vector<Config> make_configs() {
   for (const std::string scheme : {"nuCORALS", "nuCATS", "nuMWD"}) {
     configs.push_back({scheme, Coord{26, 22, 22}, 3, false, 2, 3});
   }
+  // Rows far wider than a base: the CORALS family keeps x whole.
+  for (const std::string scheme : {"nuCORALS", "CORALS"}) {
+    configs.push_back({scheme, Coord{70, 20, 18}, 1, false, 4, 17});
+  }
+  configs.push_back({"nuCORALS", Coord{97, 23, 19}, 2, false, 3, 7});
+  configs.push_back({"nuCORALS", Coord{81, 30, 26}, 3, false, 2, 5});
+  configs.push_back({"nuCORALS", Coord{66, 18, 14}, 1, true, 3, 9});
   // Non-cubic, prime-ish shapes.
   for (const std::string scheme : {"nuCORALS", "NaiveSSE", "Pochoir", "PLuTo", "nuMWD"}) {
     configs.push_back({scheme, Coord{31, 9, 23}, 1, false, 3, 5});

@@ -4,6 +4,7 @@
 
 #include <map>
 #include <set>
+#include <tuple>
 
 #include "core/spacetime.hpp"
 
@@ -145,6 +146,55 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple<Index, Index, int>(40, 12, 2),
                       std::make_tuple<Index, Index, int>(7, 3, -1),
                       std::make_tuple<Index, Index, int>(128, 32, -1)));
+
+TEST(Decomposition, UnskewedDimensionIsNeverCut) {
+  // nuCORALS' root with x undecomposed: x is the whole unskewed ring (slope
+  // 0), y is left-skewed.  The bases must still partition the root, run in
+  // dependency order (x reads wrap around the ring), and span x whole.
+  constexpr Index nx = 20;
+  SpaceTimeTile root;
+  root.rank = 2;
+  root.t0 = 0;
+  root.t1 = 9;
+  root.dims[0] = SkewedInterval{0, nx, 0, 0};
+  root.dims[1] = SkewedInterval{0, 30, -1, -1};
+  BaseSizes sizes;
+  sizes.time = 4;
+  sizes.space = {4, 8, 8};  // x would be cut if its slope allowed it
+  std::vector<SpaceTimeTile> bases;
+  decompose_parallelogram(root, sizes, bases);
+  ASSERT_GT(bases.size(), 1u);
+
+  std::map<std::tuple<Index, Index, Index>, int> done;  // (t, x, y) -> cover
+  const auto ready = [&](Index t, Index x, Index y) { return done.count({t, x, y}) == 1; };
+  for (const auto& b : bases) {
+    EXPECT_EQ(b.dims[0].lo, 0);
+    EXPECT_EQ(b.dims[0].hi, nx);
+    EXPECT_EQ(b.dims[0].slope_lo, 0);
+    EXPECT_LE(b.dims[1].hi - b.dims[1].lo, sizes.space[1]);
+    for (Index t = b.t0; t < b.t1; ++t) {
+      const Box box = b.box_at(t);
+      for (Index y = box.lo[1]; y < box.hi[1]; ++y)
+        for (Index x = box.lo[0]; x < box.hi[0]; ++x) {
+          if (t > 0) {
+            // Only inputs inside the root matter (as in the 1D sweep).
+            const Index ylo = root.dims[1].lo_at(t - 1), yhi = root.dims[1].hi_at(t - 1);
+            for (Index k = -1; k <= 1; ++k) {
+              if (y >= ylo && y < yhi)
+                EXPECT_TRUE(ready(t - 1, (x + k + nx) % nx, y))
+                    << "x input of (" << x << "," << y << "," << t << ") not ready";
+              if (y + k >= ylo && y + k < yhi)
+                EXPECT_TRUE(ready(t - 1, x, y + k))
+                    << "y input of (" << x << "," << y << "," << t << ") not ready";
+            }
+          }
+          ++done[{t, x, y}];
+        }
+    }
+  }
+  EXPECT_EQ(static_cast<Index>(done.size()), root.volume());
+  for (const auto& [pt, count] : done) EXPECT_EQ(count, 1);
+}
 
 TEST(Decomposition, TimeBandsAlignAcrossTranslatedRoots) {
   // The deadlock-freedom of nuCORALS' local synchronisation relies on all
