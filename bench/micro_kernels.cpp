@@ -1,8 +1,7 @@
 // Google-benchmark microbenchmarks of the stencil kernels on this host:
 // the full kernel-engine matrix — every tap count the engine specializes
 // (7/13/19-point, 3D orders 1-3) times constant vs banded coefficients
-// times every policy (scalar / SSE2 / AVX2 / FMA / generic baseline /
-// auto) — registered programmatically so no combination can silently
+// times every policy (scalar / SSE2 / AVX2 / FMA / auto) — registered programmatically so no combination can silently
 // drop out of the sweep.  These measure real wall time (unlike the
 // figure benches, which model the paper machines); run with
 // --benchmark_format=json for one JSON blob per combination.  For the
@@ -69,9 +68,9 @@ void run_sweep(benchmark::State& state, int order, bool banded,
 
 void register_matrix() {
   const std::vector<std::pair<KernelPolicy, const char*>> policies = {
-      {KernelPolicy::Scalar, "Scalar"},   {KernelPolicy::SSE2, "SSE2"},
-      {KernelPolicy::AVX2, "AVX2"},       {KernelPolicy::FMA, "FMA"},
-      {KernelPolicy::GenericSimd, "GenericSimd"}, {KernelPolicy::Auto, "Auto"}};
+      {KernelPolicy::Scalar, "Scalar"}, {KernelPolicy::SSE2, "SSE2"},
+      {KernelPolicy::AVX2, "AVX2"},     {KernelPolicy::FMA, "FMA"},
+      {KernelPolicy::Auto, "Auto"}};
   for (const int order : {1, 2, 3}) {
     for (const bool banded : {false, true}) {
       const std::string combo = std::to_string(6 * order + 1) + "pt_" +

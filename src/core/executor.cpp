@@ -30,8 +30,7 @@ struct Executor::RowPlan {
   std::array<Index, kMaxTaps> base{};  ///< per-tap src row base, x-offset folded
 };
 
-Executor::Executor(Problem& problem, Instrumentation instr, KernelPolicy policy,
-                   StorePolicy stores)
+Executor::Executor(Problem& problem, Instrumentation instr, KernelPolicy policy)
     : problem_(&problem), instr_(instr) {
   const Coord& shape = problem.shape();
   const StencilSpec& st = problem.stencil();
@@ -39,20 +38,13 @@ Executor::Executor(Problem& problem, Instrumentation instr, KernelPolicy policy,
   nx_ = shape[0];
   ny_ = shape.rank() >= 2 ? shape[1] : 1;
   nz_ = shape.rank() >= 3 ? shape[2] : 1;
-  // Storage strides, not logical ones: under FieldPad::Rows64 a row
-  // occupies xstride >= nx elements (identical for dense layouts).
-  const Field& f0 = problem.buffer(0);
-  xstride_ = f0.xstride();
-  sy_ = shape.rank() >= 2 ? f0.strides()[1] : xstride_;
-  sz_ = shape.rank() >= 3 ? f0.strides()[2] : sy_ * ny_;
+  sy_ = nx_;
+  sz_ = nx_ * ny_;
   KernelRequest req;
   req.ntaps = st.npoints();
   req.banded = st.banded();
   req.rank = shape.rank();
   req.order = st.order();
-  req.rows_aligned = problem.rows_aligned();
-  req.stores = stores;
-  req.bytes_touched = problem.sweep_bytes();
   kernel_ = select_kernel(policy, req);
   if (st.banded())
     for (int p = 0; p < st.npoints(); ++p)
@@ -94,21 +86,14 @@ Index Executor::update_box(const Box& box, long t, int tid) {
   ka.coeffs = st.coeffs().data();
   ka.bands = band_ptrs_.data();
   ka.ntaps = ntaps;
-  // Row storage capacity: lets the rotated v2 kernels read the centre
-  // row ahead of x1 (v1 kernels ignore it).
-  ka.xcap = xstride_;
+  // Row length: lets the rotated v2 kernels read the centre row ahead
+  // of x1 (v1 kernels ignore it).
+  ka.xcap = nx_;
 
   RowPlan plan;
   plan.x0v = lo0;
   plan.x1v = hi0;
   Index done = 0;
-
-  // The legacy baseline (KernelPolicy::GenericSimd) reproduces the
-  // pre-engine update path end to end — a pmod (integer division) per
-  // off-axis tap per row here, plus the per-row context rebuild in
-  // update_row — so the benchmarked speedup tracks the whole engine, not
-  // just the inner loop.
-  const bool legacy = kernel_.variant == KernelVariant::Legacy;
 
   // Incremental periodic row indices: `pmod` runs once per z-plane and
   // per tap at loop entry; inside the y loop every index steps by +1
@@ -131,32 +116,17 @@ Index Executor::update_box(const Box& box, long t, int tid) {
       const Index row = py * sy_ + zrow;
       plan.src_row = row;
       plan.dst_row = row;
-      if (legacy) {
-        const Index pyl = pmod(vy, ny_);
-        for (int p = 0; p < ntaps; ++p) {
-          const StencilPoint& pt = points[static_cast<std::size_t>(p)];
-          Index base = row;
-          if (pt.dim == 1)
-            base = pmod(pyl + pt.offset, ny_) * sy_ + zrow;
-          else if (pt.dim == 2)
-            base = pyl * sy_ + pmod(pz + pt.offset, nz_) * sz_;
-          else
-            base = row + pt.offset;
-          plan.base[static_cast<std::size_t>(p)] = base;
+      for (int p = 0; p < ntaps; ++p) {
+        const StencilPoint& pt = points[static_cast<std::size_t>(p)];
+        Index base;
+        if (pt.dim == 1) {
+          base = ybase[static_cast<std::size_t>(p)] * sy_ + zrow;
+        } else if (pt.dim == 2) {
+          base = py * sy_ + zbase[static_cast<std::size_t>(p)];
+        } else {
+          base = row + pt.offset;  // centre and folded x taps
         }
-      } else {
-        for (int p = 0; p < ntaps; ++p) {
-          const StencilPoint& pt = points[static_cast<std::size_t>(p)];
-          Index base;
-          if (pt.dim == 1) {
-            base = ybase[static_cast<std::size_t>(p)] * sy_ + zrow;
-          } else if (pt.dim == 2) {
-            base = py * sy_ + zbase[static_cast<std::size_t>(p)];
-          } else {
-            base = row + pt.offset;  // centre and folded x taps
-          }
-          plan.base[static_cast<std::size_t>(p)] = base;
-        }
+        plan.base[static_cast<std::size_t>(p)] = base;
       }
       update_row(plan, ka, t, tid);
       if (instr_.traffic || instr_.cache_sim) account_row(plan, t, tid);
@@ -184,33 +154,12 @@ Index Executor::update_box(const Box& box, long t, int tid) {
   return done;
 }
 
-void Executor::update_row(const RowPlan& plan, const KernelArgs& ka0, long t,
+void Executor::update_row(const RowPlan& plan, const KernelArgs& ka, long t,
                           int tid) {
   const StencilSpec& st = problem_->stencil();
   const auto& points = st.points();
-  const int ntaps = ka0.ntaps;
+  const int ntaps = ka.ntaps;
   const int s = st.order();
-
-  // Legacy baseline: re-derive the kernel context per row (buffer
-  // pointers, coefficients, band pointer table — including the old
-  // code's unconditional zero-init of the full-size table), as the
-  // pre-engine update_row did.
-  KernelArgs legacy_ka;
-  std::array<const double*, kMaxTaps> legacy_bands;
-  if (kernel_.variant == KernelVariant::Legacy) {
-    legacy_bands.fill(nullptr);
-    legacy_ka.dst = problem_->buffer(t + 1).data();
-    legacy_ka.src = problem_->buffer(t).data();
-    legacy_ka.coeffs = st.coeffs().data();
-    legacy_ka.ntaps = ntaps;
-    if (st.banded()) {
-      for (int p = 0; p < ntaps; ++p)
-        legacy_bands[static_cast<std::size_t>(p)] = problem_->band(p).data();
-      legacy_ka.bands = legacy_bands.data();
-    }
-  }
-  const KernelArgs& ka =
-      kernel_.variant == KernelVariant::Legacy ? legacy_ka : ka0;
   double* dst = ka.dst;
   const double* src = ka.src;
 

@@ -60,12 +60,10 @@ RowSplit compute_row_split(Index a, Index b, Index nx, int order);
 class Executor {
  public:
   /// `instr` may outlive-or-null; the executor never owns it.  The row
-  /// kernel is selected once here, from `policy`, `stores`, the host CPU
-  /// and the problem's geometry/layout (rotated v2 kernels for canonical
-  /// rank-3 stars; streaming stores only on 64B-aligned rows).
+  /// kernel is selected once here, from `policy`, the host CPU and the
+  /// problem's geometry (rotated v2 kernels for canonical rank-3 stars).
   Executor(Problem& problem, Instrumentation instr = {},
-           KernelPolicy policy = KernelPolicy::Auto,
-           StorePolicy stores = StorePolicy::Auto);
+           KernelPolicy policy = KernelPolicy::Auto);
 
   /// Updates every cell of `box` (virtual coordinates, wrapped into the
   /// periodic domain) from time `t` to `t+1` on behalf of thread `tid`.
@@ -113,11 +111,8 @@ class Executor {
   std::array<const double*, kMaxTaps> band_ptrs_{};
 
   // Cached geometry (normalised to 3D: missing dims have extent 1).
-  // Strides come from the fields, so padded layouts (xstride > nx) work
-  // transparently; xstride_ feeds KernelArgs::xcap.
   Index nx_, ny_, nz_;
-  Index sy_, sz_;  // storage strides of dims 1 and 2
-  Index xstride_;  // storage extent of the unit-stride dim
+  Index sy_, sz_;  // strides of dims 1 and 2
 };
 
 }  // namespace nustencil::core

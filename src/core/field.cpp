@@ -7,47 +7,18 @@
 
 namespace nustencil::core {
 
-namespace {
-
-/// Storage strides for `shape` with the unit-stride dimension padded to
-/// `xstride` elements (== shape[0] for dense layouts).
-Coord padded_strides(const Coord& shape, Index xstride) {
-  Coord s = Coord::filled(shape.rank(), 1);
-  if (shape.rank() >= 2) s[1] = xstride;
-  for (int d = 2; d < shape.rank(); ++d) s[d] = s[d - 1] * shape[d - 1];
-  return s;
-}
-
-Index pick_xstride(const Coord& shape, FieldPad pad) {
-  constexpr Index kRowAlignDoubles =
-      static_cast<Index>(kCacheLineBytes / sizeof(double));
-  return pad == FieldPad::Rows64 ? round_up(shape[0], kRowAlignDoubles)
-                                 : shape[0];
-}
-
-}  // namespace
-
-Field::Field(Coord shape, FieldPad pad)
-    : shape_(shape), strides_(padded_strides(shape, pick_xstride(shape, pad))),
-      volume_(shape.product()), xstride_(pick_xstride(shape, pad)),
-      storage_volume_(volume_ / shape[0] * xstride_),
-      buffer_(static_cast<std::size_t>(storage_volume_) * sizeof(double)),
+Field::Field(Coord shape)
+    : shape_(shape), strides_(strides_for(shape)), volume_(shape.product()),
+      buffer_(static_cast<std::size_t>(volume_) * sizeof(double)),
       data_(reinterpret_cast<double*>(buffer_.data())) {
   NUSTENCIL_CHECK(shape.rank() >= 1, "Field: shape must have rank >= 1");
   for (int d = 0; d < shape.rank(); ++d)
     NUSTENCIL_CHECK(shape[d] >= 1, "Field: extents must be positive");
 }
 
-bool Field::rows_aligned() const {
-  constexpr Index kRowAlignDoubles =
-      static_cast<Index>(kCacheLineBytes / sizeof(double));
-  return xstride_ % kRowAlignDoubles == 0 &&
-         reinterpret_cast<std::uintptr_t>(data_) % kCacheLineBytes == 0;
-}
-
 void Field::attach(numa::PageTable& pages, const std::string& name) {
   region_ = pages.register_region(
-      name, storage_volume_ * static_cast<Index>(sizeof(double)));
+      name, volume_ * static_cast<Index>(sizeof(double)));
 }
 
 numa::RegionId Field::region() const {
@@ -55,17 +26,17 @@ numa::RegionId Field::region() const {
   return *region_;
 }
 
-Problem::Problem(Coord shape, StencilSpec stencil, FieldPad pad)
+Problem::Problem(Coord shape, StencilSpec stencil)
     : shape_(shape), stencil_(std::move(stencil)) {
   NUSTENCIL_CHECK(shape.rank() == stencil_.rank(),
                   "Problem: shape rank must match stencil rank");
   for (int d = 0; d < shape.rank(); ++d)
     NUSTENCIL_CHECK(shape[d] > 2 * stencil_.order(),
                     "Problem: extents must exceed the stencil diameter");
-  u_.emplace_back(shape, pad);
-  u_.emplace_back(shape, pad);
+  u_.emplace_back(shape);
+  u_.emplace_back(shape);
   if (stencil_.banded()) {
-    for (int p = 0; p < stencil_.npoints(); ++p) bands_.emplace_back(shape, pad);
+    for (int p = 0; p < stencil_.npoints(); ++p) bands_.emplace_back(shape);
   }
 }
 
@@ -89,47 +60,28 @@ double initial_value(Index cell, unsigned seed) {
 }
 
 void Problem::fill_row(Index begin, Index end, unsigned seed) {
-  NUSTENCIL_CHECK(begin >= 0 && end <= storage_volume() && begin <= end,
+  NUSTENCIL_CHECK(begin >= 0 && end <= volume() && begin <= end,
                   "Problem::fill_row: range out of bounds");
   Field& u0 = u_[0];
   const int taps = stencil_.npoints();
-  // Walk storage indices but key the hash on the logical cell id, so a
-  // padded problem gets the exact per-cell data of its dense twin (for
-  // dense layouts cell == i and this is byte-for-byte the old loop).
-  const Index xs = u0.xstride();
-  const Index nx = shape_[0];
-  Index x = begin % xs;
-  Index cell_row = begin / xs * nx;
-  for (Index i = begin; i < end; ++i) {
-    if (x < nx) {
-      const Index cell = cell_row + x;
-      u0.data()[i] = initial_value(cell, seed);
-      if (!bands_.empty()) {
-        // Per-cell positive weights summing to 1: centre 0.5, the rest
-        // share 0.5 with a cell-dependent perturbation (keeps iteration
-        // stable).
-        double sum = 0.0;
-        for (int p = 1; p < taps; ++p) {
-          const double w = 1.0 + 0.5 * initial_value(cell * taps + p, seed);
-          bands_[static_cast<std::size_t>(p)].data()[i] = w;
-          sum += w;
-        }
-        for (int p = 1; p < taps; ++p)
-          bands_[static_cast<std::size_t>(p)].data()[i] *= 0.5 / sum;
-        bands_[0].data()[i] = 0.5;
-      }
-    } else {
-      u0.data()[i] = 0.0;
-      for (std::size_t p = 0; p < bands_.size(); ++p) bands_[p].data()[i] = 0.0;
+  for (Index cell = begin; cell < end; ++cell) {
+    u0.data()[cell] = initial_value(cell, seed);
+    if (bands_.empty()) continue;
+    // Per-cell positive weights summing to 1: centre 0.5, the rest share
+    // 0.5 with a cell-dependent perturbation (keeps iteration stable).
+    double sum = 0.0;
+    for (int p = 1; p < taps; ++p) {
+      const double w = 1.0 + 0.5 * initial_value(cell * taps + p, seed);
+      bands_[static_cast<std::size_t>(p)].data()[cell] = w;
+      sum += w;
     }
-    if (++x == xs) {
-      x = 0;
-      cell_row += nx;
-    }
+    for (int p = 1; p < taps; ++p)
+      bands_[static_cast<std::size_t>(p)].data()[cell] *= 0.5 / sum;
+    bands_[0].data()[cell] = 0.5;
   }
 }
 
-void Problem::initialize(unsigned seed) { fill_row(0, storage_volume(), seed); }
+void Problem::initialize(unsigned seed) { fill_row(0, volume(), seed); }
 
 void Problem::attach(numa::PageTable& pages) {
   u_[0].attach(pages, "u0");

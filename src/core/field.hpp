@@ -23,31 +23,13 @@ namespace nustencil::core {
 /// and double-buffered experiments start from identical data.
 double initial_value(Index cell, unsigned seed);
 
-/// Row padding policy for Field storage.
-///   None   — dense layout, xstride == shape[0] (bitwise status quo; every
-///            pre-existing dense-layout consumer keeps working unchanged)
-///   Rows64 — pad the unit-stride dimension to a multiple of 8 doubles so
-///            every row starts on a 64-byte cache-line boundary and the
-///            vector kernels can issue aligned loads and non-temporal
-///            stores on rows of any logical extent
-enum class FieldPad { None, Rows64 };
-
 class Field {
  public:
-  explicit Field(Coord shape, FieldPad pad = FieldPad::None);
+  explicit Field(Coord shape);
 
   const Coord& shape() const { return shape_; }
   const Coord& strides() const { return strides_; }
   Index volume() const { return volume_; }
-
-  /// Storage extent of the unit-stride dimension (== shape[0] when dense;
-  /// round_up(shape[0], 8) under FieldPad::Rows64).
-  Index xstride() const { return xstride_; }
-  /// Allocated elements, padding included (== volume() when dense).
-  Index storage_volume() const { return storage_volume_; }
-  /// Every row base 64-byte aligned (always true for Rows64 padding and
-  /// for dense layouts whose x extent is a multiple of 8).
-  bool rows_aligned() const;
 
   double* data() { return data_; }
   const double* data() const { return data_; }
@@ -67,8 +49,6 @@ class Field {
   Coord shape_;
   Coord strides_;
   Index volume_;
-  Index xstride_;
-  Index storage_volume_;
   AlignedBuffer buffer_;
   double* data_;
   std::optional<numa::RegionId> region_;
@@ -77,10 +57,9 @@ class Field {
 /// The complete state of one iterative stencil problem.
 class Problem {
  public:
-  /// Constant-coefficient problem on `shape` with double buffering.  All
-  /// fields (both value buffers and every band) share one layout given by
-  /// `pad`; the default dense layout is byte-for-byte the historical one.
-  Problem(Coord shape, StencilSpec stencil, FieldPad pad = FieldPad::None);
+  /// Problem on `shape` with double buffering (plus one band field per
+  /// tap for banded stencils).
+  Problem(Coord shape, StencilSpec stencil);
 
   const Coord& shape() const { return shape_; }
   const StencilSpec& stencil() const { return stencil_; }
@@ -99,26 +78,20 @@ class Problem {
   /// coefficients (positive, rows summing to 1).
   void initialize(unsigned seed = 42);
 
-  /// Fills cells [begin, end) (linear *storage* indices) of buffer 0 and
-  /// the bands — the same values initialize() would write, so NUMA-aware
-  /// schemes can first-touch their tiles in parallel without changing the
-  /// data.  Values are keyed on the *logical* cell id (identical to the
-  /// storage index for dense layouts), so padded and dense problems start
-  /// from identical per-cell data; padding cells are written as zero.
+  /// Fills cells [begin, end) (linear indices) of buffer 0 and the bands
+  /// — the same values initialize() would write, so NUMA-aware schemes
+  /// can first-touch their tiles in parallel without changing the data.
   void fill_row(Index begin, Index end, unsigned seed = 42);
 
   /// Registers all fields with `pages`.
   void attach(numa::PageTable& pages);
 
   Index volume() const { return u_[0].volume(); }
-  Index storage_volume() const { return u_[0].storage_volume(); }
-  bool rows_aligned() const { return u_[0].rows_aligned(); }
 
   /// Bytes one full-domain sweep reads + writes (both value buffers plus
-  /// every band, storage layout included) — the working-set estimate the
-  /// StorePolicy::Auto streaming heuristic compares against the LLC.
+  /// every band): the algorithmic traffic of one sweep.
   Index sweep_bytes() const {
-    return (2 + static_cast<Index>(bands_.size())) * storage_volume() *
+    return (2 + static_cast<Index>(bands_.size())) * volume() *
            static_cast<Index>(sizeof(double));
   }
 

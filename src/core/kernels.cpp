@@ -6,10 +6,6 @@
 #include <cctype>
 #include <sstream>
 
-#if defined(__unix__) || defined(__APPLE__)
-#include <unistd.h>
-#endif
-
 #include "common/error.hpp"
 #include "core/kernels_detail.hpp"
 #include "core/kernels_impl.hpp"
@@ -48,9 +44,8 @@ KernelPolicy parse_kernel_policy(const std::string& name) {
   if (lower == "sse2") return KernelPolicy::SSE2;
   if (lower == "avx2") return KernelPolicy::AVX2;
   if (lower == "fma") return KernelPolicy::FMA;
-  if (lower == "generic") return KernelPolicy::GenericSimd;
   throw Error("unknown kernel policy '" + name +
-              "' (expected auto, scalar, sse2, avx2, fma or generic)");
+              "' (expected auto, scalar, sse2, avx2 or fma)");
 }
 
 std::string to_string(KernelPolicy policy) {
@@ -60,41 +55,8 @@ std::string to_string(KernelPolicy policy) {
     case KernelPolicy::SSE2: return "sse2";
     case KernelPolicy::AVX2: return "avx2";
     case KernelPolicy::FMA: return "fma";
-    case KernelPolicy::GenericSimd: return "generic";
   }
   return "?";
-}
-
-StorePolicy parse_store_policy(const std::string& name) {
-  const std::string lower = lowercase(name);
-  if (lower == "auto") return StorePolicy::Auto;
-  if (lower == "stream") return StorePolicy::Stream;
-  if (lower == "regular") return StorePolicy::Regular;
-  throw Error("unknown store policy '" + name +
-              "' (expected auto, stream or regular)");
-}
-
-std::string to_string(StorePolicy policy) {
-  switch (policy) {
-    case StorePolicy::Auto: return "auto";
-    case StorePolicy::Stream: return "stream";
-    case StorePolicy::Regular: return "regular";
-  }
-  return "?";
-}
-
-Index stream_auto_threshold_bytes() {
-  static const Index threshold = [] {
-    Index llc = 0;
-#if defined(_SC_LEVEL3_CACHE_SIZE)
-    if (llc <= 0) llc = static_cast<Index>(sysconf(_SC_LEVEL3_CACHE_SIZE));
-#endif
-#if defined(_SC_LEVEL2_CACHE_SIZE)
-    if (llc <= 0) llc = static_cast<Index>(sysconf(_SC_LEVEL2_CACHE_SIZE));
-#endif
-    return llc > 0 ? llc : Index(16) << 20;
-  }();
-  return threshold;
 }
 
 std::string to_string(KernelIsa isa) {
@@ -126,9 +88,7 @@ std::string KernelChoice::name() const {
   os << to_string(isa);
   if (fma) os << "+fma";
   if (variant == KernelVariant::Generic) os << "+generic";
-  if (variant == KernelVariant::Legacy) os << "+legacy";
   if (rotated) os << "+rot";
-  if (stream) os << "+nt";
   os << '/' << ntaps << "pt/" << (banded ? "banded" : "const");
   return os.str();
 }
@@ -167,11 +127,9 @@ KernelChoice select_kernel_isa(KernelIsa isa, bool fma, int ntaps, bool banded,
   choice.banded = banded;
   choice.ntaps = ntaps;
   // Specialized silently degrades to Generic for tap counts without an
-  // unrolled body; Legacy is always honoured.
-  choice.variant =
-      variant == KernelVariant::Specialized && !kernel_has_specialization(ntaps)
-          ? KernelVariant::Generic
-          : variant;
+  // unrolled body.
+  choice.variant = kernel_has_specialization(ntaps) ? variant
+                                                    : KernelVariant::Generic;
   switch (isa) {
     case KernelIsa::Scalar:
       choice.fn = kernel_impl::pick_kernel<VecScalar>(ntaps, banded, choice.variant);
@@ -197,11 +155,10 @@ KernelIsa best_supported_isa() {
   return KernelIsa::Scalar;
 }
 
-/// Resolves a policy to (isa, fma, variant) against the host.
+/// Resolves a policy to (isa, fma) against the host.
 struct Resolution {
   KernelIsa isa = KernelIsa::Scalar;
   bool fma = false;
-  KernelVariant variant = KernelVariant::Specialized;
   bool downgraded = false;  ///< the policy asked for more than the host has
 };
 
@@ -230,10 +187,6 @@ Resolution resolve_policy(KernelPolicy policy) {
         r.downgraded = true;
       }
       break;
-    case KernelPolicy::GenericSimd:
-      r.variant = KernelVariant::Legacy;
-      r.isa = best_supported_isa();
-      break;
     case KernelPolicy::Auto:
       r.isa = best_supported_isa();
       break;
@@ -245,33 +198,17 @@ Resolution resolve_policy(KernelPolicy policy) {
 /// unit-stride taps are offsets -order..-1, +1..+order (stencil.hpp tap
 /// order): 3D orders 1..3, i.e. the 7/13/19-point specializations.
 bool rotation_eligible(const Resolution& r, const KernelRequest& q) {
-  return r.isa == KernelIsa::AVX2 && r.variant == KernelVariant::Specialized &&
-         q.rank == 3 && q.order >= 1 && q.order <= 3 &&
-         q.ntaps == 6 * q.order + 1;
-}
-
-/// Streaming needs the rotated kernels (their aligned store path) plus an
-/// aligned layout; Auto additionally wants an LLC-busting working set —
-/// streaming a cache-resident sweep would only evict the write field.
-bool stream_wanted(const KernelRequest& q) {
-  if (!q.rows_aligned || q.stores == StorePolicy::Regular) return false;
-  return q.stores == StorePolicy::Stream ||
-         q.bytes_touched >= stream_auto_threshold_bytes();
+  return r.isa == KernelIsa::AVX2 && q.rank == 3 && q.order >= 1 &&
+         q.order <= 3 && q.ntaps == 6 * q.order + 1;
 }
 
 }  // namespace
 
-KernelChoice select_kernel(KernelPolicy policy, int ntaps, bool banded) {
-  const Resolution r = resolve_policy(policy);
-  return select_kernel_isa(r.isa, r.fma, ntaps, banded, r.variant);
-}
-
 KernelChoice select_kernel(KernelPolicy policy, const KernelRequest& request) {
   const Resolution r = resolve_policy(policy);
   if (rotation_eligible(r, request)) {
-    const bool stream = stream_wanted(request);
     const KernelFn fn =
-        detail::avx2_kernel_v2(request.order, request.banded, stream, r.fma);
+        detail::avx2_kernel_v2(request.order, request.banded, r.fma);
     if (fn) {
       KernelChoice choice;
       choice.fn = fn;
@@ -280,20 +217,11 @@ KernelChoice select_kernel(KernelPolicy policy, const KernelRequest& request) {
       choice.fma = r.fma;
       choice.banded = request.banded;
       choice.rotated = true;
-      choice.stream = stream;
       choice.ntaps = request.ntaps;
       return choice;
     }
   }
-  return select_kernel_isa(r.isa, r.fma, request.ntaps, request.banded,
-                           r.variant);
-}
-
-std::string explain_kernel_choice(KernelPolicy policy, int ntaps, bool banded) {
-  KernelRequest request;
-  request.ntaps = ntaps;
-  request.banded = banded;
-  return explain_kernel_choice(policy, request);
+  return select_kernel_isa(r.isa, r.fma, request.ntaps, request.banded);
 }
 
 std::string explain_kernel_choice(KernelPolicy policy,
@@ -317,9 +245,7 @@ std::string explain_kernel_choice(KernelPolicy policy,
      << (banded ? "banded" : "constant") << " coefficients, "
      << (choice.variant == KernelVariant::Specialized
              ? "fully unrolled specialization"
-             : choice.variant == KernelVariant::Legacy
-                   ? "legacy pre-engine kernel"
-                   : "generic runtime-taps kernel")
+             : "generic runtime-taps kernel")
      << ")\n"
      << "  selected kernel         : " << choice.name() << '\n'
      << "  why                     : ";
@@ -329,31 +255,14 @@ std::string explain_kernel_choice(KernelPolicy policy,
           "available ISA";
   else if (policy == KernelPolicy::Auto)
     os << "auto picks the widest ISA the host supports";
-  else if (policy == KernelPolicy::GenericSimd)
-    os << "generic keeps the pre-engine legacy kernel as a benchmarking "
-          "baseline";
   else
     os << "policy forced";
   os << '\n'
      << "  row loads               : "
      << (choice.rotated
-             ? "in-register rotation (one aligned load per cache line)"
+             ? "in-register rotation (one centre-row load per vector)"
              : "per-tap vector loads")
      << '\n'
-     << "  write-field stores      : " << to_string(request.stores) << " -> "
-     << (choice.stream ? "streaming (non-temporal)" : "regular");
-  if (!choice.stream) {
-    if (request.stores == StorePolicy::Regular)
-      os << " (forced)";
-    else if (!request.rows_aligned)
-      os << " (rows not 64B-aligned)";
-    else if (!choice.rotated)
-      os << " (no rotated kernel for this stencil/policy)";
-    else
-      os << " (sweep " << request.bytes_touched << " B < LLC threshold "
-         << stream_auto_threshold_bytes() << " B)";
-  }
-  os << '\n'
      << "  bit-exact vs scalar     : " << yn(!choice.fma)
      << (choice.fma ? " (FMA contracts mul+add; use for wall-clock runs only)"
                     : "")

@@ -16,12 +16,11 @@ bool sse2_compiled();
 KernelFn avx2_kernel(int ntaps, bool banded, KernelVariant variant, bool fma);
 
 /// Kernel engine v2: in-register rotation over the unit-stride taps of
-/// the canonical rank-3 star of `order` (1..3), optionally with
-/// non-temporal streaming stores (`stream`; requires 64B-aligned row
-/// bases and a valid KernelArgs::xcap from the caller) and, for the FMA
-/// tier, semi-stencil-style update splitting.  Returns nullptr for
-/// unsupported orders or when the ISA is not compiled in.
-KernelFn avx2_kernel_v2(int order, bool banded, bool stream, bool fma);
+/// the canonical rank-3 star of `order` (1..3) and, for the FMA tier,
+/// semi-stencil-style update splitting.  Rotation needs a valid
+/// KernelArgs::xcap from the caller.  Returns nullptr for unsupported
+/// orders or when the ISA is not compiled in.
+KernelFn avx2_kernel_v2(int order, bool banded, bool fma);
 
 bool avx2_compiled();
 bool avx2_fma_compiled();

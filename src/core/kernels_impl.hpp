@@ -43,9 +43,9 @@ void kernel_row(const KernelArgs& k, const Index* bases, Index db, Index x0,
 
   // Hoist the per-row invariants into locals once: per-tap source row
   // bases, broadcast coefficient registers (constant case) or band row
-  // pointers (banded case).  The pre-engine kernels re-broadcast
-  // coefficients every x iteration because the compiler could not prove
-  // the store to dst does not alias them.
+  // pointers (banded case).  Without the hoist (and __restrict) the
+  // compiler must assume the dst store may alias the coefficients and
+  // re-broadcasts them every x iteration.
   constexpr int kCap = NTAPS > 0 ? NTAPS : kMaxTaps;
   Index base[static_cast<std::size_t>(kCap)];
   [[maybe_unused]] reg creg[static_cast<std::size_t>(kCap)];
@@ -157,58 +157,10 @@ void kernel_row(const KernelArgs& k, const Index* bases, Index db, Index x0,
   }
 }
 
-/// Faithful reproduction of the pre-engine SIMD path, kept as the
-/// benchmarking baseline (KernelPolicy::GenericSimd): one vector per x
-/// iteration, a single serial accumulator chain, runtime tap count, and
-/// coefficients re-broadcast from memory every iteration (no __restrict,
-/// so the compiler must assume the dst store may alias them — exactly
-/// the codegen the engine replaced).  Same per-cell tap order as
-/// kernel_row, so it stays inside the bit-exactness contract.
-template <class V, bool BANDED>
-void kernel_row_legacy(const KernelArgs& k, const Index* bases, Index db,
-                       Index x0, Index x1) {
-  using reg = typename V::reg;
-  constexpr int W = V::width;
-  const int nt = k.ntaps;
-  double* dst = k.dst;
-  const double* src = k.src;
-
-  Index x = x0;
-  for (; x + W <= x1; x += W) {
-    reg acc;
-    if constexpr (BANDED) {
-      acc = V::mul(V::load(k.bands[0] + db + x), V::load(src + bases[0] + x));
-      for (int p = 1; p < nt; ++p)
-        acc = V::fmadd(V::load(k.bands[p] + db + x),
-                       V::load(src + bases[p] + x), acc);
-    } else {
-      acc = V::mul(V::broadcast(k.coeffs[0]), V::load(src + bases[0] + x));
-      for (int p = 1; p < nt; ++p)
-        acc = V::fmadd(V::broadcast(k.coeffs[p]),
-                       V::load(src + bases[p] + x), acc);
-    }
-    V::store(dst + db + x, acc);
-  }
-  for (; x < x1; ++x) {
-    double acc;
-    if constexpr (BANDED) {
-      acc = k.bands[0][db + x] * src[bases[0] + x];
-      for (int p = 1; p < nt; ++p) acc += k.bands[p][db + x] * src[bases[p] + x];
-    } else {
-      acc = k.coeffs[0] * src[bases[0] + x];
-      for (int p = 1; p < nt; ++p) acc += k.coeffs[p] * src[bases[p] + x];
-    }
-    dst[db + x] = acc;
-  }
-}
-
 /// The variant table of one traits class: specialized for the hot tap
-/// counts (3D 7/13/19-point stars and tap-count twins), generic otherwise,
-/// with the legacy baseline available on request.
+/// counts (3D 7/13/19-point stars and tap-count twins), generic otherwise.
 template <class V>
 KernelFn pick_kernel(int ntaps, bool banded, KernelVariant variant) {
-  if (variant == KernelVariant::Legacy)
-    return banded ? &kernel_row_legacy<V, true> : &kernel_row_legacy<V, false>;
   if (variant == KernelVariant::Specialized) {
     switch (ntaps) {
       case 7:

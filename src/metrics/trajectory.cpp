@@ -111,9 +111,6 @@ void merge_kernel_report(TrajectoryEntry& entry, const JsonValue& kernel_doc) {
   if (const JsonValue* ve = kernel_doc.find("vector_efficiency"))
     if (const JsonValue* s = ve->find("speedup_best_vs_scalar"))
       entry.metrics.emplace_back("kernel/speedup_best_vs_scalar", s->num());
-  if (const JsonValue* s = kernel_doc.find("speedup_specialized_vs_generic"))
-    entry.metrics.emplace_back("kernel/speedup_specialized_vs_generic",
-                               s->num());
 }
 
 bool higher_is_better(const std::string& metric) {

@@ -45,8 +45,8 @@ TrajectoryDb parse_trajectory(const JsonValue& doc);
 /// plus the provenance block when present.
 TrajectoryEntry entry_from_regress(const JsonValue& regress_doc);
 
-/// Folds a bench/kernel_report document's headline ratios into `entry`
-/// ("kernel/speedup_best_vs_scalar", "kernel/speedup_specialized_vs_generic").
+/// Folds a bench/kernel_report document's headline ratio into `entry`
+/// ("kernel/speedup_best_vs_scalar").
 void merge_kernel_report(TrajectoryEntry& entry, const JsonValue& kernel_doc);
 
 /// Folds a bench/validate_model document's simulated-vs-measured rank

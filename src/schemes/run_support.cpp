@@ -36,17 +36,7 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
       recorder_->set_sample_window(window);
     }
   }
-  if (config.check_dependencies) {
-    // The executors commit *storage* indices, so the shadow grid covers
-    // the storage layout; padding cells (padded layouts only) are never
-    // updated and are frozen so check_all_at ignores them.
-    checker_.emplace(problem.storage_volume());
-    const Index xs = problem.buffer(0).xstride();
-    const Index nx = problem.shape()[0];
-    if (xs != nx)
-      for (Index row = 0; row < problem.storage_volume(); row += xs)
-        for (Index x = nx; x < xs; ++x) checker_->freeze(row + x);
-  }
+  if (config.check_dependencies) checker_.emplace(problem.volume());
 
   if (config.trace) {
     trace_ = config.trace;
@@ -63,11 +53,9 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
   instr.cache_sim = config.cache_sim;
   instr.metrics = config.metrics;
   instr.progress = config.progress;
-  const core::KernelPolicy policy =
-      config.use_simd ? config.kernel : core::KernelPolicy::Scalar;
   for (int tid = 0; tid < config.num_threads; ++tid) {
-    executors_.push_back(std::make_unique<core::Executor>(
-        problem, instr, policy, config.kernel_stores));
+    executors_.push_back(
+        std::make_unique<core::Executor>(problem, instr, config.kernel));
     executors_.back()->set_trace(recorder(tid));
   }
 

@@ -42,18 +42,9 @@ struct RunConfig {
   /// Validate the dependency order of every single cell update (slow).
   bool check_dependencies = false;
 
-  bool use_simd = true;
-
   /// Row-kernel variant selection (see core/kernels.hpp).  Auto picks
-  /// the widest ISA the host supports with a tap-specialized kernel;
-  /// `use_simd = false` forces Scalar regardless of this policy.
+  /// the widest ISA the host supports with a tap-specialized kernel.
   core::KernelPolicy kernel = core::KernelPolicy::Auto;
-
-  /// Write-field store discipline of the vector kernels (see
-  /// core/kernels.hpp): Auto streams only LLC-busting sweeps on aligned
-  /// rows, Stream forces non-temporal stores where the layout allows,
-  /// Regular always writes through the cache.
-  core::StorePolicy kernel_stores = core::StorePolicy::Auto;
 
   /// Pin worker threads to host cores (harmless no-op on small hosts).
   bool pin_threads = false;

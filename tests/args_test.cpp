@@ -217,12 +217,12 @@ TEST(ArgParser, MalformedNumberForSecondsOptionThrows) {
   EXPECT_THROW(p.get_double("progress"), Error);
 }
 
-/// Mirrors the CLI's kernel-engine options exactly: string option, then
-/// core::parse_* on the value, like tools/nustencil_cli.cpp does.
+/// Mirrors the CLI's kernel-engine option exactly: string option, then
+/// core::parse_kernel_policy on the value, like tools/nustencil_cli.cpp
+/// does.
 ArgParser make_kernel_parser() {
   ArgParser p("prog", "x");
   p.add_option("kernel", "kernel policy", "auto");
-  p.add_option("kernel-stores", "store policy", "auto");
   return p;
 }
 
@@ -235,50 +235,29 @@ TEST(ArgParser, KernelPolicyOptionIsCaseInsensitive) {
         << spelling;
   }
   ArgParser p = make_kernel_parser();
-  ASSERT_TRUE(parse(p, {"--kernel=FMA", "--kernel-stores=REGULAR"}));
+  ASSERT_TRUE(parse(p, {"--kernel=FMA"}));
   EXPECT_EQ(core::parse_kernel_policy(p.get("kernel")),
             core::KernelPolicy::FMA);
-  EXPECT_EQ(core::parse_store_policy(p.get("kernel-stores")),
-            core::StorePolicy::Regular);
-}
-
-TEST(ArgParser, KernelStoresOptionIsCaseInsensitive) {
-  for (const char* spelling : {"stream", "Stream", "STREAM", "sTrEaM"}) {
-    ArgParser p = make_kernel_parser();
-    ASSERT_TRUE(parse(p, {"--kernel-stores", spelling}));
-    EXPECT_EQ(core::parse_store_policy(p.get("kernel-stores")),
-              core::StorePolicy::Stream)
-        << spelling;
-  }
 }
 
 TEST(ArgParser, BadKernelPolicyListsValidValues) {
-  ArgParser p = make_kernel_parser();
-  ASSERT_TRUE(parse(p, {"--kernel", "avx512"}));
-  try {
-    core::parse_kernel_policy(p.get("kernel"));
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    // Echoes the offending value and lists every accepted one.
-    EXPECT_NE(what.find("avx512"), std::string::npos);
-    for (const char* valid :
-         {"auto", "scalar", "sse2", "avx2", "fma", "generic"})
-      EXPECT_NE(what.find(valid), std::string::npos) << valid;
-  }
-}
-
-TEST(ArgParser, BadKernelStoresListsValidValues) {
-  ArgParser p = make_kernel_parser();
-  ASSERT_TRUE(parse(p, {"--kernel-stores", "nontemporal"}));
-  try {
-    core::parse_store_policy(p.get("kernel-stores"));
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("nontemporal"), std::string::npos);
-    for (const char* valid : {"auto", "stream", "regular"})
-      EXPECT_NE(what.find(valid), std::string::npos) << valid;
+  // "generic" and "stream" name no kernel policy either.
+  for (const char* bad : {"avx512", "generic", "stream"}) {
+    ArgParser p = make_kernel_parser();
+    ASSERT_TRUE(parse(p, {"--kernel", bad}));
+    try {
+      core::parse_kernel_policy(p.get("kernel"));
+      ADD_FAILURE() << "expected Error for " << bad;
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      // One line that echoes the offending value and lists every
+      // accepted one.
+      EXPECT_EQ(what.find('\n'), std::string::npos) << what;
+      EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
+          << what;
+      for (const char* valid : {"auto", "scalar", "sse2", "avx2", "fma"})
+        EXPECT_NE(what.find(valid), std::string::npos) << valid;
+    }
   }
 }
 

@@ -30,33 +30,31 @@ std::vector<KernelPolicy> host_policies() {
   std::vector<KernelPolicy> ps{KernelPolicy::Scalar};
   if (kernel_isa_supported(KernelIsa::SSE2)) ps.push_back(KernelPolicy::SSE2);
   if (kernel_isa_supported(KernelIsa::AVX2)) ps.push_back(KernelPolicy::AVX2);
-  ps.push_back(KernelPolicy::GenericSimd);
   ps.push_back(KernelPolicy::Auto);
   return ps;
 }
 
-/// Runs `steps` full-domain sweeps and returns the *logical* cells of the
-/// final buffer in dense order, so padded and dense runs compare 1:1.
+/// A request with the stencil rank unknown: never rotates.
+KernelRequest taps_request(int ntaps, bool banded) {
+  KernelRequest request;
+  request.ntaps = ntaps;
+  request.banded = banded;
+  return request;
+}
+
+/// Runs `steps` full-domain sweeps and returns the final buffer.
 /// `chosen` (optional) receives the executor's kernel choice.
 std::vector<double> run_with_policy(const Coord& shape, const StencilSpec& st,
                                     KernelPolicy policy, long steps,
                                     unsigned seed,
-                                    FieldPad pad = FieldPad::None,
-                                    StorePolicy stores = StorePolicy::Auto,
                                     KernelChoice* chosen = nullptr) {
-  Problem p(shape, st, pad);
+  Problem p(shape, st);
   p.initialize(seed);
-  Executor e(p, {}, policy, stores);
+  Executor e(p, {}, policy);
   if (chosen) *chosen = e.kernel();
   for (long t = 0; t < steps; ++t) e.update_box(whole(shape), t, 0);
-  const Field& f = p.buffer(steps);
-  const Index xs = f.xstride();
-  const Index rows = f.storage_volume() / xs;
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(p.volume()));
-  for (Index r = 0; r < rows; ++r)
-    for (Index x = 0; x < shape[0]; ++x) out.push_back(f.data()[r * xs + x]);
-  return out;
+  const double* d = p.buffer(steps).data();
+  return std::vector<double>(d, d + p.volume());
 }
 
 bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
@@ -67,16 +65,16 @@ bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
 TEST(KernelDispatch, PolicyParsingRoundTrips) {
   for (KernelPolicy p :
        {KernelPolicy::Auto, KernelPolicy::Scalar, KernelPolicy::SSE2,
-        KernelPolicy::AVX2, KernelPolicy::FMA, KernelPolicy::GenericSimd})
+        KernelPolicy::AVX2, KernelPolicy::FMA})
     EXPECT_EQ(parse_kernel_policy(to_string(p)), p);
-  EXPECT_THROW(parse_kernel_policy("avx512"), Error);
-  EXPECT_THROW(parse_kernel_policy(""), Error);
+  for (const char* bad : {"avx512", "", "generic", "stream"})
+    EXPECT_THROW(parse_kernel_policy(bad), Error) << bad;
 }
 
 TEST(KernelDispatch, ScalarAlwaysAvailable) {
   EXPECT_TRUE(kernel_isa_compiled(KernelIsa::Scalar));
   EXPECT_TRUE(kernel_isa_supported(KernelIsa::Scalar));
-  const KernelChoice c = select_kernel(KernelPolicy::Scalar, 7, false);
+  const KernelChoice c = select_kernel(KernelPolicy::Scalar, taps_request(7, false));
   EXPECT_EQ(c.isa, KernelIsa::Scalar);
   EXPECT_NE(c.fn, nullptr);
 }
@@ -84,34 +82,29 @@ TEST(KernelDispatch, ScalarAlwaysAvailable) {
 TEST(KernelDispatch, SpecializationKeyedOnTapCount) {
   for (int ntaps : {7, 13, 19}) EXPECT_TRUE(kernel_has_specialization(ntaps));
   for (int ntaps : {3, 5, 9, 11, 25}) EXPECT_FALSE(kernel_has_specialization(ntaps));
-  EXPECT_TRUE(select_kernel(KernelPolicy::Auto, 7, false).specialized());
-  EXPECT_FALSE(select_kernel(KernelPolicy::Auto, 9, false).specialized());
-  const KernelChoice legacy = select_kernel(KernelPolicy::GenericSimd, 7, false);
-  EXPECT_FALSE(legacy.specialized());
-  EXPECT_EQ(legacy.variant, KernelVariant::Legacy);
+  EXPECT_TRUE(select_kernel(KernelPolicy::Auto, taps_request(7, false)).specialized());
+  EXPECT_FALSE(select_kernel(KernelPolicy::Auto, taps_request(9, false)).specialized());
 }
 
 TEST(KernelDispatch, ChoiceNamesAreDescriptive) {
-  const KernelChoice c = select_kernel(KernelPolicy::Scalar, 7, true);
+  const KernelChoice c = select_kernel(KernelPolicy::Scalar, taps_request(7, true));
   EXPECT_NE(c.name().find("scalar"), std::string::npos);
   EXPECT_NE(c.name().find("7pt"), std::string::npos);
   EXPECT_NE(c.name().find("banded"), std::string::npos);
-  const KernelChoice g = select_kernel(KernelPolicy::Auto, 9, false);
+  const KernelChoice g = select_kernel(KernelPolicy::Auto, taps_request(9, false));
   EXPECT_NE(g.name().find("generic"), std::string::npos);
-  const KernelChoice l = select_kernel(KernelPolicy::GenericSimd, 9, false);
-  EXPECT_NE(l.name().find("legacy"), std::string::npos);
 }
 
 TEST(KernelDispatch, AutoNeverDowngradesBelowForcedScalar) {
   // Auto must resolve to a compiled, host-supported ISA and a non-null fn.
-  const KernelChoice c = select_kernel(KernelPolicy::Auto, 13, false);
+  const KernelChoice c = select_kernel(KernelPolicy::Auto, taps_request(13, false));
   EXPECT_NE(c.fn, nullptr);
   EXPECT_TRUE(kernel_isa_supported(c.isa));
 }
 
 TEST(KernelDispatch, ExplainMentionsPolicyAndKernel) {
   const std::string text =
-      explain_kernel_choice(KernelPolicy::Auto, 7, false);
+      explain_kernel_choice(KernelPolicy::Auto, taps_request(7, false));
   EXPECT_NE(text.find("policy"), std::string::npos);
   EXPECT_NE(text.find("auto"), std::string::npos);
   EXPECT_NE(text.find("selected kernel"), std::string::npos);
@@ -185,16 +178,12 @@ TEST(KernelDispatch, SpecializedMatchesGenericRowKernels) {
         const KernelChoice spec = select_kernel_isa(isa, false, ntaps, banded);
         const KernelChoice gen = select_kernel_isa(isa, false, ntaps, banded,
                                                    KernelVariant::Generic);
-        const KernelChoice leg = select_kernel_isa(isa, false, ntaps, banded,
-                                                   KernelVariant::Legacy);
         ASSERT_TRUE(spec.specialized());
         ASSERT_EQ(gen.variant, KernelVariant::Generic);
-        ASSERT_EQ(leg.variant, KernelVariant::Legacy);
         for (const auto& [x0, x1] : std::vector<std::pair<Index, Index>>{
                  {0, nx}, {1, nx - 2}, {5, 9}, {3, 3}}) {
           std::vector<double> d1(static_cast<std::size_t>(nx), -1.0);
           std::vector<double> d2(static_cast<std::size_t>(nx), -1.0);
-          std::vector<double> d3(static_cast<std::size_t>(nx), -1.0);
           KernelArgs ka;
           ka.src = src.data();
           ka.coeffs = coeffs.data();
@@ -204,9 +193,7 @@ TEST(KernelDispatch, SpecializedMatchesGenericRowKernels) {
           spec.fn(ka, bases.data(), 0, x0, x1);
           ka.dst = d2.data();
           gen.fn(ka, bases.data(), 0, x0, x1);
-          ka.dst = d3.data();
-          leg.fn(ka, bases.data(), 0, x0, x1);
-          EXPECT_TRUE(bitwise_equal(d1, d2) && bitwise_equal(d1, d3))
+          EXPECT_TRUE(bitwise_equal(d1, d2))
               << "isa=" << to_string(isa) << " ntaps=" << ntaps
               << " banded=" << banded << " x0=" << x0 << " x1=" << x1;
         }
@@ -218,7 +205,7 @@ TEST(KernelDispatch, SpecializedMatchesGenericRowKernels) {
 TEST(KernelDispatch, FmaVariantIsCloseButOptIn) {
   if (!(kernel_isa_supported(KernelIsa::AVX2) && CpuFeatures::host().fma))
     GTEST_SKIP() << "host has no AVX2+FMA";
-  const KernelChoice c = select_kernel(KernelPolicy::FMA, 7, false);
+  const KernelChoice c = select_kernel(KernelPolicy::FMA, taps_request(7, false));
   EXPECT_TRUE(c.fma);
   const Coord shape{32, 8, 8};
   const StencilSpec st = StencilSpec::paper_3d7p();
@@ -246,75 +233,26 @@ TEST(KernelDispatch, PolicyNamesAreCaseInsensitive) {
   EXPECT_EQ(parse_kernel_policy("AVX2"), KernelPolicy::AVX2);
   EXPECT_EQ(parse_kernel_policy("Fma"), KernelPolicy::FMA);
   EXPECT_EQ(parse_kernel_policy("SCALAR"), KernelPolicy::Scalar);
-  EXPECT_EQ(parse_store_policy("Stream"), StorePolicy::Stream);
-  EXPECT_EQ(parse_store_policy("REGULAR"), StorePolicy::Regular);
-}
-
-TEST(KernelDispatch, StorePolicyParsingRoundTrips) {
-  for (StorePolicy s :
-       {StorePolicy::Auto, StorePolicy::Stream, StorePolicy::Regular})
-    EXPECT_EQ(parse_store_policy(to_string(s)), s);
-  EXPECT_THROW(parse_store_policy("nontemporal"), Error);
-  EXPECT_THROW(parse_store_policy(""), Error);
-}
-
-TEST(KernelDispatch, FieldPaddingInvariants) {
-  // Rows64 pads the unit-stride extent to a multiple of 8 doubles and
-  // keeps every row base on a 64-byte boundary.
-  const Field padded(Coord{37, 5, 3}, FieldPad::Rows64);
-  EXPECT_EQ(padded.xstride(), 40);
-  EXPECT_EQ(padded.storage_volume(), 40 * 5 * 3);
-  EXPECT_EQ(padded.volume(), 37 * 5 * 3);
-  EXPECT_EQ(padded.strides()[1], 40);
-  EXPECT_EQ(padded.strides()[2], 40 * 5);
-  EXPECT_TRUE(padded.rows_aligned());
-  // The dense layout is byte-for-byte the historical one: xstride == nx,
-  // and rows are aligned exactly when nx is a multiple of 8.
-  const Field dense(Coord{37, 5, 3});
-  EXPECT_EQ(dense.xstride(), 37);
-  EXPECT_EQ(dense.storage_volume(), dense.volume());
-  EXPECT_FALSE(dense.rows_aligned());
-  EXPECT_TRUE(Field(Coord{64, 4, 4}).rows_aligned());
-  // Already-aligned extents gain no padding.
-  EXPECT_EQ(Field(Coord{64, 4, 4}, FieldPad::Rows64).xstride(), 64);
-}
-
-TEST(KernelDispatch, PaddedProblemInitMatchesDense) {
-  // fill_row keys values on the logical cell id, so a padded problem
-  // starts from the exact per-cell data of its dense twin, with zeroed
-  // padding columns.
-  const Coord shape{13, 4, 3};
-  Problem dense(shape, StencilSpec::banded_star(3, 1));
-  Problem padded(shape, StencilSpec::banded_star(3, 1), FieldPad::Rows64);
-  dense.initialize(7);
-  padded.initialize(7);
-  const Index xs = padded.buffer(0).xstride();
-  for (Index r = 0; r < shape[1] * shape[2]; ++r) {
-    for (Index x = 0; x < xs; ++x) {
-      const double got = padded.buffer(0).data()[r * xs + x];
-      if (x < shape[0]) {
-        EXPECT_EQ(got, dense.buffer(0).data()[r * shape[0] + x]);
-        for (int p = 0; p < 7; ++p)
-          EXPECT_EQ(padded.band(p).data()[r * xs + x],
-                    dense.band(p).data()[r * shape[0] + x]);
-      } else {
-        EXPECT_EQ(got, 0.0);
-      }
-    }
-  }
 }
 
 TEST(KernelDispatch, RotatedKernelEngagesAndIsBitExact) {
   if (!kernel_isa_supported(KernelIsa::AVX2))
     GTEST_SKIP() << "host has no AVX2";
-  // Prime x extents: every vector width/peel/tail path of the rotated
-  // kernels runs.  All three canonical rank-3 stars must rotate.
+  // Prime x extents run every vector width/peel/tail path of the rotated
+  // kernels; nx = 33, 64 and 67 add rows whose bases are 32B-aligned
+  // only every few rows (or, for 64, always), so the scalar peel, the
+  // xcap-bounded rolling window and the per-tap fallback all run on both
+  // aligned and unaligned row bases.  All three canonical rank-3 stars
+  // must rotate.
   struct Case {
     Coord shape;
     int order;
   };
-  for (const Case& c : std::vector<Case>{
-           {Coord{31, 5, 4}, 1}, {Coord{37, 6, 5}, 2}, {Coord{41, 7, 7}, 3}}) {
+  std::vector<Case> cases = {
+      {Coord{31, 5, 4}, 1}, {Coord{37, 6, 5}, 2}, {Coord{41, 7, 7}, 3}};
+  for (const Index nx : {33, 64, 67})
+    for (const int order : {1, 2, 3}) cases.push_back({Coord{nx, 7, 7}, order});
+  for (const Case& c : cases) {
     for (const bool banded : {false, true}) {
       const StencilSpec st = banded
                                  ? StencilSpec::banded_star(3, c.order)
@@ -323,85 +261,94 @@ TEST(KernelDispatch, RotatedKernelEngagesAndIsBitExact) {
           run_with_policy(c.shape, st, KernelPolicy::Scalar, 3, 42);
       KernelChoice chosen;
       const std::vector<double> got =
-          run_with_policy(c.shape, st, KernelPolicy::AVX2, 3, 42,
-                          FieldPad::None, StorePolicy::Auto, &chosen);
+          run_with_policy(c.shape, st, KernelPolicy::AVX2, 3, 42, &chosen);
       EXPECT_TRUE(chosen.rotated)
-          << "order=" << c.order << " banded=" << banded
-          << " kernel=" << chosen.name();
+          << "shape=" << c.shape << " order=" << c.order
+          << " banded=" << banded << " kernel=" << chosen.name();
       EXPECT_TRUE(bitwise_equal(ref, got))
-          << "order=" << c.order << " banded=" << banded;
+          << "shape=" << c.shape << " order=" << c.order
+          << " banded=" << banded;
     }
   }
   // Non-rank-3 stencils have no rotated kernel.
   KernelChoice flat;
   run_with_policy(Coord{24, 9}, StencilSpec::stable_star(2, 1),
-                  KernelPolicy::AVX2, 1, 42, FieldPad::None, StorePolicy::Auto,
-                  &flat);
+                  KernelPolicy::AVX2, 1, 42, &flat);
   EXPECT_FALSE(flat.rotated);
 }
 
-TEST(KernelDispatch, StreamingStoresBitExactOnPaddedLayout) {
+TEST(KernelDispatch, RotatedKernelReadsStayInsideTheRow) {
   if (!kernel_isa_supported(KernelIsa::AVX2))
     GTEST_SKIP() << "host has no AVX2";
-  // Forced streaming on a padded (aligned) layout of a prime-sized
-  // domain: must engage, and stay bitwise identical to the dense scalar
-  // run.
-  const Coord shape{29, 6, 5};
-  for (const bool banded : {false, true}) {
-    const StencilSpec st =
-        banded ? StencilSpec::banded_star(3, 1) : StencilSpec::stable_star(3, 1);
-    const std::vector<double> ref =
-        run_with_policy(shape, st, KernelPolicy::Scalar, 3, 11);
-    KernelChoice chosen;
-    const std::vector<double> got =
-        run_with_policy(shape, st, KernelPolicy::Auto, 3, 11, FieldPad::Rows64,
-                        StorePolicy::Stream, &chosen);
-    EXPECT_TRUE(chosen.stream) << chosen.name();
-    EXPECT_TRUE(chosen.rotated) << chosen.name();
-    EXPECT_TRUE(bitwise_equal(ref, got)) << "banded=" << banded;
+  // Direct row harness on exactly-sized heap buffers: the centre row sits
+  // first, then last, in its allocation, so a read of the rotated
+  // kernel's rolling window outside [row, row + nx) leaves the buffer (a
+  // heap-buffer-overflow under AddressSanitizer).  The x ranges are the
+  // executor's interior fast ranges and mid-vector subranges of them;
+  // results must match the scalar kernel bitwise.
+  for (const int order : {1, 2, 3}) {
+    const int ntaps = 6 * order + 1;
+    const auto tap = [](int p) { return static_cast<std::size_t>(p); };
+    for (const Index nx : {33, 64, 67}) {
+      const auto n = static_cast<std::size_t>(nx);
+      std::vector<double> coeffs(tap(ntaps));
+      std::vector<std::vector<double>> bands(tap(ntaps), std::vector<double>(n));
+      std::vector<const double*> bandp(tap(ntaps));
+      for (int p = 0; p < ntaps; ++p) {
+        coeffs[tap(p)] = initial_value(p, 21);
+        for (Index x = 0; x < nx; ++x)
+          bands[tap(p)][static_cast<std::size_t>(x)] = initial_value(p * nx + x, 5);
+        bandp[tap(p)] = bands[tap(p)].data();
+      }
+      // The centre row plus one row per off-axis (y/z) tap.
+      const Index rows = 1 + 4 * order;
+      std::vector<double> src(static_cast<std::size_t>(rows * nx));
+      for (std::size_t i = 0; i < src.size(); ++i)
+        src[i] = initial_value(static_cast<Index>(i), 17);
+      for (const bool banded : {false, true}) {
+        KernelRequest q = taps_request(ntaps, banded);
+        q.rank = 3;
+        q.order = order;
+        const KernelChoice rot = select_kernel(KernelPolicy::AVX2, q);
+        ASSERT_TRUE(rot.rotated) << rot.name();
+        const KernelChoice ref =
+            select_kernel_isa(KernelIsa::Scalar, false, ntaps, banded);
+        for (const bool centre_first : {true, false}) {
+          // Tap bases in spec order: centre, x offsets -order..-1 and
+          // +1..+order folded into the centre row, then the y/z rows.
+          const Index row = centre_first ? 0 : (rows - 1) * nx;
+          std::vector<Index> bases(tap(ntaps));
+          bases[0] = row;
+          for (int p = 1; p <= 2 * order; ++p)
+            bases[tap(p)] = row + (p <= order ? p - 1 - order : p - order);
+          Index other = centre_first ? nx : 0;
+          for (int p = 2 * order + 1; p < ntaps; ++p, other += nx)
+            bases[tap(p)] = other;
+          for (const auto& [x0, x1] : std::vector<std::pair<Index, Index>>{
+                   {order, nx - order},
+                   {order + 1, nx - order},
+                   {5, nx - order - 3},
+                   {order, order + 3}}) {
+            std::vector<double> want(n, -1.0), got(n, -1.0);
+            KernelArgs ka;
+            ka.src = src.data();
+            ka.coeffs = coeffs.data();
+            ka.bands = bandp.data();
+            ka.ntaps = ntaps;
+            ka.xcap = nx;
+            ka.dst = want.data();
+            ref.fn(ka, bases.data(), 0, x0, x1);
+            ka.dst = got.data();
+            rot.fn(ka, bases.data(), 0, x0, x1);
+            EXPECT_TRUE(bitwise_equal(want, got))
+                << "order=" << order << " nx=" << nx << " banded=" << banded
+                << " centre_first=" << centre_first << " x0=" << x0
+                << " x1=" << x1;
+          }
+        }
+      }
+    }
   }
-}
-
-TEST(KernelDispatch, StreamingFallsBackOnUnalignedRows) {
-  if (!kernel_isa_supported(KernelIsa::AVX2))
-    GTEST_SKIP() << "host has no AVX2";
-  // Dense rows of a non-multiple-of-8 extent are not 64B-aligned, so a
-  // forced Stream request degrades to regular stores (and says so in the
-  // kernel name), while an aligned dense extent honours it.
-  KernelChoice unaligned;
-  run_with_policy(Coord{29, 6, 5}, StencilSpec::stable_star(3, 1),
-                  KernelPolicy::Auto, 1, 11, FieldPad::None,
-                  StorePolicy::Stream, &unaligned);
-  EXPECT_FALSE(unaligned.stream) << unaligned.name();
-  KernelChoice aligned;
-  run_with_policy(Coord{32, 6, 5}, StencilSpec::stable_star(3, 1),
-                  KernelPolicy::Auto, 1, 11, FieldPad::None,
-                  StorePolicy::Stream, &aligned);
-  EXPECT_TRUE(aligned.stream) << aligned.name();
-  EXPECT_NE(aligned.name().find("+nt"), std::string::npos);
-}
-
-TEST(KernelDispatch, AutoStoresUseLlcThreshold) {
-  if (!kernel_isa_supported(KernelIsa::AVX2))
-    GTEST_SKIP() << "host has no AVX2";
-  KernelRequest req;
-  req.ntaps = 7;
-  req.banded = false;
-  req.rank = 3;
-  req.order = 1;
-  req.rows_aligned = true;
-  req.stores = StorePolicy::Auto;
-  req.bytes_touched = stream_auto_threshold_bytes();
-  EXPECT_TRUE(select_kernel(KernelPolicy::Auto, req).stream);
-  req.bytes_touched = stream_auto_threshold_bytes() - 1;
-  EXPECT_FALSE(select_kernel(KernelPolicy::Auto, req).stream);
-  // Regular always wins; Stream needs the aligned layout.
-  req.bytes_touched = stream_auto_threshold_bytes();
-  req.stores = StorePolicy::Regular;
-  EXPECT_FALSE(select_kernel(KernelPolicy::Auto, req).stream);
-  req.stores = StorePolicy::Stream;
-  req.rows_aligned = false;
-  EXPECT_FALSE(select_kernel(KernelPolicy::Auto, req).stream);
 }
 
 TEST(KernelDispatch, MidVectorTileStartMatchesScalar) {
@@ -410,32 +357,29 @@ TEST(KernelDispatch, MidVectorTileStartMatchesScalar) {
   // A tile whose x range starts mid-vector forces the rotated kernel's
   // scalar peel and (near the row end) its per-tap fallback loop; the
   // result must still be bitwise identical to the scalar executor on the
-  // same sub-box.  Streaming is forced so the aligned-store discipline
-  // is exercised with an unaligned x0 too.
-  const Coord shape{33, 6, 5};
+  // same sub-box.
   const StencilSpec st = StencilSpec::stable_star(3, 1);
-  for (const auto& [x0, x1] : std::vector<std::pair<Index, Index>>{
-           {1, 29}, {5, 23}, {6, 33}, {2, 7}}) {
-    Box tile;
-    tile.lo = Coord{x0, 1, 1};
-    tile.hi = Coord{x1, 5, 4};
-    Problem ps(shape, st);
-    ps.initialize(3);
-    Executor es(ps, {}, KernelPolicy::Scalar);
-    es.update_box(tile, 0, 0);
-    Problem pv(shape, st, FieldPad::Rows64);
-    pv.initialize(3);
-    Executor ev(pv, {}, KernelPolicy::Auto, StorePolicy::Stream);
-    ASSERT_TRUE(ev.kernel().rotated && ev.kernel().stream);
-    ev.update_box(tile, 0, 0);
-    const Index xs = pv.buffer(1).xstride();
-    bool equal = true;
-    for (Index r = 0; r < shape[1] * shape[2] && equal; ++r)
-      for (Index x = 0; x < shape[0] && equal; ++x)
-        equal = std::memcmp(&ps.buffer(1).data()[r * shape[0] + x],
-                            &pv.buffer(1).data()[r * xs + x],
-                            sizeof(double)) == 0;
-    EXPECT_TRUE(equal) << "x0=" << x0 << " x1=" << x1;
+  for (const Index nx : {33, 64, 67}) {
+    const Coord shape{nx, 6, 5};
+    for (const auto& [x0, x1] : std::vector<std::pair<Index, Index>>{
+             {1, nx - 4}, {5, 23}, {6, nx}, {2, 7}}) {
+      Box tile;
+      tile.lo = Coord{x0, 1, 1};
+      tile.hi = Coord{x1, 5, 4};
+      Problem ps(shape, st);
+      ps.initialize(3);
+      Executor es(ps, {}, KernelPolicy::Scalar);
+      es.update_box(tile, 0, 0);
+      Problem pv(shape, st);
+      pv.initialize(3);
+      Executor ev(pv, {}, KernelPolicy::Auto);
+      ASSERT_TRUE(ev.kernel().rotated) << ev.kernel().name();
+      ev.update_box(tile, 0, 0);
+      EXPECT_EQ(std::memcmp(ps.buffer(1).data(), pv.buffer(1).data(),
+                            static_cast<std::size_t>(ps.volume()) * sizeof(double)),
+                0)
+          << "nx=" << nx << " x0=" << x0 << " x1=" << x1;
+    }
   }
 }
 

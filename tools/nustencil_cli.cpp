@@ -286,20 +286,14 @@ int main(int argc, char** argv) try {
                   "page-faults count even without a PMU)",
                   "");
   args.add_option("kernel",
-                  "row-kernel policy: auto, scalar, sse2, avx2, fma (not "
-                  "bit-exact), or generic (runtime-taps baseline)",
-                  "auto");
-  args.add_option("kernel-stores",
-                  "write-field store discipline: auto (stream only "
-                  "LLC-busting sweeps on 64B-aligned rows), stream (force "
-                  "non-temporal stores where the layout allows), or regular",
+                  "row-kernel policy: auto, scalar, sse2, avx2, or fma (not "
+                  "bit-exact)",
                   "auto");
   args.add_flag("banded", "variable coefficients (7-band matrix for s=1)");
   args.add_flag("dirichlet", "Dirichlet boundaries in every dimension");
   args.add_flag("instrument", "measure NUMA locality under --machine's topology");
   args.add_flag("check", "validate the space-time dependency order of every update");
   args.add_flag("verify", "compare the result against the reference executor");
-  args.add_flag("no-simd", "disable the SSE2/AVX kernels");
   args.add_flag("pin", "pin worker threads to host cores");
   args.add_flag("phase-metrics",
                 "print per-thread compute/barrier-wait/spinflag-wait/init wall-time "
@@ -335,10 +329,7 @@ int main(int argc, char** argv) try {
       args.get("group-size") == "auto" ? 0 : args.get_long("group-size");
 
   const core::KernelPolicy kernel_policy =
-      args.get_flag("no-simd") ? core::KernelPolicy::Scalar
-                               : core::parse_kernel_policy(args.get("kernel"));
-  const core::StorePolicy kernel_stores =
-      core::parse_store_policy(args.get("kernel-stores"));
+      core::parse_kernel_policy(args.get("kernel"));
 
   const hwc::Mode hw_mode = hwc::parse_mode(args.get("hw-counters"));
   std::vector<hwc::Event> hw_events;
@@ -354,20 +345,13 @@ int main(int argc, char** argv) try {
                   "--hw-counters=on: this build has no perf_event backend "
                   "(non-Linux); use auto or off");
 
-  // What the executors will ask the kernel engine for (geometry, layout,
-  // store policy) — drives --explain and the run report.  The CLI's
-  // problems use the dense layout, whose rows are 64B-aligned exactly
-  // when the x extent is a multiple of 8 doubles.
+  // What the executors will ask the kernel engine for (the stencil
+  // geometry) — drives --explain and the run report.
   core::KernelRequest kernel_request;
   kernel_request.ntaps = stencil.npoints();
   kernel_request.banded = stencil.banded();
   kernel_request.rank = shape.rank();
   kernel_request.order = stencil.order();
-  kernel_request.rows_aligned = shape[0] % 8 == 0;
-  kernel_request.stores = kernel_stores;
-  kernel_request.bytes_touched =
-      (2 + (stencil.banded() ? stencil.npoints() : 0)) * shape.product() *
-      static_cast<Index>(sizeof(double));
 
   const std::string trace_path = args.get("trace");
   const std::string trace_svg_path = args.get("trace-svg");
@@ -450,9 +434,7 @@ int main(int argc, char** argv) try {
     cfg.timesteps = args.get_long("steps");
     cfg.instrument = args.get_flag("instrument");
     cfg.check_dependencies = args.get_flag("check");
-    cfg.use_simd = !args.get_flag("no-simd");
     cfg.kernel = kernel_policy;
-    cfg.kernel_stores = kernel_stores;
     cfg.pin_threads = args.get_flag("pin");
     cfg.schedule = schedule;
     cfg.group_size = group_size_raw == 0
@@ -619,11 +601,8 @@ int main(int argc, char** argv) try {
       rep.shape = args.get("shape");
       rep.timesteps = result.timesteps;
       rep.threads = threads;
-      rep.kernel_policy = args.get_flag("no-simd") ? "scalar" : args.get("kernel");
-      rep.kernel_variant =
-          core::select_kernel(cfg.use_simd ? kernel_policy : core::KernelPolicy::Scalar,
-                              kernel_request)
-              .name();
+      rep.kernel_policy = args.get("kernel");
+      rep.kernel_variant = core::select_kernel(kernel_policy, kernel_request).name();
       rep.page_bytes = cfg.page_bytes;
       rep.seed = cfg.seed;
       rep.pin_policy =
