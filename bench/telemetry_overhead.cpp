@@ -1,6 +1,6 @@
 // bench/telemetry_overhead — measures what the live telemetry sampler
 // costs the run it watches: the same nuCATS problem is timed with
-// telemetry off and with a 10 ms sampler attached (progress slots bound,
+// telemetry off and with a 10 ms sampler attached (counter shard bound,
 // rings filling, no file exports), and the median-vs-median overhead
 // lands in the JSON as telemetry/overhead_pct.
 //
@@ -23,7 +23,6 @@
 #include "common/provenance.hpp"
 #include "common/stats.hpp"
 #include "metrics/json.hpp"
-#include "prof/progress.hpp"
 #include "schemes/scheme.hpp"
 #include "telemetry/sampler.hpp"
 
@@ -87,20 +86,16 @@ int main(int argc, char** argv) try {
   const std::uint64_t threads_delta_off =
       telemetry::Sampler::threads_started() - threads_before;
 
-  // On group: progress slots bound, sampler ticking, rings filling — the
-  // full in-memory pipeline, minus file exports (those are I/O-bound and
-  // measured by their own CI leg).
+  // On group: live counter shard published, sampler ticking, rings
+  // filling — the full in-memory pipeline, minus file exports (those are
+  // I/O-bound and measured by their own CI leg).
   std::vector<double> on_s;
-  std::ostringstream beat_sink;
   for (int r = 0; r < reps; ++r) {
-    prof::ProgressMeter meter(3600.0, beat_sink);
-    meter.begin_run(scheme_name, threads, 0);
     telemetry::Config tcfg;
     tcfg.interval_s = interval_s;
     tcfg.label = scheme_name;
     telemetry::Sampler sampler(tcfg);
     schemes::RunConfig cfg = base;
-    cfg.progress = &meter;
     cfg.telemetry = &sampler;
     on_s.push_back(run_once(*scheme, edge, cfg));
   }

@@ -34,9 +34,10 @@ class SharedHierarchy {
   /// Per-core attribution counters of `core` (see Hierarchy::core_traffic).
   /// Deliberately lock-free: every access by core c is issued by thread c
   /// (executors pass their own tid as the core), so the row is
-  /// single-writer and the owning thread may read it without taking the
-  /// mutex — the per-span counter sampler does, at leaf-span boundaries.
-  /// Other threads must only call this after the worker team has joined.
+  /// single-writer and thread c may read it without taking the mutex —
+  /// its executor does, to publish the run's live prof::CounterShard
+  /// once per tile.  Any other thread may read it only after the team
+  /// has joined.
   const std::vector<LevelTraffic>& core_traffic(int core) const {
     return hierarchy_.core_traffic(core);
   }

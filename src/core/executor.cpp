@@ -145,12 +145,11 @@ Index Executor::update_box(const Box& box, long t, int tid) {
     m_tile_hist_->observe(tid, static_cast<std::uint64_t>(done));
   }
   if (instr_.traffic) instr_.traffic->tick_updates(tid, static_cast<std::uint64_t>(done));
-  if (instr_.progress) {
-    std::uint64_t local = 0, remote = 0, unowned = 0;
-    if (instr_.traffic) instr_.traffic->thread_bytes(tid, local, remote, unowned);
-    instr_.progress->publish(tid, static_cast<std::uint64_t>(updates_), local,
-                             remote);
-  }
+  // Still inside the Tile span, so every counter a span delta reads is
+  // published before the span closes.
+  if (instr_.counters)
+    instr_.counters->publish(tid, static_cast<std::uint64_t>(updates_),
+                             instr_.traffic, instr_.cache_sim);
   return done;
 }
 

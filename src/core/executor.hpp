@@ -19,7 +19,7 @@
 #include "core/kernels.hpp"
 #include "metrics/registry.hpp"
 #include "numa/traffic.hpp"
-#include "prof/progress.hpp"
+#include "prof/counter_shard.hpp"
 #include "trace/trace.hpp"
 
 namespace nustencil::core {
@@ -39,10 +39,10 @@ struct Instrumentation {
   /// variant, slow boundary cells, tile-size histogram).  Null disables
   /// every metrics hook at the cost of one branch.
   metrics::Registry* metrics = nullptr;
-  /// Live heartbeat target: update_box publishes the thread's cumulative
-  /// updates and traffic bytes after every tile.  Null (the default)
-  /// disables the hook at the cost of one branch.
-  prof::ProgressMeter* progress = nullptr;
+  /// The run's live counter shard: update_box publishes the thread's
+  /// cumulative simulated counters into it at the end of every tile.
+  /// Null (the default) disables the hook at the cost of one branch.
+  prof::CounterShard* counters = nullptr;
 };
 
 /// How one physical row segment [a, b) splits into wrap-checked slow

@@ -105,7 +105,6 @@ class TrafficRecorder {
   /// another `updates` cell updates, as reported through tick_updates().
   /// 0 (the default) disables sampling.
   void set_sample_window(std::uint64_t updates) { sample_window_ = updates; }
-  std::uint64_t sample_window() const { return sample_window_; }
 
   /// Accounts `bytes(range)` of traffic by thread `tid` against the page
   /// ownership of [byte_begin, byte_end) in `region`.  Every byte of the
@@ -129,10 +128,10 @@ class TrafficRecorder {
   TrafficStats collect() const;
 
   /// Cumulative byte counters of thread `tid`'s private shard.  The
-  /// shard is single-writer (only thread `tid` mutates it), so the
-  /// owning thread may read its own values without synchronisation —
-  /// the per-span counter sampler does, at leaf-span boundaries.  Other
-  /// threads must only call this after the worker team has joined.
+  /// shard is single-writer plain memory: only thread `tid` itself may
+  /// read it while the team runs (its executor does, to publish the
+  /// run's live prof::CounterShard once per tile); any other thread
+  /// only after the team has joined.
   void thread_bytes(int tid, std::uint64_t& local, std::uint64_t& remote,
                     std::uint64_t& unowned) const {
     const PerThread& p = per_thread_[static_cast<std::size_t>(tid)];

@@ -3,34 +3,31 @@
 #include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <utility>
 
 #include "common/error.hpp"
 
 namespace nustencil::prof {
 
-ProgressMeter::ProgressMeter(double interval_s, std::ostream& os)
-    : interval_s_(interval_s), os_(&os) {
+ProgressMeter::ProgressMeter(double interval_s, std::ostream& os,
+                             std::string label, std::uint64_t total_updates)
+    : interval_s_(interval_s),
+      os_(&os),
+      label_(std::move(label)),
+      total_updates_(total_updates) {
   NUSTENCIL_CHECK(interval_s > 0.0, "ProgressMeter: interval must be positive");
 }
 
-void ProgressMeter::begin_run(const std::string& label, int num_threads,
-                              std::uint64_t total_updates) {
-  NUSTENCIL_CHECK(num_threads >= 1, "ProgressMeter: need at least one thread");
-  label_ = label;
-  total_updates_ = total_updates;
-  slots_ = std::vector<Slot>(static_cast<std::size_t>(num_threads));
-  layer_.store(-1, std::memory_order_relaxed);
-  last_updates_ = 0;
-  last_beat_ = std::chrono::steady_clock::now();
-}
-
-std::string ProgressMeter::render_line() {
-  std::uint64_t updates = 0, local = 0, remote = 0;
-  for (const Slot& s : slots_) {
-    updates += s.updates.load(std::memory_order_relaxed);
-    local += s.local_bytes.load(std::memory_order_relaxed);
-    remote += s.remote_bytes.load(std::memory_order_relaxed);
+std::string ProgressMeter::render_line(const CounterShard& counters) {
+  trace::CounterSet sum;
+  for (int tid = 0; tid < counters.num_threads(); ++tid) {
+    trace::CounterSet row;
+    counters.read(tid, row);
+    sum.accumulate(row);
   }
+  const std::uint64_t updates = sum.at(trace::SpanCounter::Updates);
+  const std::uint64_t local = sum.at(trace::SpanCounter::LocalBytes);
+  const std::uint64_t remote = sum.at(trace::SpanCounter::RemoteBytes);
   const auto now = std::chrono::steady_clock::now();
   const double dt = std::chrono::duration<double>(now - last_beat_).count();
   const double mups =
@@ -46,7 +43,7 @@ std::string ProgressMeter::render_line() {
   line << "progress";
   if (!label_.empty()) line << " [" << label_ << ']';
   line << ": ";
-  if (const long layer = layer_.load(std::memory_order_relaxed); layer >= 0)
+  if (const long layer = counters.layer(); layer >= 0)
     line << "layer " << layer << " | ";
   line << std::fixed << std::setprecision(1) << mups << " M up/s | locality "
        << std::setprecision(1) << locality << '%';
@@ -58,11 +55,8 @@ std::string ProgressMeter::render_line() {
   return line.str();
 }
 
-void ProgressMeter::emit_beat() { *os_ << render_line() << std::endl; }
-
-void ProgressMeter::emit_final() {
-  // One closing beat so runs shorter than the interval still report.
-  *os_ << render_line() << " (final)" << std::endl;
+void ProgressMeter::emit(const CounterShard& counters, bool final) {
+  *os_ << render_line(counters) << (final ? " (final)" : "") << std::endl;
 }
 
 }  // namespace nustencil::prof

@@ -1,109 +1,52 @@
-// Live progress state for long runs: per-thread publish slots plus the
-// heartbeat line renderer ("layer N | X.X M up/s | locality Y.Y%").
+// The --progress heartbeat line renderer ("layer N | X.X M up/s |
+// locality Y.Y%"), drawn from the run's live CounterShard.
 //
-// Workers publish into cache-line-padded per-thread atomic slots with
-// relaxed stores (one branch + three stores per tile when enabled, one
-// null check when not), so the heartbeat never perturbs the measured
-// run: there is no lock on the publish path and readers tolerate torn
-// *sets* of slots — each slot itself is a word-sized atomic.
-//
-// Since the telemetry sampler landed there is exactly one periodic-
-// snapshot thread in the system: the meter no longer owns one.  The
-// telemetry::Sampler drives emit_beat()/emit_final() on its own cadence
-// (and reads the same slots for its time-series rings); the printed
-// output is unchanged.
+// The meter holds no counters of its own: every beat sums the shard's
+// rows with relaxed loads, so the heartbeat never perturbs the measured
+// run.  There is exactly one periodic-snapshot thread in the system —
+// the telemetry::Sampler drives emit() on its own cadence and hands over
+// the shard it is bound to.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <string>
-#include <vector>
 
-#include "common/aligned.hpp"
+#include "prof/counter_shard.hpp"
 
 namespace nustencil::prof {
 
 class ProgressMeter {
  public:
-  /// Heartbeats render onto `os` every `interval_s` seconds (the caller
-  /// that drives emit_beat honours the interval; the meter validates it).
-  ProgressMeter(double interval_s, std::ostream& os);
+  /// Heartbeats for one run render onto `os` every `interval_s` seconds
+  /// (the caller that drives emit honours the interval; the meter
+  /// validates it).  `label` prefixes every line; `total_updates` (0 =
+  /// unknown) adds a percent-done column.  The rate window starts now.
+  ProgressMeter(double interval_s, std::ostream& os, std::string label = {},
+                std::uint64_t total_updates = 0);
 
-  ProgressMeter(const ProgressMeter&) = delete;
-  ProgressMeter& operator=(const ProgressMeter&) = delete;
+  /// One heartbeat line onto the configured stream; `final` appends the
+  /// " (final)" marker of the closing beat, so runs shorter than the
+  /// interval still report.  Call from one driver thread only (the rate
+  /// window is stateful).
+  void emit(const CounterShard& counters, bool final = false);
 
-  /// Resets the slots for a new run.  `label` prefixes every line;
-  /// `total_updates` (0 = unknown) adds a percent-done column.
-  void begin_run(const std::string& label, int num_threads,
-                 std::uint64_t total_updates);
-
-  /// Publishes thread `tid`'s cumulative progress (executors call this
-  /// once per tile).  Relaxed stores; call from thread `tid` only.
-  void publish(int tid, std::uint64_t updates, std::uint64_t local_bytes,
-               std::uint64_t remote_bytes) {
-    Slot& s = slots_[static_cast<std::size_t>(tid)];
-    s.updates.store(updates, std::memory_order_relaxed);
-    s.local_bytes.store(local_bytes, std::memory_order_relaxed);
-    s.remote_bytes.store(remote_bytes, std::memory_order_relaxed);
-  }
-
-  /// Advances the layer indicator (monotonic max; any thread may call).
-  void set_layer(long layer) {
-    long cur = layer_.load(std::memory_order_relaxed);
-    while (layer > cur &&
-           !layer_.compare_exchange_weak(cur, layer,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-
-  /// One heartbeat line onto the configured stream; emit_final appends
-  /// the " (final)" marker so runs shorter than the interval still
-  /// report.  Call from one driver thread only (the rate window is
-  /// stateful).
-  void emit_beat();
-  void emit_final();
-
-  /// The current heartbeat line (sampled now); exposed for tests and the
-  /// emit_* helpers.
-  std::string render_line();
+  /// The current heartbeat line (sampled now); exposed for tests.
+  std::string render_line(const CounterShard& counters);
 
   /// Configured heartbeat cadence.
   double interval_s() const { return interval_s_; }
 
-  // Cross-thread snapshot readers for the telemetry sampler: relaxed
-  // atomic loads of single-writer slots — per-thread-coherent, not
-  // globally atomic, which is fine for monitoring.
-  int num_slots() const { return static_cast<int>(slots_.size()); }
-  void read_slot(int tid, std::uint64_t& updates, std::uint64_t& local_bytes,
-                 std::uint64_t& remote_bytes) const {
-    const Slot& s = slots_[static_cast<std::size_t>(tid)];
-    updates = s.updates.load(std::memory_order_relaxed);
-    local_bytes = s.local_bytes.load(std::memory_order_relaxed);
-    remote_bytes = s.remote_bytes.load(std::memory_order_relaxed);
-  }
-  long layer() const { return layer_.load(std::memory_order_relaxed); }
-  std::uint64_t total_updates() const { return total_updates_; }
-  const std::string& label() const { return label_; }
-
  private:
-  struct alignas(kCacheLineBytes) Slot {
-    std::atomic<std::uint64_t> updates{0};
-    std::atomic<std::uint64_t> local_bytes{0};
-    std::atomic<std::uint64_t> remote_bytes{0};
-  };
-
   double interval_s_;
   std::ostream* os_;
   std::string label_;
-  std::uint64_t total_updates_ = 0;
-  std::vector<Slot> slots_;
-  std::atomic<long> layer_{-1};
+  std::uint64_t total_updates_;
 
   // Rate window state (heartbeat driver thread only).
   std::uint64_t last_updates_ = 0;
-  std::chrono::steady_clock::time_point last_beat_{};
+  std::chrono::steady_clock::time_point last_beat_ = std::chrono::steady_clock::now();
 };
 
 }  // namespace nustencil::prof

@@ -189,7 +189,7 @@ RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,
       trace::ThreadRecorder* rec = sup.recorder(tid);
       for (long tb = 0; tb < config.timesteps; tb += tc_max) {
         const long tc = std::min<long>(tc_max, config.timesteps - tb);
-        if (config.progress) config.progress->set_layer(tb / tc_max);
+        sup.set_layer(tb / tc_max);
         const trace::ScopedSpan layer_span(
             rec, trace::Phase::Layer,
             {static_cast<std::int32_t>(tb / tc_max), static_cast<std::int32_t>(tb),
@@ -302,7 +302,7 @@ RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,
 
     for (long tb = 0; tb < config.timesteps; tb += tc_max) {
       const long tc = std::min<long>(tc_max, config.timesteps - tb);
-      if (config.progress) config.progress->set_layer(tb / tc_max);
+      sup.set_layer(tb / tc_max);
       const trace::ScopedSpan layer_span(
           rec, trace::Phase::Layer,
           {static_cast<std::int32_t>(tb / tc_max), static_cast<std::int32_t>(tb),

@@ -68,7 +68,7 @@ RunResult NaiveScheme::run(core::Problem& problem, const RunConfig& config) cons
       core::Executor& exec = sup.executor(tid);
       trace::ThreadRecorder* rec = sup.recorder(tid);
       for (long t = 0; t < config.timesteps; ++t) {
-        if (config.progress) config.progress->set_layer(t);
+        sup.set_layer(t);
         exec.update_box(mine, t, tid);
         barrier.arrive_and_wait(&sup.abort(), rec);
       }
@@ -102,7 +102,7 @@ RunResult NaiveScheme::run(core::Problem& problem, const RunConfig& config) cons
   sup.run_workers([&](int tid) {
     trace::ThreadRecorder* rec = sup.recorder(tid);
     for (long t = 0; t < config.timesteps; ++t) {
-      if (config.progress) config.progress->set_layer(t);
+      sup.set_layer(t);
       if (tid == 0) pool.reset(ntasks, owner_of);
       barrier.arrive_and_wait(&sup.abort(), rec);
       pool.run(

@@ -25,16 +25,11 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
     topo_.emplace(*machine_, config.pin_policy);
     recorder_.emplace(*pages_, *topo_, config.num_threads);
     problem.attach(*pages_);
-    if (config.locality_sample_updates >= 0) {
-      Index window = config.locality_sample_updates;
-      if (window == 0) {
-        // Auto: ~32 samples per thread over the whole run.
-        const Index per_thread = problem.volume() * config.timesteps /
-                                 std::max(1, config.num_threads);
-        window = std::max<Index>(1, per_thread / 32);
-      }
-      recorder_->set_sample_window(window);
-    }
+    // Locality time series: ~32 samples per thread over the whole run.
+    const Index per_thread =
+        problem.volume() * config.timesteps / config.num_threads;
+    recorder_->set_sample_window(
+        static_cast<std::uint64_t>(std::max<Index>(1, per_thread / 32)));
   }
   if (config.check_dependencies) checker_.emplace(problem.volume());
 
@@ -46,56 +41,52 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
   }
   if (trace_) trace_->begin_run(config.num_threads);
 
-  core::Instrumentation instr;
-  instr.pages = pages_ ? &*pages_ : nullptr;
-  instr.traffic = recorder_ ? &*recorder_ : nullptr;
-  instr.checker = checker_ ? &*checker_ : nullptr;
-  instr.cache_sim = config.cache_sim;
-  instr.metrics = config.metrics;
-  instr.progress = config.progress;
-  for (int tid = 0; tid < config.num_threads; ++tid) {
-    executors_.push_back(
-        std::make_unique<core::Executor>(problem, instr, config.kernel));
-    executors_.back()->set_trace(recorder(tid));
-  }
-
   if (config.hw_mode != hwc::Mode::Off) {
     hwc::SyscallBackend& backend =
         config.hw_backend ? *config.hw_backend : hwc::real_backend();
     hw_.emplace(backend, config.hw_mode, config.hw_events, config.num_threads);
   }
 
-  // The per-span sampler is wanted for explicit profiling and whenever
+  // Per-span sampling is wanted for explicit profiling and whenever
   // hardware counters measure into a trace (measured deltas ride the
-  // same sampler path as the simulated ones).
-  const bool hw_sampling = hw_ && hw_->active();
-  if ((config.profile_spans || hw_sampling) && trace_) {
-    profiler_.emplace();
-    profiler_->set_updates_source([this](int tid) {
-      return static_cast<std::uint64_t>(
-          executors_[static_cast<std::size_t>(tid)]->updates_done());
-    });
-    if (recorder_) profiler_->set_traffic_source(&*recorder_);
-    if (config.cache_sim) profiler_->set_cache_source(config.cache_sim);
-    if (hw_sampling)
-      profiler_->set_hw_source(
-          [this](int tid, trace::CounterSet& out) { hw_->sample(tid, out); });
-    trace_->set_sampler(&*profiler_);
+  // same sampler path as the simulated ones).  The live counter shard
+  // exists only when it has a reader: span sampling or telemetry.
+  const bool span_sampling =
+      trace_ && (config.profile_spans || (hw_ && hw_->active()));
+  if (span_sampling || config.telemetry) {
+    const int cache_levels =
+        config.cache_sim
+            ? static_cast<int>(config.cache_sim->core_traffic(0).size())
+            : 0;
+    counters_.emplace(config.num_threads, cache_levels);
+  }
+
+  core::Instrumentation instr;
+  instr.pages = pages_ ? &*pages_ : nullptr;
+  instr.traffic = recorder_ ? &*recorder_ : nullptr;
+  instr.checker = checker_ ? &*checker_ : nullptr;
+  instr.cache_sim = config.cache_sim;
+  instr.metrics = config.metrics;
+  instr.counters = counters_ ? &*counters_ : nullptr;
+  for (int tid = 0; tid < config.num_threads; ++tid) {
+    executors_.push_back(
+        std::make_unique<core::Executor>(problem, instr, config.kernel));
+    executors_.back()->set_trace(recorder(tid));
+  }
+
+  if (span_sampling) {
+    trace_->set_sampler(this);
     trace_->set_flops_per_update(problem.stencil().flops());
   }
 
   team_ = std::make_unique<threading::Team>(config.num_threads, config.pin_threads);
 
-  // Bind the live telemetry sampler last, when every shard it snapshots
-  // exists.  All sources are single-writer stores the sampler only
-  // reads, so the hot path gains no new writes.
+  // Bind the live telemetry sampler last, when every source it reads
+  // exists.
   if (config.telemetry) {
     telemetry::RunSources sources;
-    sources.num_threads = config.num_threads;
     sources.timesteps = config.timesteps;
-    sources.progress = config.progress;
-    sources.traffic = recorder_ ? &*recorder_ : nullptr;
-    sources.cache = config.cache_sim;
+    sources.counters = &*counters_;
     sources.registry = config.metrics;
     sources.trace = trace_;
     sources.abort = &abort_;
@@ -114,13 +105,19 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
 RunSupport::~RunSupport() {
   // The sampler must stop reading before the shards it points into die.
   if (config_->telemetry) config_->telemetry->detach_run();
-  if (profiler_ && trace_) trace_->set_sampler(nullptr);
+  if (trace_ && trace_->sampler() == this) trace_->set_sampler(nullptr);
+}
+
+void RunSupport::sample(int tid, trace::CounterSet& out) const {
+  out = trace::CounterSet{};
+  counters_->read(tid, out);
+  if (hw_) hw_->sample(tid, out);
 }
 
 void RunSupport::run_workers(const std::function<void(int)>& body) {
   team_->run([&](int tid) {
     // Counters stay enabled for the whole parallel region (one ioctl
-    // pair per region, not per span); the profiler samples cumulative
+    // pair per region, not per span); the span sampler reads cumulative
     // values at span boundaries in between.
     if (hw_) hw_->attach(tid);
     try {
@@ -188,26 +185,20 @@ void RunSupport::finalize_boundary() {
   }
 }
 
-Index RunSupport::total_updates() const {
-  Index total = 0;
-  for (const auto& e : executors_) total += e->updates_done();
-  return total;
-}
-
 RunResult RunSupport::finish(const std::string& scheme_name, double seconds) {
   RunResult r;
   r.scheme = scheme_name;
   r.threads = config_->num_threads;
   r.timesteps = config_->timesteps;
   r.seconds = seconds;
-  r.updates = total_updates();
+  for (const auto& e : executors_) r.updates += e->updates_done();
   // Stop live telemetry first: the sampler takes its closing sample and
   // emits the run_end event while every shard is still warm.
   if (config_->telemetry)
     config_->telemetry->end_run(seconds, static_cast<std::uint64_t>(r.updates));
   if (recorder_) r.traffic = recorder_->collect();
   if (trace_) r.phases = trace_->breakdown();
-  if (profiler_ && trace_ && config_->profile_spans)
+  if (trace_ && config_->profile_spans)
     r.prof = prof::summarize(*trace_, trace_->flops_per_update());
   if (hw_) {
     r.hw = hw_->stats();

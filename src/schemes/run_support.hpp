@@ -13,7 +13,7 @@
 #include "core/reference.hpp"
 #include "numa/page_table.hpp"
 #include "numa/traffic.hpp"
-#include "prof/profiler.hpp"
+#include "prof/counter_shard.hpp"
 #include "sched/pool.hpp"
 #include "schemes/scheme.hpp"
 #include "thread/abort.hpp"
@@ -24,13 +24,16 @@ namespace nustencil::schemes {
 /// The machine used for instrumentation when RunConfig::machine is null.
 const topology::MachineSpec& default_machine();
 
-class RunSupport {
+/// The run support is also the run's per-span counter sampler: a span
+/// snapshot is the thread's live-shard row plus its measured hardware
+/// counters.
+class RunSupport : private trace::CounterSampler {
  public:
   RunSupport(core::Problem& problem, const RunConfig& config);
 
   /// Detaches the per-span counter sampler from the (caller-owned) trace
-  /// so a reused Trace never dereferences a dead Profiler.
-  ~RunSupport();
+  /// so a reused Trace never dereferences a dead run.
+  ~RunSupport() override;
 
   core::Problem& problem() { return *problem_; }
   const RunConfig& config() const { return *config_; }
@@ -54,6 +57,10 @@ class RunSupport {
     return trace_ ? trace_->thread(tid) : nullptr;
   }
 
+  /// Advances the live layer indicator (monotonic max; any thread may
+  /// call); a no-op when nothing observes the run live.
+  void set_layer(long layer) { if (counters_) counters_->set_layer(layer); }
+
   /// NUMA node of worker `tid` under the virtual (fill-socket-first)
   /// placement of the instrumented machine; 0 when not instrumenting.
   int node_of_thread(int tid) const;
@@ -76,14 +83,13 @@ class RunSupport {
   /// been initialised.
   void finalize_boundary();
 
-  /// Total cell updates performed by all executors so far.
-  Index total_updates() const;
-
   /// Assembles the RunResult (collects traffic, verifies the dependency
   /// checker reached `timesteps` everywhere).
   RunResult finish(const std::string& scheme_name, double seconds);
 
  private:
+  void sample(int tid, trace::CounterSet& out) const override;
+
   core::Problem* problem_;
   const RunConfig* config_;
   const topology::MachineSpec* machine_;
@@ -92,8 +98,8 @@ class RunSupport {
   std::optional<numa::PageTable> pages_;
   std::optional<numa::VirtualTopology> topo_;
   std::optional<numa::TrafficRecorder> recorder_;
-  std::optional<prof::Profiler> profiler_;  ///< per-span counter sampler
-  std::optional<hwc::ThreadSet> hw_;        ///< per-thread perf counter groups
+  std::optional<prof::CounterShard> counters_;  ///< live counters, if observed
+  std::optional<hwc::ThreadSet> hw_;  ///< per-thread perf counter groups
   std::optional<core::DependencyChecker> checker_;
   std::vector<std::unique_ptr<core::Executor>> executors_;
   std::unique_ptr<threading::Team> team_;

@@ -19,7 +19,6 @@
 #include "metrics/registry.hpp"
 #include "numa/traffic.hpp"
 #include "prof/attribution.hpp"
-#include "prof/progress.hpp"
 #include "sched/schedule.hpp"
 #include "topology/machine.hpp"
 #include "trace/trace.hpp"
@@ -112,7 +111,7 @@ struct RunConfig {
   /// offers and records the degradation reason when it offers nothing;
   /// On is Auto with a loud warning expected from the caller when the
   /// probe degrades.  Measured per-span deltas additionally require a
-  /// trace (they ride the profiler's sampler).
+  /// trace (they ride the per-span counter sampler).
   hwc::Mode hw_mode = hwc::Mode::Off;
 
   /// Events to count; empty = hwc::default_events() (cycles,
@@ -123,23 +122,12 @@ struct RunConfig {
   /// null uses hwc::real_backend().
   hwc::SyscallBackend* hw_backend = nullptr;
 
-  /// Optional live progress heartbeat (layer, updates/s, locality %).
-  /// The caller owns the meter and its interval; the run wires it to the
-  /// executors and the schemes' layer loops.  Null disables the hook at
-  /// the cost of one branch per tile.
-  prof::ProgressMeter* progress = nullptr;
-
-  /// Locality time-series sampling window, in cell updates per thread
-  /// (requires `instrument`).  0 picks an automatic window of roughly 32
-  /// samples per thread over the run; negative disables sampling.
-  Index locality_sample_updates = 0;
-
-  /// Optional live telemetry sampler (src/telemetry/): when set, the run
-  /// binds the sampler to its instrumentation shards (progress slots,
-  /// traffic recorder, cache sim, registry, trace, abort token) at
-  /// construction and releases it when the run finishes.  The caller owns
-  /// the sampler; null (the default) constructs nothing and costs
-  /// nothing — telemetry adds no writes to the hot path either way.
+  /// Optional live telemetry sampler (src/telemetry/), which also drives
+  /// an attached --progress heartbeat: when set, the run binds the
+  /// sampler to its live counter shard, registry, trace and abort token
+  /// at construction and releases it when the run finishes.  The caller
+  /// owns the sampler; null (the default) constructs nothing, and the
+  /// executors' per-tile publish stays one null-pointer branch.
   telemetry::Sampler* telemetry = nullptr;
 
   unsigned seed = 42;

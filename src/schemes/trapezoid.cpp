@@ -72,7 +72,7 @@ RunResult TrapezoidScheme::run(core::Problem& problem, const RunConfig& config) 
     trace::ThreadRecorder* rec = sup.recorder(tid);
     for (long tb = 0; tb < config.timesteps; tb += h) {
       const long hb = std::min<long>(h, config.timesteps - tb);
-      if (config.progress) config.progress->set_layer(tb / h);
+      sup.set_layer(tb / h);
       const trace::ScopedSpan layer_span(
           rec, trace::Phase::Layer,
           {static_cast<std::int32_t>(tb / h), static_cast<std::int32_t>(tb),

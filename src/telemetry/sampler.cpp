@@ -7,10 +7,8 @@
 #include <iostream>
 #include <sstream>
 
-#include "cachesim/shared.hpp"
 #include "common/error.hpp"
 #include "metrics/registry.hpp"
-#include "numa/traffic.hpp"
 #include "telemetry/openmetrics.hpp"
 #include "thread/abort.hpp"
 
@@ -56,16 +54,11 @@ Sampler::Sampler(const Config& cfg, std::ostream& diag)
 
 Sampler::~Sampler() { detach_run(); }
 
-void Sampler::attach_heartbeat(prof::ProgressMeter* meter, double interval_s) {
-  NUSTENCIL_CHECK(interval_s > 0.0,
-                  "Sampler: heartbeat interval must be positive");
-  heartbeat_ = meter;
-  heartbeat_interval_s_ = interval_s;
-}
+void Sampler::attach_heartbeat(prof::ProgressMeter* meter) { heartbeat_ = meter; }
 
 void Sampler::begin_run(const RunSources& sources) {
   detach_run();
-  NUSTENCIL_CHECK(sources.num_threads >= 1, "Sampler: need at least one thread");
+  NUSTENCIL_CHECK(sources.counters != nullptr, "Sampler: no counter shard bound");
   src_ = sources;
   bound_ = true;
   seq_ = 0;
@@ -77,12 +70,12 @@ void Sampler::begin_run(const RunSources& sources) {
   suppress_watchdog_ = false;
   steals_ = nullptr;
   steal_attempts_ = nullptr;
-  prev_.assign(static_cast<std::size_t>(src_.num_threads), {});
-  prev_spans_.assign(static_cast<std::size_t>(src_.num_threads), {});
+  prev_.assign(static_cast<std::size_t>(num_threads()), {});
+  prev_spans_.assign(static_cast<std::size_t>(num_threads()), {});
 
   if (cfg_.sampling) {
     store_.emplace(cfg_.ring_capacity);
-    const int n = src_.num_threads;
+    const int n = num_threads();
     for (int t = 0; t < n; ++t) {
       store_->add_series("thread" + std::to_string(t) + "/mups");
       store_->add_series("thread" + std::to_string(t) + "/locality");
@@ -99,11 +92,9 @@ void Sampler::begin_run(const RunSources& sources) {
       steal_attempts_ = &src_.registry->counter("sched/steal_attempts");
     }
 
-    // The watchdog observes the progress slots; without a meter there is
-    // nothing to watch.
-    if (cfg_.watchdog_stall_intervals > 0 && src_.progress) {
+    if (cfg_.watchdog_stall_intervals > 0) {
       watchdog_.emplace(cfg_.watchdog_stall_intervals, cfg_.watchdog_action);
-      watchdog_->begin_run(src_.num_threads, 0);
+      watchdog_->begin_run(num_threads(), 0);
     } else {
       watchdog_.reset();
     }
@@ -111,7 +102,7 @@ void Sampler::begin_run(const RunSources& sources) {
     if (log_) {
       log_->event("run_start", 0.0, [&](metrics::JsonWriter& w) {
         w.kv("label", cfg_.label);
-        w.kv("threads", src_.num_threads);
+        w.kv("threads", num_threads());
         w.kv("timesteps", static_cast<std::int64_t>(src_.timesteps));
         w.kv("interval_ms", cfg_.interval_s * 1e3);
       });
@@ -136,29 +127,20 @@ std::int64_t Sampler::now_ns() const {
 }
 
 void Sampler::collect(std::vector<ThreadCumulative>& out) {
-  const int n = src_.num_threads;
+  const int n = num_threads();
+  const int llc = src_.counters->cache_levels() - 1;
   out.assign(static_cast<std::size_t>(n), {});
   for (int t = 0; t < n; ++t) {
     ThreadCumulative& c = out[static_cast<std::size_t>(t)];
-    // Progress slots are the primary updates/bytes source: relaxed atomic
-    // loads of single-writer slots, published once per tile.
-    if (src_.progress && t < src_.progress->num_slots())
-      src_.progress->read_slot(t, c.updates, c.local_bytes, c.remote_bytes);
-    if (src_.traffic) {
-      std::uint64_t local = 0, remote = 0, unowned = 0;
-      src_.traffic->thread_bytes(t, local, remote, unowned);
-      c.unowned_bytes = unowned;
-      if (!src_.progress) {
-        c.local_bytes = local;
-        c.remote_bytes = remote;
-      }
-    }
-    if (src_.cache) {
-      const auto& levels = src_.cache->core_traffic(t);
-      if (!levels.empty()) {
-        c.llc_hits = levels.back().hits;
-        c.llc_misses = levels.back().misses;
-      }
+    trace::CounterSet row;
+    src_.counters->read(t, row);
+    c.updates = row.at(trace::SpanCounter::Updates);
+    c.local_bytes = row.at(trace::SpanCounter::LocalBytes);
+    c.remote_bytes = row.at(trace::SpanCounter::RemoteBytes);
+    c.unowned_bytes = row.at(trace::SpanCounter::UnownedBytes);
+    if (llc >= 0) {
+      c.llc_hits = row.level_hits(llc);
+      c.llc_misses = row.level_misses(llc);
     }
     if (src_.trace) {
       if (const trace::ThreadRecorder* rec = src_.trace->thread(t)) {
@@ -195,7 +177,7 @@ void Sampler::collect(std::vector<ThreadCumulative>& out) {
 
 void Sampler::sample_once(std::int64_t t_ns) {
   if (!bound_ || !cfg_.sampling || !store_) return;
-  const int n = src_.num_threads;
+  const int n = num_threads();
   std::vector<ThreadCumulative> cum;
   collect(cum);
 
@@ -225,7 +207,7 @@ void Sampler::sample_once(std::int64_t t_ns) {
       owned == 0 ? 100.0
                  : static_cast<double>(local_delta) /
                        static_cast<double>(owned) * 100.0;
-  const long layer = src_.progress ? src_.progress->layer() : -1;
+  const long layer = src_.counters->layer();
   row[2 * static_cast<std::size_t>(n)] = run_mups;
   row[2 * static_cast<std::size_t>(n) + 1] = run_locality;
   row[2 * static_cast<std::size_t>(n) + 2] = static_cast<double>(layer);
@@ -283,7 +265,7 @@ void Sampler::sample_once(std::int64_t t_ns) {
 void Sampler::export_openmetrics(std::int64_t t_ns,
                                  const std::vector<ThreadCumulative>& cum,
                                  const std::vector<double>& row) {
-  const int n = src_.num_threads;
+  const int n = num_threads();
   std::vector<MetricFamily> families;
   const auto label = [](int t) { return "thread=\"" + std::to_string(t) + "\""; };
 
@@ -333,7 +315,7 @@ void Sampler::export_openmetrics(std::int64_t t_ns,
     families.push_back({"nustencil_steals_total", "counter",
                         "Successful task steals",
                         {{"", static_cast<double>(steals_->value())}}});
-  if (src_.cache) {
+  if (src_.counters->cache_levels() > 0) {
     std::uint64_t hits = 0, misses = 0;
     for (const ThreadCumulative& c : cum) {
       hits += c.llc_hits;
@@ -371,7 +353,6 @@ void Sampler::export_openmetrics(std::int64_t t_ns,
     *diag_ << "telemetry: cannot write OpenMetrics file "
            << cfg_.openmetrics_path << " (t=" << t_ns * 1e-6 << " ms)\n";
   }
-  (void)t_ns;
 }
 
 void Sampler::handle_stalls(std::int64_t t_ns,
@@ -422,12 +403,11 @@ void Sampler::loop() {
   const auto sample_every = std::chrono::duration_cast<clock::duration>(
       std::chrono::duration<double>(cfg_.interval_s));
   const auto beat_every = std::chrono::duration_cast<clock::duration>(
-      std::chrono::duration<double>(
-          heartbeat_interval_s_ > 0.0 ? heartbeat_interval_s_ : 1.0));
+      std::chrono::duration<double>(heartbeat_ ? heartbeat_->interval_s() : 1.0));
   auto next_sample = t0_ + sample_every;
   auto next_beat = t0_ + beat_every;
   const bool sampling = cfg_.sampling;
-  const bool beating = heartbeat_ != nullptr && heartbeat_interval_s_ > 0.0;
+  const bool beating = heartbeat_ != nullptr;
 
   std::unique_lock<std::mutex> lk(mutex_);
   while (!stopping_) {
@@ -452,7 +432,7 @@ void Sampler::loop() {
     }
     if (beating && now >= next_beat) {
       lk.unlock();
-      heartbeat_->emit_beat();
+      heartbeat_->emit(*src_.counters);
       lk.lock();
       do next_beat += beat_every;
       while (next_beat <= now);
@@ -481,7 +461,7 @@ void Sampler::end_run(double seconds, std::uint64_t updates) {
     sample_once(now_ns());
     suppress_watchdog_ = false;
   }
-  if (heartbeat_) heartbeat_->emit_final();
+  if (heartbeat_) heartbeat_->emit(*src_.counters, /*final=*/true);
   if (log_) {
     // Stamped on the sampler's clock so the log stays chronological —
     // `seconds` measures the run region only, which starts after t0_.
@@ -552,8 +532,8 @@ std::string describe_telemetry(bool enabled, double interval_s,
     return os.str();
   }
   os << "  sampling every " << interval_s * 1e3
-     << " ms into per-series rings (lock-free reads of single-writer "
-        "shards)\n";
+     << " ms into per-series rings (relaxed reads of the run's live "
+        "counter shard)\n";
   os << "  openmetrics: "
      << (openmetrics_path.empty() ? "off"
                                   : openmetrics_path + " (atomic rewrite)")

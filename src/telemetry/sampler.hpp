@@ -1,12 +1,12 @@
 // Live telemetry: a background sampler thread that snapshots the run's
-// single-writer shards into fixed-capacity time-series rings while the
-// workers execute.
+// live counters into fixed-capacity time-series rings while the workers
+// execute.
 //
-// Every source is one the post-mortem profiler already reads —
-// ProgressMeter slots (relaxed atomics), TrafficRecorder::thread_bytes,
-// SharedHierarchy::core_traffic, ThreadRecorder phase totals, resolved
-// Registry counters, hwc::ThreadSet::sample — so the hot path gains no
-// new writes: telemetry is a pure read-side observer.  Samples are
+// The sources are the run's prof::CounterShard (the same rows the
+// per-span sampler reads), the ThreadRecorder phase totals, resolved
+// Registry counters and hwc::ThreadSet::sample.  Every value the sampler
+// reads concurrently is a relaxed atomic written by one thread, so
+// telemetry is a race-free read-side observer.  Samples are
 // per-thread-coherent but not globally atomic (see DESIGN.md), which is
 // fine for monitoring.
 //
@@ -41,12 +41,6 @@
 #include "telemetry/watchdog.hpp"
 #include "trace/trace.hpp"
 
-namespace nustencil::numa {
-class TrafficRecorder;
-}
-namespace nustencil::cachesim {
-class SharedHierarchy;
-}
 namespace nustencil::metrics {
 class Registry;
 class Counter;
@@ -75,13 +69,10 @@ struct Config {
 };
 
 /// The run's snapshot sources, bound by RunSupport when the run starts.
-/// All pointers are single-writer shards the sampler only reads.
+/// The sampler only reads them.
 struct RunSources {
-  int num_threads = 0;
   long timesteps = 0;
-  const prof::ProgressMeter* progress = nullptr;    ///< updates/bytes slots
-  const numa::TrafficRecorder* traffic = nullptr;   ///< unowned bytes
-  const cachesim::SharedHierarchy* cache = nullptr; ///< per-core hit/miss
+  const prof::CounterShard* counters = nullptr;     ///< required; one row per thread
   metrics::Registry* registry = nullptr;            ///< steal counters
   const trace::Trace* trace = nullptr;              ///< wait totals, spans
   threading::AbortToken* abort = nullptr;           ///< watchdog abort target
@@ -102,10 +93,9 @@ class Sampler {
   const Config& config() const { return cfg_; }
 
   /// Unifies the --progress heartbeat onto this sampler: every
-  /// `interval_s` the meter's line is rendered to its own stream, and
-  /// end_run emits the " (final)" line — byte-for-byte the output the
-  /// meter's own thread used to produce.
-  void attach_heartbeat(prof::ProgressMeter* meter, double interval_s);
+  /// meter->interval_s() the meter renders the bound run's counter shard
+  /// to its own stream, and end_run emits the " (final)" line.
+  void attach_heartbeat(prof::ProgressMeter* meter);
 
   /// Binds the run's sources, resets the rings and watchdog, logs the
   /// run_start event and starts the background thread (unless manual).
@@ -146,6 +136,7 @@ class Sampler {
   void start_thread();
   void stop_thread();
   std::int64_t now_ns() const;
+  int num_threads() const { return src_.counters->num_threads(); }
   void collect(std::vector<ThreadCumulative>& out);
   void export_openmetrics(std::int64_t t_ns,
                           const std::vector<ThreadCumulative>& cum,
@@ -156,9 +147,8 @@ class Sampler {
   Config cfg_;
   std::ostream* diag_;
 
-  // Heartbeat attachment (satellite: one periodic-snapshot path).
+  // Heartbeat attachment (one periodic-snapshot path).
   prof::ProgressMeter* heartbeat_ = nullptr;
-  double heartbeat_interval_s_ = 0.0;
 
   // Run binding.
   RunSources src_;

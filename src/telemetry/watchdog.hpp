@@ -1,4 +1,4 @@
-// Stall watchdog: flags workers whose progress slot stops advancing.
+// Stall watchdog: flags workers whose published update count stops advancing.
 //
 // The sampler feeds one cumulative per-thread snapshot per tick.  A
 // thread whose update count is unchanged for `stall_intervals`

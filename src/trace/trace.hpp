@@ -17,6 +17,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
@@ -66,8 +67,8 @@ struct SpanArgs {
 /// Fixed slot layout of the per-span counter deltas (the simulated-PMU
 /// equivalent of a perf counter group).  The slots are defined here so
 /// the serializers can derive byte totals, locality and miss rates
-/// without knowing the sampler implementation; the sampler that fills
-/// them from the run's instrumentation sources lives in src/prof/.
+/// without knowing the sampler implementation; the live counter shard
+/// that carries the simulated slots lives in src/prof/.
 enum class SpanCounter : std::uint8_t {
   Updates = 0,   ///< cell updates (Executor::updates_done)
   LocalBytes,    ///< node-local owned traffic bytes
@@ -195,7 +196,9 @@ struct Event {
 /// Per-thread recorder: exact phase totals plus a fixed-capacity event
 /// ring (oldest events are overwritten on overflow; `dropped()` counts
 /// them).  All mutating members must be called from the owning thread
-/// only; readers run after the worker has joined.
+/// only.  The phase totals (total_ns, span_count, spin_count) may be read
+/// by any thread at any time; everything else is read after the worker
+/// has joined.
 class ThreadRecorder {
  public:
   /// Nanoseconds since the owning Trace's epoch (monotonic clock).
@@ -219,9 +222,9 @@ class ThreadRecorder {
               std::int64_t exclude_ns = 0,
               const CounterSet* counters = nullptr) {
     const auto i = static_cast<std::size_t>(phase);
-    total_ns_[i] += end_ns - start_ns - exclude_ns;
-    span_count_[i] += 1;
-    spin_count_[i] += spins;
+    bump(total_ns_[i], end_ns - start_ns - exclude_ns);
+    bump(span_count_[i], std::uint64_t{1});
+    bump(spin_count_[i], spins);
     if (counters) counter_totals_[i].accumulate(*counters);
     if (capacity_ == 0) return;  // metrics-only mode: no event storage
     Event& e = ring_[next_];
@@ -261,13 +264,13 @@ class ThreadRecorder {
   }
 
   std::int64_t total_ns(Phase p) const {
-    return total_ns_[static_cast<std::size_t>(p)];
+    return total_ns_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
   }
   std::uint64_t span_count(Phase p) const {
-    return span_count_[static_cast<std::size_t>(p)];
+    return span_count_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
   }
   std::uint64_t spin_count(Phase p) const {
-    return spin_count_[static_cast<std::size_t>(p)];
+    return spin_count_[static_cast<std::size_t>(p)].load(std::memory_order_relaxed);
   }
 
   /// Exact per-phase sum of every counter delta recorded for `p`
@@ -286,9 +289,16 @@ class ThreadRecorder {
   std::size_t capacity_ = 0;
   std::size_t next_ = 0;
   std::uint64_t recorded_ = 0;
-  std::array<std::int64_t, kNumPhases> total_ns_{};
-  std::array<std::uint64_t, kNumPhases> span_count_{};
-  std::array<std::uint64_t, kNumPhases> spin_count_{};
+  // Single-writer relaxed atomics: the owner adds with a load and a
+  // store (no read-modify-write, so a plain add on x86).
+  template <class T>
+  static void bump(std::atomic<T>& total, T delta) {
+    total.store(total.load(std::memory_order_relaxed) + delta,
+                std::memory_order_relaxed);
+  }
+  std::array<std::atomic<std::int64_t>, kNumPhases> total_ns_{};
+  std::array<std::atomic<std::uint64_t>, kNumPhases> span_count_{};
+  std::array<std::atomic<std::uint64_t>, kNumPhases> spin_count_{};
   std::array<CounterSet, kNumPhases> counter_totals_{};
 };
 

@@ -12,7 +12,9 @@
 
 #include "cachesim/shared.hpp"
 #include "common/error.hpp"
+#include "numa/traffic.hpp"
 #include "prof/attribution.hpp"
+#include "prof/counter_shard.hpp"
 #include "prof/flamegraph.hpp"
 #include "prof/progress.hpp"
 #include "schemes/scheme.hpp"
@@ -353,14 +355,22 @@ TEST(ProfSummary, DisabledWithoutASampler) {
   EXPECT_FALSE(s.enabled);
 }
 
+/// What executors publish at the end of a tile.
+void publish(prof::CounterShard& counters, int tid, std::uint64_t updates,
+             std::uint64_t local_bytes, std::uint64_t remote_bytes) {
+  counters.store(tid, trace::SpanCounter::Updates, updates);
+  counters.store(tid, trace::SpanCounter::LocalBytes, local_bytes);
+  counters.store(tid, trace::SpanCounter::RemoteBytes, remote_bytes);
+}
+
 TEST(ProfProgress, RenderLineReportsLayerRateLocalityAndCompletion) {
   std::ostringstream os;
-  prof::ProgressMeter meter(60.0, os);
-  meter.begin_run("nuCORALS t2", 2, 1000);
-  meter.publish(0, 100, 800, 200);
-  meter.publish(1, 150, 600, 400);
-  meter.set_layer(3);
-  const std::string line = meter.render_line();
+  prof::ProgressMeter meter(60.0, os, "nuCORALS t2", 1000);
+  prof::CounterShard counters(2);
+  publish(counters, 0, 100, 800, 200);
+  publish(counters, 1, 150, 600, 400);
+  counters.set_layer(3);
+  const std::string line = meter.render_line(counters);
   EXPECT_NE(line.find("progress [nuCORALS t2]"), std::string::npos) << line;
   EXPECT_NE(line.find("layer 3"), std::string::npos) << line;
   EXPECT_NE(line.find("M up/s"), std::string::npos) << line;
@@ -371,48 +381,62 @@ TEST(ProfProgress, RenderLineReportsLayerRateLocalityAndCompletion) {
 
 TEST(ProfProgress, LayerIndicatorIsMonotonic) {
   std::ostringstream os;
-  prof::ProgressMeter meter(60.0, os);
-  meter.begin_run("x", 1, 0);
-  meter.set_layer(5);
-  meter.set_layer(2);  // late arrival must not move the indicator back
-  EXPECT_NE(meter.render_line().find("layer 5"), std::string::npos);
+  prof::ProgressMeter meter(60.0, os, "x");
+  prof::CounterShard counters(1);
+  counters.set_layer(5);
+  counters.set_layer(2);  // late arrival must not move the indicator back
+  EXPECT_EQ(counters.layer(), 5);
+  EXPECT_NE(meter.render_line(counters).find("layer 5"), std::string::npos);
 }
 
 TEST(ProfProgress, FinalBeatReportsEvenOnShortRuns) {
   std::ostringstream os;
-  prof::ProgressMeter meter(60.0, os);  // far longer than the test
-  meter.begin_run("short", 1, 100);
-  meter.publish(0, 100, 10, 0);
-  meter.emit_final();  // the telemetry sampler drives this at end_run
+  prof::ProgressMeter meter(60.0, os, "short", 100);  // interval >> the test
+  prof::CounterShard counters(1);
+  publish(counters, 0, 100, 10, 0);
+  meter.emit(counters, /*final=*/true);  // the sampler's end_run beat
   const std::string out = os.str();
   EXPECT_NE(out.find("(final)"), std::string::npos) << out;
   EXPECT_NE(out.find("100.0% done"), std::string::npos) << out;
 }
 
-TEST(ProfProgress, SlotReadersExposePublishedStateToTheSampler) {
-  std::ostringstream os;
-  prof::ProgressMeter meter(1.0, os);
-  meter.begin_run("r", 2, 0);
-  meter.publish(1, 42, 100, 50);
-  meter.set_layer(7);
-  EXPECT_EQ(meter.num_slots(), 2);
-  std::uint64_t updates = 0, local = 0, remote = 0;
-  meter.read_slot(1, updates, local, remote);
-  EXPECT_EQ(updates, 42u);
-  EXPECT_EQ(local, 100u);
-  EXPECT_EQ(remote, 50u);
-  meter.read_slot(0, updates, local, remote);
-  EXPECT_EQ(updates, 0u);
-  EXPECT_EQ(meter.layer(), 7);
-  EXPECT_EQ(meter.label(), "r");
+TEST(ProfCounterShard, RowsExposePublishedStateToEveryReader) {
+  // Thread 1 sits on node 0: one local, one remote and one unowned page,
+  // and four cold cache lines.
+  numa::PageTable pages(4096);
+  const numa::RegionId region = pages.register_region("a", 4096 * 3);
+  pages.first_touch(region, 0, 4096, /*node=*/0);
+  pages.first_touch(region, 4096, 8192, /*node=*/1);
+  const topology::MachineSpec machine = topology::xeonX7550();
+  numa::VirtualTopology topo(machine);
+  numa::TrafficRecorder traffic(pages, topo, 2);
+  traffic.account(1, region, 0, 4096 * 3);
+  cachesim::SharedHierarchy cache(machine, 2);
+  cache.access(1, /*addr=*/0x10000, /*bytes=*/256, /*write=*/false);
+
+  prof::CounterShard counters(2, /*cache_levels=*/3);
+  EXPECT_EQ(counters.layer(), -1);
+  counters.publish(1, 42, &traffic, &cache);
+  counters.set_layer(7);
+  trace::CounterSet row;
+  row.at(trace::SpanCounter::HwCycles) = 9;  // hardware slots stay as they are
+  counters.read(1, row);
+  EXPECT_EQ(row.at(trace::SpanCounter::Updates), 42u);
+  EXPECT_EQ(row.at(trace::SpanCounter::LocalBytes), 4096u);
+  EXPECT_EQ(row.at(trace::SpanCounter::RemoteBytes), 4096u);
+  EXPECT_EQ(row.at(trace::SpanCounter::UnownedBytes), 4096u);
+  EXPECT_EQ(row.at(trace::SpanCounter::HwCycles), 9u);
+  for (int l = 0; l < 3; ++l) EXPECT_EQ(row.level_misses(l), 4u) << l;
+  counters.read(0, row);
+  EXPECT_EQ(row.at(trace::SpanCounter::Updates), 0u);
+  EXPECT_EQ(counters.layer(), 7);
 }
 
 TEST(ProfProgress, RejectsNonPositiveIntervalsAndEmptyTeams) {
   std::ostringstream os;
   EXPECT_THROW(prof::ProgressMeter(0.0, os), Error);
   EXPECT_THROW(prof::ProgressMeter(-1.0, os), Error);
-  prof::ProgressMeter meter(1.0, os);
-  EXPECT_THROW(meter.begin_run("x", 0, 0), Error);
+  EXPECT_THROW(prof::CounterShard(0), Error);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Live telemetry: time-series rings, exact-decimation downsampling, the
 // OpenMetrics exposition and JSONL event log, the stall watchdog, and
-// the sampler itself in deterministic manual (fake-clock) mode plus on a
-// real short run.  The zero-cost-off contract — an untelemetered run
+// the sampler itself in deterministic manual (fake-clock) mode plus on
+// real short runs.  The zero-cost-off contract — an untelemetered run
 // spawns no sampler thread — is pinned here too.
 #include <gtest/gtest.h>
 
@@ -9,12 +9,17 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 
+#include "cachesim/shared.hpp"
 #include "common/error.hpp"
 #include "metrics/json.hpp"
+#include "prof/counter_shard.hpp"
 #include "prof/progress.hpp"
 #include "schemes/nucats.hpp"
+#include "schemes/numwd.hpp"
+#include "schemes/run_support.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/openmetrics.hpp"
 #include "telemetry/sampler.hpp"
@@ -288,26 +293,31 @@ TEST(Watchdog, ParseActionIsCaseInsensitiveAndStrict) {
 
 // ------------------------------------------------- sampler (fake clock)
 
-/// Manual-mode sampler over a ProgressMeter: the test IS the clock.
+/// Manual-mode sampler over a live counter shard: the test IS the clock.
 struct ManualRig {
-  std::ostringstream beat_out;
   std::ostringstream diag;
-  prof::ProgressMeter meter{1.0, beat_out};
+  prof::CounterShard counters;
   threading::AbortToken abort;
   Config cfg;
 
-  explicit ManualRig(int threads) {
+  explicit ManualRig(int threads) : counters(threads) {
     cfg.manual = true;
     cfg.interval_s = 0.001;
     cfg.label = "rig";
-    meter.begin_run("rig", threads, 0);
   }
 
-  RunSources sources(int threads) {
+  /// What an executor publishes at the end of a tile.
+  void publish(int tid, std::uint64_t updates, std::uint64_t local_bytes,
+               std::uint64_t remote_bytes) {
+    counters.store(tid, trace::SpanCounter::Updates, updates);
+    counters.store(tid, trace::SpanCounter::LocalBytes, local_bytes);
+    counters.store(tid, trace::SpanCounter::RemoteBytes, remote_bytes);
+  }
+
+  RunSources sources() {
     RunSources src;
-    src.num_threads = threads;
     src.timesteps = 4;
-    src.progress = &meter;
+    src.counters = &counters;
     src.abort = &abort;
     return src;
   }
@@ -316,7 +326,7 @@ struct ManualRig {
 TEST(Sampler, ManualModeIsDeterministicUnderAFakeClock) {
   ManualRig rig(2);
   Sampler sampler(rig.cfg, rig.diag);
-  sampler.begin_run(rig.sources(2));
+  sampler.begin_run(rig.sources());
 
   // 2 threads: thread<t>/{mups,locality} then run/{mups,locality,layer}.
   const TimeSeriesStore* store = sampler.store();
@@ -328,12 +338,12 @@ TEST(Sampler, ManualModeIsDeterministicUnderAFakeClock) {
   EXPECT_EQ(store->series_name(6), "run/layer");
 
   // Tick 1 at t=1ms: thread 0 did 1000 updates, 75% local traffic.
-  rig.meter.publish(0, 1000, 300, 100);
-  rig.meter.set_layer(0);
+  rig.publish(0, 1000, 300, 100);
+  rig.counters.set_layer(0);
   sampler.sample_once(1'000'000);
   // Tick 2 at t=3ms: +4000 updates over 2ms, all-local window.
-  rig.meter.publish(0, 5000, 700, 100);
-  rig.meter.set_layer(1);
+  rig.publish(0, 5000, 700, 100);
+  rig.counters.set_layer(1);
   sampler.sample_once(3'000'000);
 
   ASSERT_EQ(store->size(), 2u);
@@ -361,11 +371,11 @@ TEST(Sampler, ManualModeWritesOrderedJsonlEvents) {
   rig.cfg.log_path = path;
   {
     Sampler sampler(rig.cfg, rig.diag);
-    sampler.begin_run(rig.sources(1));
-    rig.meter.publish(0, 10, 100, 0);
-    rig.meter.set_layer(0);
+    sampler.begin_run(rig.sources());
+    rig.publish(0, 10, 100, 0);
+    rig.counters.set_layer(0);
     sampler.sample_once(1'000'000);
-    rig.meter.publish(0, 20, 200, 0);
+    rig.publish(0, 20, 200, 0);
     sampler.sample_once(2'000'000);
     sampler.end_run(/*seconds=*/0.002, /*updates=*/20);
   }
@@ -396,7 +406,7 @@ TEST(Sampler, WatchdogAbortTriggersTheRunsAbortToken) {
   rig.cfg.watchdog_stall_intervals = 3;
   rig.cfg.watchdog_action = WatchdogAction::Abort;
   Sampler sampler(rig.cfg, rig.diag);
-  sampler.begin_run(rig.sources(1));
+  sampler.begin_run(rig.sources());
 
   // The thread never publishes: detection within exactly 3 intervals.
   sampler.sample_once(1'000'000);
@@ -414,9 +424,9 @@ TEST(Sampler, WatchdogAbortTriggersTheRunsAbortToken) {
 TEST(Sampler, ReportSectionDownsamplesWithoutAlteringValues) {
   ManualRig rig(1);
   Sampler sampler(rig.cfg, rig.diag);
-  sampler.begin_run(rig.sources(1));
+  sampler.begin_run(rig.sources());
   for (int i = 1; i <= 50; ++i) {
-    rig.meter.publish(0, static_cast<std::uint64_t>(i) * 100, 100, 0);
+    rig.publish(0, static_cast<std::uint64_t>(i) * 100, 100, 0);
     sampler.sample_once(i * 1'000'000);
   }
   const metrics::TimeseriesSection sec = sampler.report_section(10);
@@ -441,24 +451,39 @@ TEST(Sampler, ReportSectionDownsamplesWithoutAlteringValues) {
   }
 }
 
+TEST(Sampler, EndRunDrivesTheHeartbeatFromTheBoundShard) {
+  ManualRig rig(2);
+  std::ostringstream beats;
+  prof::ProgressMeter meter(60.0, beats, "rig", /*total_updates=*/400);
+  Sampler sampler(rig.cfg, rig.diag);
+  sampler.attach_heartbeat(&meter);
+  sampler.begin_run(rig.sources());
+  rig.publish(0, 100, 300, 100);
+  rig.publish(1, 100, 100, 0);
+  rig.counters.set_layer(2);
+  sampler.end_run(/*seconds=*/0.001, /*updates=*/200);
+  // locality = 400 local / 500 owned, completion = 200 / 400.
+  EXPECT_NE(beats.str().find("progress [rig]: layer 2 | "), std::string::npos);
+  EXPECT_NE(beats.str().find("locality 80.0% | 50.0% done (final)\n"),
+            std::string::npos)
+      << beats.str();
+}
+
 // --------------------------------------------------- real-run contracts
 
 TEST(Sampler, CleanShortRunStaysSilentUnderTheWatchdog) {
-  std::ostringstream beat_out, diag;
-  prof::ProgressMeter meter(10.0, beat_out);
+  std::ostringstream diag;
   Config cfg;
   cfg.interval_s = 0.002;
   cfg.label = "clean";
   cfg.watchdog_stall_intervals = 50;  // 100 ms of true silence to fire
   Sampler sampler(cfg, diag);
-  meter.begin_run("clean", /*num_threads=*/2, /*total_updates=*/0);
 
   schemes::NuCatsScheme scheme;
   schemes::RunConfig rc;
   rc.num_threads = 2;
   rc.timesteps = 6;
   rc.boundary[2] = core::BoundaryKind::Dirichlet;
-  rc.progress = &meter;
   rc.telemetry = &sampler;
   test::expect_matches_reference(scheme, Coord{20, 18, 16},
                                  core::StencilSpec::paper_3d7p(), rc);
@@ -471,6 +496,40 @@ TEST(Sampler, CleanShortRunStaysSilentUnderTheWatchdog) {
   const metrics::TimeseriesSection sec = sampler.report_section();
   EXPECT_TRUE(sec.enabled);
   EXPECT_EQ(sec.t_ms.size(), sec.series.front().values.size());
+}
+
+TEST(Sampler, RealRunClosingSampleMatchesTheRunTotals) {
+  // Live instrumented workers (nuMWD, one two-thread group, traffic and
+  // cache simulation, a trace) under a 1 ms sampler: once they join, the
+  // closing sample must equal the run's own totals.
+  const std::string prom = temp_path("telemetry_test_real_run.prom");
+  std::ostringstream diag;
+  Config cfg;
+  cfg.interval_s = 0.001;
+  cfg.openmetrics_path = prom;
+  Sampler sampler(cfg, diag);
+  cachesim::SharedHierarchy cache(schemes::default_machine(), 2);
+  trace::Trace trace;
+  schemes::RunConfig rc;
+  rc.num_threads = 2;
+  rc.timesteps = 8;
+  rc.group_size = 2;
+  rc.instrument = true;
+  rc.cache_sim = &cache;
+  rc.trace = &trace;
+  rc.telemetry = &sampler;
+  const schemes::RunResult result = test::expect_matches_reference(
+      schemes::NuMwdScheme{}, Coord{24, 24, 24}, core::StencilSpec::paper_3d7p(), rc);
+
+  std::map<std::string, std::uint64_t> sums;  // per counter family, over threads
+  for (const std::string& line : read_lines(prom))
+    if (const auto brace = line.find("_total{thread="); brace != std::string::npos)
+      sums[line.substr(0, brace)] += std::stoull(line.substr(line.rfind(' ') + 1));
+  EXPECT_EQ(sums["nustencil_updates"], static_cast<std::uint64_t>(result.updates));
+  const std::uint64_t owned = result.traffic.local_bytes + result.traffic.remote_bytes;
+  EXPECT_GT(owned, 0u);
+  EXPECT_EQ(sums["nustencil_local_bytes"] + sums["nustencil_remote_bytes"], owned);
+  std::remove(prom.c_str());
 }
 
 TEST(Sampler, UntelemeteredRunsSpawnNoSamplerThreads) {

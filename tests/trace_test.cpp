@@ -177,6 +177,7 @@ TEST(ThreadRecorder, ExcludeSubtractsFromTotalsNotEvents) {
   Trace trace(8);
   trace.begin_run(1);
   ThreadRecorder* rec = trace.thread(0);
+  ASSERT_NE(rec, nullptr);
   // A 900ns tile span containing 600ns of nested spin wait.
   rec->record(Phase::SpinWait, 200, 800, {}, 3);
   rec->record(Phase::Tile, 100, 1000, {}, 0, /*exclude_ns=*/600);
@@ -238,7 +239,9 @@ TEST(Trace, ThreadOutOfRangeIsNull) {
 TEST(Trace, BeginRunResetsRecorders) {
   Trace trace(8);
   trace.begin_run(1);
-  trace.thread(0)->record(Phase::Tile, 0, 100);
+  ThreadRecorder* rec = trace.thread(0);
+  ASSERT_NE(rec, nullptr);
+  rec->record(Phase::Tile, 0, 100);
   trace.begin_run(3);
   EXPECT_EQ(trace.num_threads(), 3);
   EXPECT_EQ(trace.thread(0)->span_count(Phase::Tile), 0u);

@@ -492,7 +492,6 @@ int main(int argc, char** argv) try {
         warm.trace = nullptr;
         warm.metrics = nullptr;
         warm.cache_sim = nullptr;
-        warm.progress = nullptr;
         warm.telemetry = nullptr;  // timing reps: no sampler thread either
         warm.profile_spans = false;
         warm.hw_mode = hwc::Mode::Off;  // timing reps: no counter syscalls
@@ -507,21 +506,12 @@ int main(int argc, char** argv) try {
     // sampler owns the only background thread, and the --progress
     // heartbeat rides it (attach_heartbeat).  --progress without
     // telemetry runs the sampler in heartbeat-only mode — no rings, no
-    // exports, the same output as before.  Neither flag: no meter, no
-    // sampler, no thread.
+    // exports.  Neither flag: no meter, no sampler, no thread.
     const std::string run_label =
         args.get("scheme") + " t" + std::to_string(threads);
     std::optional<prof::ProgressMeter> progress;
     std::optional<telemetry::Sampler> sampler;
     if (telemetry_on || progress_interval > 0.0) {
-      progress.emplace(
-          progress_interval > 0.0 ? progress_interval : telemetry_interval_s,
-          std::cerr);
-      progress->begin_run(run_label, threads,
-                          static_cast<std::uint64_t>(shape.product()) *
-                              static_cast<std::uint64_t>(cfg.timesteps));
-      cfg.progress = &*progress;
-
       telemetry::Config tcfg;
       tcfg.sampling = telemetry_on;
       tcfg.interval_s = telemetry_interval_s;
@@ -533,8 +523,12 @@ int main(int argc, char** argv) try {
       tcfg.watchdog_stall_intervals = watchdog_intervals;
       tcfg.watchdog_action = watchdog_action;
       sampler.emplace(tcfg);
-      if (progress_interval > 0.0)
-        sampler->attach_heartbeat(&*progress, progress_interval);
+      if (progress_interval > 0.0) {
+        progress.emplace(progress_interval, std::cerr, run_label,
+                         static_cast<std::uint64_t>(shape.product()) *
+                             static_cast<std::uint64_t>(cfg.timesteps));
+        sampler->attach_heartbeat(&*progress);
+      }
       cfg.telemetry = &*sampler;
     }
 

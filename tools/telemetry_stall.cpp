@@ -3,20 +3,21 @@
 //
 //   telemetry_stall [warn|abort] [jsonl-log-path]
 //
-// Two workers run a fake compute loop that publishes progress every
-// millisecond; worker 1 stops publishing after its first few ticks.  The
-// sampler (10 ms interval, 3-interval watchdog) must flag the stall
-// within ~30 ms.  Under `warn` the workers run to completion and the
-// process exits 0 with the diagnosis on stderr; under `abort` the
-// triggered abort token unwinds the still-running workers and the
-// process exits nonzero — exactly what a hung production run would do
-// in CI.  Exit 3 means the watchdog never fired: a detection bug.
+// Two workers run a fake compute loop that publishes into the live
+// counter shard every millisecond; worker 1 stops publishing after its
+// first few ticks.  The sampler (10 ms interval, 3-interval watchdog)
+// must flag the stall within ~30 ms.  Under `warn` the workers run to
+// completion and the process exits 0 with the diagnosis on stderr; under
+// `abort` the triggered abort token unwinds the still-running workers
+// and the process exits nonzero — exactly what a hung production run
+// would do in CI.  Exit 3 means the watchdog never fired: a detection
+// bug.
 #include <chrono>
 #include <cstring>
 #include <iostream>
 #include <thread>
 
-#include "prof/progress.hpp"
+#include "prof/counter_shard.hpp"
 #include "telemetry/sampler.hpp"
 #include "thread/abort.hpp"
 #include "thread/team.hpp"
@@ -27,9 +28,6 @@ int main(int argc, char** argv) try {
   const telemetry::WatchdogAction action =
       telemetry::parse_watchdog_action(argc > 1 ? argv[1] : "warn");
 
-  prof::ProgressMeter meter(1.0, std::cerr);
-  meter.begin_run("stall", /*num_threads=*/2, /*total_updates=*/0);
-
   telemetry::Config tcfg;
   tcfg.interval_s = 0.01;
   tcfg.label = "telemetry_stall";
@@ -39,10 +37,10 @@ int main(int argc, char** argv) try {
   telemetry::Sampler sampler(tcfg);
 
   threading::AbortToken abort;
+  prof::CounterShard counters(/*num_threads=*/2);
   telemetry::RunSources src;
-  src.num_threads = 2;
   src.timesteps = 1;
-  src.progress = &meter;
+  src.counters = &counters;
   src.abort = &abort;
   sampler.begin_run(src);
 
@@ -51,7 +49,10 @@ int main(int argc, char** argv) try {
     std::uint64_t updates = 0;
     for (int i = 0; i < 200; ++i) {  // ~200 ms of "work" in 1 ms ticks
       abort.check();
-      if (tid == 0 || i < 5) meter.publish(tid, ++updates, 100, 0);
+      if (tid == 0 || i < 5) {
+        counters.store(tid, trace::SpanCounter::Updates, ++updates);
+        counters.store(tid, trace::SpanCounter::LocalBytes, 100);
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
