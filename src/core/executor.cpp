@@ -45,6 +45,8 @@ Executor::Executor(Problem& problem, Instrumentation instr, KernelPolicy policy)
   req.banded = st.banded();
   req.rank = shape.rank();
   req.order = st.order();
+  req.nx = nx_;
+  req.checked = instr_.checker != nullptr;
   kernel_ = select_kernel(policy, req);
   if (st.banded())
     for (int p = 0; p < st.npoints(); ++p)
@@ -89,6 +91,7 @@ Index Executor::update_box(const Box& box, long t, int tid) {
   // Row length: lets the rotated v2 kernels read the centre row ahead
   // of x1 (v1 kernels ignore it).
   ka.xcap = nx_;
+  ka.whole_rows = kernel_.whole_rows;
 
   RowPlan plan;
   plan.x0v = lo0;
@@ -197,6 +200,9 @@ void Executor::update_row(const RowPlan& plan, const KernelArgs& ka, long t,
     const Index a = px, b = px + len;
     if (instr_.checker) {
       slow_cells(a, b);
+    } else if (ka.whole_rows && len == nx_) {
+      kernel_.fn(ka, plan.base.data(), plan.dst_row, 0, nx_);
+      if (m_fast_rows_) m_fast_rows_->add(tid);
     } else {
       const RowSplit sp = compute_row_split(a, b, nx_, s);
       slow_cells(sp.lo0, sp.lo1);

@@ -4,10 +4,11 @@
 // steps; the executor owns the per-row kernel dispatch (a tap-specialized
 // SIMD kernel from core/kernels.hpp for interior segments, selected once
 // at construction via runtime CPUID; a scalar wrap path at periodic
-// boundaries), the traffic instrumentation, and the dependency checker
-// hooks.  Boxes are given in *virtual* coordinates: they may extend
-// beyond the domain in any dimension (skewed parallelograms do), and
-// wrap around periodically.
+// boundaries, except that a full periodic row goes to a whole-row kernel
+// call when KernelChoice::whole_rows), the traffic instrumentation, and
+// the dependency checker hooks.  Boxes are given in *virtual*
+// coordinates: they may extend beyond the domain in any dimension
+// (skewed parallelograms do), and wrap around periodically.
 #pragma once
 
 #include <array>

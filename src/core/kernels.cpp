@@ -217,6 +217,7 @@ KernelChoice select_kernel(KernelPolicy policy, const KernelRequest& request) {
       choice.fma = r.fma;
       choice.banded = request.banded;
       choice.rotated = true;
+      choice.whole_rows = request.nx >= kWholeRowMinNx && !request.checked;
       choice.ntaps = request.ntaps;
       return choice;
     }
@@ -263,6 +264,17 @@ std::string explain_kernel_choice(KernelPolicy policy,
              ? "in-register rotation (one centre-row load per vector)"
              : "per-tap vector loads")
      << '\n'
+     << "  periodic rows           : ";
+  if (choice.whole_rows)
+    os << "whole-row vector calls (the kernel computes the x wrap)";
+  else if (request.checked)
+    os << "checked scalar cells (dependency checker attached)";
+  else
+    os << "scalar wrap cells + interior kernel call ("
+       << (choice.rotated ? "nx < " + std::to_string(kWholeRowMinNx)
+                          : std::string("non-rotated kernel"))
+       << ')';
+  os << '\n'
      << "  bit-exact vs scalar     : " << yn(!choice.fma)
      << (choice.fma ? " (FMA contracts mul+add; use for wall-clock runs only)"
                     : "")

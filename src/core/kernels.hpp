@@ -75,11 +75,24 @@ struct KernelArgs {
   /// "unknown" and confines every read to the v1 contract
   /// ([x0 - order, x1 + order) around each tap base).
   Index xcap = 0;
+  /// Whole-row request (KernelChoice::whole_rows kernels only): a call
+  /// with [x0, x1) == [0, xcap) is the whole periodic row, and the
+  /// kernel wraps the x taps modulo xcap itself.  Other ranges keep the
+  /// contract above.
+  bool whole_rows = false;
 };
+
+/// Shortest row a whole-row call accepts: two AVX2 vectors, so the
+/// rolling window's first and last loads stay inside the row.
+inline constexpr Index kWholeRowMinNx = 8;
 
 /// One row update: dst[db+x] = sum_p coeff_p(db+x) * src[bases[p]+x] for
 /// x in [x0, x1).  `bases` holds per-tap source row bases with the x
-/// offset folded in; wrap columns are the caller's job.
+/// offset folded in.  Wrap columns are the caller's job, except in a
+/// whole-row call (KernelArgs::whole_rows), where the kernel reads the
+/// x taps of cells near either end from the other end of the row and
+/// returns what the caller's wrap-checked scalar loop would (a sum
+/// started from +0.0).
 using KernelFn = void (*)(const KernelArgs& args, const Index* bases, Index db,
                           Index x0, Index x1);
 
@@ -94,6 +107,10 @@ struct KernelChoice {
   /// rotation of one centre-row load per output vector instead of
   /// 2*order+1 overlapping unaligned loads per vector.
   bool rotated = false;
+  /// Full periodic rows run as one whole-row call (KernelArgs::whole_rows):
+  /// a rotated kernel, rows of at least kWholeRowMinNx cells and no
+  /// dependency checker.
+  bool whole_rows = false;
   int ntaps = 0;
   /// Tap count fully unrolled?
   bool specialized() const { return variant == KernelVariant::Specialized; }
@@ -103,12 +120,14 @@ struct KernelChoice {
 
 /// Everything kernel selection wants to know about the sweep, beyond the
 /// policy: the stencil geometry (rotation is keyed on the canonical
-/// rank-3 star layout).
+/// rank-3 star layout) and what decides whole-row calls.
 struct KernelRequest {
   int ntaps = 0;
   bool banded = false;
   int rank = 0;   ///< 0 = unknown (disables rotation)
   int order = 0;
+  Index nx = 0;   ///< row length; 0 = unknown (disables whole-row calls)
+  bool checked = false;  ///< dependency checker attached (every cell scalar)
 };
 
 /// True when a fully unrolled variant exists for this tap count.
@@ -128,11 +147,12 @@ KernelChoice select_kernel_isa(KernelIsa isa, bool fma, int ntaps, bool banded,
 /// Selection against the host CPU: resolves Auto, downgrades unsupported
 /// requests (FMA -> AVX2 -> SSE2 -> Scalar), and picks the v2 rotated
 /// kernels for canonical rank-3 stars of order 1..3 on AVX2.  A request
-/// with rank unknown never rotates.
+/// with rank unknown never rotates.  Sets KernelChoice::whole_rows.
 KernelChoice select_kernel(KernelPolicy policy, const KernelRequest& request);
 
 /// Human-readable report for `nustencil --explain`: detected CPU
-/// features, the policy, the chosen variant and why.
+/// features, the policy, the chosen variant and why, and how periodic
+/// rows run.
 std::string explain_kernel_choice(KernelPolicy policy, const KernelRequest& request);
 
 }  // namespace nustencil::core

@@ -107,7 +107,10 @@ inline __m256d shift(__m256d a, __m256d b) {
 /// y/z taps).  The unit-stride taps are rotated out of a rolling window
 /// of centre-row loads: one new 32B load per output vector instead of
 /// 2*ORDER+1 overlapping loads.  The window stays inside
-/// [row, row + KernelArgs::xcap).  FMA additionally splits the update
+/// [row, row + KernelArgs::xcap).  A whole-row call
+/// (KernelArgs::whole_rows) wraps the x taps in registers: the row's
+/// first and last vectors stand in for the cells past either end.
+/// FMA additionally splits the update
 /// semi-stencil-style into independent axis/off-axis chains (NOT
 /// bit-exact — FMA-tier only).
 template <int ORDER, bool BANDED, bool FMA>
@@ -219,9 +222,38 @@ void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
   const auto store = [&](Index xs, __m256d v) {
     _mm256_storeu_pd(dst + db + xs, v);
   };
+  const auto centre = [&](Index xs) { return _mm256_loadu_pd(src + row + xs); };
+  // Whole periodic row, xcap >= 2W.  The caller's wrap-checked loop sums
+  // a wrap cell (x < ORDER or x >= xcap - ORDER) from +0.0, which differs
+  // from the kernel's sum only when that is -0.0; adding +0.0 to wrap
+  // lanes and -0.0 (the identity) to the others matches it bitwise.
+  // Only the first vector and the tail vectors hold wrap lanes, because
+  // ORDER < W.
+  const bool whole = k.whole_rows && x0 == 0 && x1 == xcap;
+  const auto store_edge = [&](Index xs, __m256d v) {
+    const __m256i lane = _mm256_add_epi64(_mm256_set1_epi64x(xs),
+                                          _mm256_setr_epi64x(0, 1, 2, 3));
+    const __m256i wrap = _mm256_or_si256(
+        _mm256_cmpgt_epi64(_mm256_set1_epi64x(ORDER), lane),
+        _mm256_cmpgt_epi64(lane, _mm256_set1_epi64x(xcap - ORDER - 1)));
+    const __m256d seed =
+        _mm256_andnot_pd(_mm256_castsi256_pd(wrap), _mm256_set1_pd(-0.0));
+    store(xs, _mm256_add_pd(v, seed));
+  };
 
   Index x = x0;
-  if (xcap > 0) {
+  __m256d prev = _mm256_setzero_pd(), cur = prev, first = prev, last = prev;
+  bool rolling = false;
+  if (whole) {
+    // The row's last vector stands in for the cells left of x = 0.
+    first = centre(0);
+    last = centre(xcap - W);
+    prev = first;
+    cur = centre(W);
+    store_edge(0, update_rotated(0, last, first, cur));
+    x = W;
+    rolling = true;
+  } else if (xcap > 0) {
     // Peel scalar cells up to the next multiple of W, so the centre-row
     // loads are 32B-aligned whenever the row base is, and always past
     // the first W cells, so the rolling window's prev load at
@@ -229,30 +261,50 @@ void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
     const Index xa = std::min(x1, round_up(std::max<Index>(x0, W), W));
     for (; x < xa; ++x) scalar_cell(x);
     if (x + W <= x1 && x + 2 * W <= xcap) {
-      __m256d prev = _mm256_loadu_pd(src + row + x - W);
-      __m256d cur = _mm256_loadu_pd(src + row + x);
-      // Four output vectors per iteration: four new centre-row loads feed
-      // four rotated updates, so the shuffle results are all reused and
-      // the independent accumulator chains hide the add latency.
-      for (; x + 4 * W <= x1 && x + 5 * W <= xcap; x += 4 * W) {
-        const __m256d r1 = _mm256_loadu_pd(src + row + x + W);
-        const __m256d r2 = _mm256_loadu_pd(src + row + x + 2 * W);
-        const __m256d r3 = _mm256_loadu_pd(src + row + x + 3 * W);
-        const __m256d r4 = _mm256_loadu_pd(src + row + x + 4 * W);
-        store(x, update_rotated(x, prev, cur, r1));
-        store(x + W, update_rotated(x + W, cur, r1, r2));
-        store(x + 2 * W, update_rotated(x + 2 * W, r1, r2, r3));
-        store(x + 3 * W, update_rotated(x + 3 * W, r2, r3, r4));
-        prev = r3;
-        cur = r4;
-      }
-      for (; x + W <= x1 && x + 2 * W <= xcap; x += W) {
-        const __m256d next = _mm256_loadu_pd(src + row + x + W);
-        store(x, update_rotated(x, prev, cur, next));
-        prev = cur;
-        cur = next;
-      }
+      prev = centre(x - W);
+      cur = centre(x);
+      rolling = true;
     }
+  }
+  if (rolling) {
+    // Four output vectors per iteration: four new centre-row loads feed
+    // four rotated updates, so the shuffle results are all reused and
+    // the independent accumulator chains hide the add latency.
+    for (; x + 4 * W <= x1 && x + 5 * W <= xcap; x += 4 * W) {
+      const __m256d r1 = centre(x + W);
+      const __m256d r2 = centre(x + 2 * W);
+      const __m256d r3 = centre(x + 3 * W);
+      const __m256d r4 = centre(x + 4 * W);
+      store(x, update_rotated(x, prev, cur, r1));
+      store(x + W, update_rotated(x + W, cur, r1, r2));
+      store(x + 2 * W, update_rotated(x + 2 * W, r1, r2, r3));
+      store(x + 3 * W, update_rotated(x + 3 * W, r2, r3, r4));
+      prev = r3;
+      cur = r4;
+    }
+    for (; x + W <= x1 && x + 2 * W <= xcap; x += W) {
+      const __m256d next = centre(x + W);
+      store(x, update_rotated(x, prev, cur, next));
+      prev = cur;
+      cur = next;
+    }
+  }
+  if (whole) {
+    // Now xcap - 2W < x <= xcap - W.  When W does not divide xcap, the
+    // vector at x reads its right taps from the 2W-cell wrapped window
+    // (last, first), and the vector at xcap - W overlaps it, writing the
+    // same values again.  The row's first vector stands in for the cells
+    // right of xcap - 1.
+    const Index rem = xcap % W;
+    if (rem != 0) {
+      const __m256d next = rem == 1   ? shift<3>(last, first)
+                           : rem == 2 ? shift<2>(last, first)
+                                      : shift<1>(last, first);
+      store_edge(x, update_rotated(x, prev, cur, next));
+      prev = centre(xcap - 2 * W);
+    }
+    store_edge(xcap - W, update_rotated(xcap - W, prev, last, first));
+    return;
   }
   for (; x + W <= x1; x += W) store(x, update_per_tap(x));
   for (; x < x1; ++x) scalar_cell(x);

@@ -108,20 +108,36 @@ TEST(NuCoralsScheme, WideRowsSteal) {
 
 TEST(NuCoralsScheme, RowsStayWhole) {
   // Each (y, z, t) row is one kernel call, exactly as in the naive sweep.
-  const auto kernel_rows = [](const std::string& name) {
+  // With the rotated AVX2 kernel that call is the whole periodic row, so
+  // no cell takes the scalar wrap path.
+  struct Counts {
+    std::uint64_t rows = 0, slow_cells = 0;
+    Index updates = 0;
+  };
+  const auto kernel_counts = [](const std::string& name) {
     metrics::Registry registry(4);
     RunConfig cfg = corals_config(4, 4, /*check=*/false);
     cfg.metrics = &registry;
     core::Problem problem(Coord{64, 16, 16}, core::StencilSpec::paper_3d7p());
-    schemes::make_scheme(name)->run(problem, cfg);
-    std::uint64_t rows = 0;
-    for (const auto& [counter, value] : registry.snapshot().counters)
-      if (counter.rfind("kernel/rows/", 0) == 0) rows += value;
-    return rows;
+    Counts c;
+    c.updates = schemes::make_scheme(name)->run(problem, cfg).updates;
+    for (const auto& [counter, value] : registry.snapshot().counters) {
+      if (counter.rfind("kernel/rows/", 0) == 0) c.rows += value;
+      if (counter == "kernel/slow_cells") c.slow_cells += value;
+    }
+    return c;
   };
-  const std::uint64_t naive = kernel_rows("NaiveSSE");
-  EXPECT_EQ(naive, 16u * 16u * 4u);
-  EXPECT_EQ(kernel_rows("nuCORALS"), naive);
+  const Counts naive = kernel_counts("NaiveSSE");
+  EXPECT_EQ(naive.rows, 16u * 16u * 4u);
+  const Counts corals = kernel_counts("nuCORALS");
+  EXPECT_EQ(corals.rows, naive.rows);
+  if (core::kernel_isa_supported(core::KernelIsa::AVX2)) {
+    EXPECT_EQ(corals.slow_cells, 0u);
+    // Fast cells (updates - slow cells, as the perf ledger counts them)
+    // are every update of the 64x16x16 domain over 4 steps.
+    EXPECT_EQ(static_cast<std::uint64_t>(corals.updates) - corals.slow_cells,
+              64u * 16u * 16u * 4u);
+  }
 }
 
 TEST(NuCoralsScheme, TauOverride) {

@@ -109,6 +109,27 @@ TEST(KernelDispatch, ExplainMentionsPolicyAndKernel) {
   EXPECT_NE(text.find("auto"), std::string::npos);
   EXPECT_NE(text.find("selected kernel"), std::string::npos);
   EXPECT_NE(text.find("7"), std::string::npos);
+  // How periodic rows run, and why not as whole-row calls.
+  const auto rows_line = [](const KernelRequest& q) {
+    const std::string t = explain_kernel_choice(KernelPolicy::Auto, q);
+    const std::size_t at = t.find("periodic rows");
+    return at == std::string::npos ? std::string() : t.substr(at, t.find('\n', at) - at);
+  };
+  EXPECT_NE(rows_line(taps_request(7, false)).find("non-rotated kernel"),
+            std::string::npos);
+  KernelRequest star = taps_request(7, false);
+  star.rank = 3;
+  star.order = 1;
+  star.nx = 64;
+  const bool avx2 = kernel_isa_supported(KernelIsa::AVX2);
+  EXPECT_NE(rows_line(star).find(avx2 ? "whole-row vector calls" : "non-rotated kernel"),
+            std::string::npos);
+  star.nx = 7;
+  EXPECT_NE(rows_line(star).find(avx2 ? "nx < 8" : "non-rotated kernel"),
+            std::string::npos);
+  star.nx = 64;
+  star.checked = true;
+  EXPECT_NE(rows_line(star).find("dependency checker attached"), std::string::npos);
 }
 
 TEST(KernelDispatch, EveryVariantBitIdenticalToScalar) {
@@ -242,15 +263,16 @@ TEST(KernelDispatch, RotatedKernelEngagesAndIsBitExact) {
   // kernels; nx = 33, 64 and 67 add rows whose bases are 32B-aligned
   // only every few rows (or, for 64, always), so the scalar peel, the
   // xcap-bounded rolling window and the per-tap fallback all run on both
-  // aligned and unaligned row bases.  All three canonical rank-3 stars
-  // must rotate.
+  // aligned and unaligned row bases.  nx = 8..13 put whole-row calls at
+  // the 2W threshold and at every nx mod 4; nx = 7 stays below it.  All
+  // three canonical rank-3 stars must rotate.
   struct Case {
     Coord shape;
     int order;
   };
   std::vector<Case> cases = {
       {Coord{31, 5, 4}, 1}, {Coord{37, 6, 5}, 2}, {Coord{41, 7, 7}, 3}};
-  for (const Index nx : {33, 64, 67})
+  for (const Index nx : {7, 8, 9, 11, 12, 13, 33, 64, 67})
     for (const int order : {1, 2, 3}) cases.push_back({Coord{nx, 7, 7}, order});
   for (const Case& c : cases) {
     for (const bool banded : {false, true}) {
@@ -265,6 +287,8 @@ TEST(KernelDispatch, RotatedKernelEngagesAndIsBitExact) {
       EXPECT_TRUE(chosen.rotated)
           << "shape=" << c.shape << " order=" << c.order
           << " banded=" << banded << " kernel=" << chosen.name();
+      EXPECT_EQ(chosen.whole_rows, c.shape[0] >= kWholeRowMinNx)
+          << "shape=" << c.shape;
       EXPECT_TRUE(bitwise_equal(ref, got))
           << "shape=" << c.shape << " order=" << c.order
           << " banded=" << banded;
@@ -284,12 +308,15 @@ TEST(KernelDispatch, RotatedKernelReadsStayInsideTheRow) {
   // first, then last, in its allocation, so a read of the rotated
   // kernel's rolling window outside [row, row + nx) leaves the buffer (a
   // heap-buffer-overflow under AddressSanitizer).  The x ranges are the
-  // executor's interior fast ranges and mid-vector subranges of them;
-  // results must match the scalar kernel bitwise.
+  // executor's interior fast ranges, mid-vector subranges of them, and
+  // the whole-row call [0, nx); results must match the scalar kernel
+  // (plus the executor's wrap-checked loop for the wrap cells of a whole
+  // row) bitwise.  The all -0.0 source makes every product -0.0: the
+  // scalar path returns +0.0 for the wrap cells and -0.0 elsewhere.
   for (const int order : {1, 2, 3}) {
     const int ntaps = 6 * order + 1;
     const auto tap = [](int p) { return static_cast<std::size_t>(p); };
-    for (const Index nx : {33, 64, 67}) {
+    for (const Index nx : {8, 9, 11, 33, 64, 67}) {
       const auto n = static_cast<std::size_t>(nx);
       std::vector<double> coeffs(tap(ntaps));
       std::vector<std::vector<double>> bands(tap(ntaps), std::vector<double>(n));
@@ -302,48 +329,79 @@ TEST(KernelDispatch, RotatedKernelReadsStayInsideTheRow) {
       }
       // The centre row plus one row per off-axis (y/z) tap.
       const Index rows = 1 + 4 * order;
-      std::vector<double> src(static_cast<std::size_t>(rows * nx));
-      for (std::size_t i = 0; i < src.size(); ++i)
-        src[i] = initial_value(static_cast<Index>(i), 17);
-      for (const bool banded : {false, true}) {
-        KernelRequest q = taps_request(ntaps, banded);
-        q.rank = 3;
-        q.order = order;
-        const KernelChoice rot = select_kernel(KernelPolicy::AVX2, q);
-        ASSERT_TRUE(rot.rotated) << rot.name();
-        const KernelChoice ref =
-            select_kernel_isa(KernelIsa::Scalar, false, ntaps, banded);
-        for (const bool centre_first : {true, false}) {
-          // Tap bases in spec order: centre, x offsets -order..-1 and
-          // +1..+order folded into the centre row, then the y/z rows.
-          const Index row = centre_first ? 0 : (rows - 1) * nx;
-          std::vector<Index> bases(tap(ntaps));
-          bases[0] = row;
-          for (int p = 1; p <= 2 * order; ++p)
-            bases[tap(p)] = row + (p <= order ? p - 1 - order : p - order);
-          Index other = centre_first ? nx : 0;
-          for (int p = 2 * order + 1; p < ntaps; ++p, other += nx)
-            bases[tap(p)] = other;
-          for (const auto& [x0, x1] : std::vector<std::pair<Index, Index>>{
-                   {order, nx - order},
-                   {order + 1, nx - order},
-                   {5, nx - order - 3},
-                   {order, order + 3}}) {
-            std::vector<double> want(n, -1.0), got(n, -1.0);
-            KernelArgs ka;
-            ka.src = src.data();
-            ka.coeffs = coeffs.data();
-            ka.bands = bandp.data();
-            ka.ntaps = ntaps;
-            ka.xcap = nx;
-            ka.dst = want.data();
-            ref.fn(ka, bases.data(), 0, x0, x1);
-            ka.dst = got.data();
-            rot.fn(ka, bases.data(), 0, x0, x1);
-            EXPECT_TRUE(bitwise_equal(want, got))
-                << "order=" << order << " nx=" << nx << " banded=" << banded
-                << " centre_first=" << centre_first << " x0=" << x0
-                << " x1=" << x1;
+      for (const bool negative_zeros : {false, true}) {
+        std::vector<double> src(static_cast<std::size_t>(rows * nx));
+        for (std::size_t i = 0; i < src.size(); ++i)
+          src[i] = negative_zeros ? -0.0 : initial_value(static_cast<Index>(i), 17);
+        for (const bool banded : {false, true}) {
+          KernelRequest q = taps_request(ntaps, banded);
+          q.rank = 3;
+          q.order = order;
+          q.nx = nx;
+          const KernelChoice rot = select_kernel(KernelPolicy::AVX2, q);
+          ASSERT_TRUE(rot.rotated && rot.whole_rows) << rot.name();
+          const KernelChoice ref =
+              select_kernel_isa(KernelIsa::Scalar, false, ntaps, banded);
+          for (const bool centre_first : {true, false}) {
+            // Tap bases in spec order: centre, x offsets -order..-1 and
+            // +1..+order folded into the centre row, then the y/z rows.
+            const Index row = centre_first ? 0 : (rows - 1) * nx;
+            std::vector<Index> bases(tap(ntaps));
+            bases[0] = row;
+            for (int p = 1; p <= 2 * order; ++p)
+              bases[tap(p)] = row + (p <= order ? p - 1 - order : p - order);
+            Index other = centre_first ? nx : 0;
+            for (int p = 2 * order + 1; p < ntaps; ++p, other += nx)
+              bases[tap(p)] = other;
+            // The executor's wrap-checked cell: x taps wrap modulo nx and
+            // the sum starts from +0.0.  The volatile product keeps this
+            // TU (built without -ffp-contract=off) from fusing mul+add.
+            const auto wrapped_cell = [&](Index x) {
+              double acc = 0.0;
+              for (int p = 0; p < ntaps; ++p) {
+                const Index off = bases[tap(p)] - row;
+                const Index idx = p <= 2 * order ? row + pmod(x + off, nx)
+                                                 : bases[tap(p)] + x;
+                const double c = banded ? bands[tap(p)][static_cast<std::size_t>(x)]
+                                        : coeffs[tap(p)];
+                const volatile double product = c * src[static_cast<std::size_t>(idx)];
+                acc += product;
+              }
+              return acc;
+            };
+            for (const auto& [x0, x1] : std::vector<std::pair<Index, Index>>{
+                     {order, nx - order},
+                     {order + 1, nx - order},
+                     {5, nx - order - 3},
+                     {order, order + 3},
+                     {0, nx}}) {
+              const bool whole = x0 == 0;
+              if (!whole && x1 > nx - order) continue;  // reads past the row
+              std::vector<double> want(n, -1.0), got(n, -1.0);
+              KernelArgs ka;
+              ka.src = src.data();
+              ka.coeffs = coeffs.data();
+              ka.bands = bandp.data();
+              ka.ntaps = ntaps;
+              ka.xcap = nx;
+              ka.dst = want.data();
+              if (whole) {
+                ref.fn(ka, bases.data(), 0, order, nx - order);
+                for (Index x = 0; x < nx; ++x)
+                  if (x < order || x >= nx - order)
+                    want[static_cast<std::size_t>(x)] = wrapped_cell(x);
+              } else {
+                ref.fn(ka, bases.data(), 0, x0, x1);
+              }
+              ka.dst = got.data();
+              ka.whole_rows = true;
+              rot.fn(ka, bases.data(), 0, x0, x1);
+              EXPECT_TRUE(bitwise_equal(want, got))
+                  << "order=" << order << " nx=" << nx << " banded=" << banded
+                  << " negative_zeros=" << negative_zeros
+                  << " centre_first=" << centre_first << " x0=" << x0
+                  << " x1=" << x1;
+            }
           }
         }
       }

@@ -346,12 +346,15 @@ int main(int argc, char** argv) try {
                   "(non-Linux); use auto or off");
 
   // What the executors will ask the kernel engine for (the stencil
-  // geometry) — drives --explain and the run report.
+  // geometry, row length and checker) — drives --explain and the run
+  // report.
   core::KernelRequest kernel_request;
   kernel_request.ntaps = stencil.npoints();
   kernel_request.banded = stencil.banded();
   kernel_request.rank = shape.rank();
   kernel_request.order = stencil.order();
+  kernel_request.nx = shape[0];
+  kernel_request.checked = args.get_flag("check");
 
   const std::string trace_path = args.get("trace");
   const std::string trace_svg_path = args.get("trace-svg");
