@@ -1,4 +1,4 @@
-// Kernel engine perf trajectory: times one full-domain sweep of the
+// Kernel engine perf record: times one full-domain sweep of the
 // paper's 3D 7-point constant stencil under every kernel policy this
 // host can honour, verifies the bit-exactness contract, and writes the
 // results as JSON (BENCH_kernels.json at the repo root by default) so the

@@ -5,7 +5,7 @@
 // drop out of the sweep.  These measure real wall time (unlike the
 // figure benches, which model the paper machines); run with
 // --benchmark_format=json for one JSON blob per combination.  For the
-// JSON perf trajectory written to BENCH_kernels.json, see
+// JSON kernel record written to BENCH_kernels.json, see
 // bench/kernel_report.cpp.
 #include <benchmark/benchmark.h>
 

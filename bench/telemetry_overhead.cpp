@@ -4,9 +4,8 @@
 // rings filling, no file exports), and the median-vs-median overhead
 // lands in the JSON as telemetry/overhead_pct.
 //
-// The number is informational in the trajectory database — never gated —
-// because it measures a *ratio of wall clocks* on whatever runner CI
-// landed on.  The hard contract this tool does enforce is the zero-cost
+// The number is an informational CI artifact — never gated — because
+// it measures a *ratio of wall clocks* on whatever runner CI landed on.  The hard contract this tool does enforce is the zero-cost
 // off path: across every untelemetered rep, Sampler::threads_started()
 // must not move, or the tool exits 1.
 //

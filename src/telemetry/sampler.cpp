@@ -137,7 +137,6 @@ void Sampler::collect(std::vector<ThreadCumulative>& out) {
     c.updates = row.at(trace::SpanCounter::Updates);
     c.local_bytes = row.at(trace::SpanCounter::LocalBytes);
     c.remote_bytes = row.at(trace::SpanCounter::RemoteBytes);
-    c.unowned_bytes = row.at(trace::SpanCounter::UnownedBytes);
     if (llc >= 0) {
       c.llc_hits = row.level_hits(llc);
       c.llc_misses = row.level_misses(llc);
@@ -373,8 +372,6 @@ void Sampler::handle_stalls(std::int64_t t_ns,
                     w.kv("miss_rate", d.why.miss_rate);
                     w.kv("wait_spans", d.window_wait_spans);
                     w.kv("spins", d.window_spins);
-                    w.kv("remote_bytes", d.window_remote_bytes);
-                    w.kv("llc_misses", d.window_misses);
                     w.kv("last_phase", d.last_phase);
                     w.kv("no_spans_completed", d.no_spans_completed);
                     w.kv("action", action);

@@ -44,8 +44,6 @@ StallDiagnosis Watchdog::diagnose(int tid, std::int64_t t_ns,
   d.updates = now.updates;
   d.window_wait_spans = now.wait_spans - state.at_advance.wait_spans;
   d.window_spins = now.spins - state.at_advance.spins;
-  d.window_remote_bytes = now.remote_bytes - state.at_advance.remote_bytes;
-  d.window_misses = now.llc_misses - state.at_advance.llc_misses;
   d.no_spans_completed = now.leaf_spans == state.at_advance.leaf_spans;
   d.last_phase = now.last_phase;
 
@@ -53,7 +51,9 @@ StallDiagnosis Watchdog::diagnose(int tid, std::int64_t t_ns,
   // thresholds.  A thread that completed no span at all is stuck inside
   // a single one — with zero updates that is a wait by any other name,
   // so the whole window counts as excluded (waiting) time and the
-  // spin-frac threshold classifies it.
+  // spin-frac threshold classifies it.  The span's counters stay zero:
+  // the shard publishes bytes and misses together with updates, so a
+  // stalled window has no traffic or miss deltas.
   prof::SpanRecord span;
   span.tid = tid;
   span.phase = trace::Phase::Tile;
@@ -62,15 +62,6 @@ StallDiagnosis Watchdog::diagnose(int tid, std::int64_t t_ns,
   span.exclude_ns = d.no_spans_completed
                         ? t_ns - state.advance_t_ns
                         : now.wait_ns - state.at_advance.wait_ns;
-  span.counters.at(trace::SpanCounter::Updates) = 0;
-  span.counters.at(trace::SpanCounter::LocalBytes) =
-      now.local_bytes - state.at_advance.local_bytes;
-  span.counters.at(trace::SpanCounter::RemoteBytes) = d.window_remote_bytes;
-  span.counters.at(trace::SpanCounter::UnownedBytes) =
-      now.unowned_bytes - state.at_advance.unowned_bytes;
-  span.counters.at(trace::SpanCounter::L3Hits) =
-      now.llc_hits - state.at_advance.llc_hits;
-  span.counters.at(trace::SpanCounter::L3Misses) = d.window_misses;
   d.why = prof::attribute(span);
   return d;
 }
@@ -107,8 +98,7 @@ std::string StallDiagnosis::render(const std::string& action) const {
      << std::setprecision(2) << why.spin_frac << ", remote_frac "
      << why.remote_frac << ", miss_rate " << why.miss_rate << ")\n";
   os << "  window: " << window_wait_spans << " wait span(s), " << window_spins
-     << " spin iteration(s), " << window_remote_bytes << " remote byte(s), "
-     << window_misses << " deepest-level miss(es)";
+     << " spin iteration(s)";
   if (!last_phase.empty()) os << "; last phase " << last_phase;
   if (no_spans_completed)
     os << "; no span completed in the window (stuck inside one)";

@@ -33,7 +33,6 @@ struct ThreadCumulative {
   std::uint64_t updates = 0;
   std::uint64_t local_bytes = 0;
   std::uint64_t remote_bytes = 0;
-  std::uint64_t unowned_bytes = 0;
   std::uint64_t llc_hits = 0;     ///< deepest simulated cache level
   std::uint64_t llc_misses = 0;
   std::int64_t wait_ns = 0;       ///< barrier-wait + spinflag-wait total
@@ -52,8 +51,6 @@ struct StallDiagnosis {
   prof::Attribution why;          ///< verdict + evidence over the window
   std::uint64_t window_wait_spans = 0;
   std::uint64_t window_spins = 0;
-  std::uint64_t window_remote_bytes = 0;
-  std::uint64_t window_misses = 0;
   bool no_spans_completed = false;  ///< stuck inside one span (e.g. a wait)
   std::string last_phase;
 

@@ -1,12 +1,9 @@
 // Differential-analysis tests: the rep-statistics layer (zero-width
 // intervals on identical reps), the report diff engine (config deltas,
 // significant vs noise classification, attribution verdicts,
-// forward-tolerance to older schemas) and the trajectory gate (pass on
-// an unchanged tree, fail on a synthetic 20% throughput regression).
+// forward-tolerance to older schemas).
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,7 +12,6 @@
 #include "metrics/diff.hpp"
 #include "metrics/json.hpp"
 #include "metrics/stats.hpp"
-#include "metrics/trajectory.hpp"
 
 namespace nustencil::metrics {
 namespace {
@@ -319,151 +315,6 @@ TEST(Diff, ConsoleFormatCarriesVerdictsAndSummary) {
   EXPECT_NE(out.find("SIGNIFICANT"), std::string::npos);
   EXPECT_NE(out.find("kernel-change"), std::string::npos);
   EXPECT_NE(out.find("SUMMARY:"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
-// Trajectory gate
-
-TrajectoryEntry entry_with(double gup, double locality, double seconds) {
-  TrajectoryEntry e;
-  e.git_sha = "cafe123";
-  e.compiler = "g++ 12";
-  e.build_type = "Release";
-  e.machine_conf = "xeon-x7550";
-  e.metrics = {{"regress/nuCORALS_e40/model_gup_core", gup},
-               {"regress/nuCORALS_e40/locality", locality},
-               {"regress/nuCORALS_e40/seconds", seconds}};
-  return e;
-}
-
-TrajectoryDb history_of(int n, double gup) {
-  TrajectoryDb db;
-  for (int i = 0; i < n; ++i)
-    db.entries.push_back(entry_with(gup, 0.875, 0.004));
-  return db;
-}
-
-TEST(Trajectory, UnchangedTreePassesTheGate) {
-  const TrajectoryDb db = history_of(5, 0.2269);
-  const GateResult r = gate_candidate(db, entry_with(0.2269, 0.875, 0.004));
-  EXPECT_TRUE(r.pass);
-  EXPECT_EQ(r.regressions, 0);
-  EXPECT_FALSE(r.findings.empty());
-}
-
-TEST(Trajectory, TwentyPercentThroughputRegressionFailsTheGate) {
-  const TrajectoryDb db = history_of(5, 0.2269);
-  const GateResult r =
-      gate_candidate(db, entry_with(0.2269 * 0.8, 0.875, 0.004));
-  EXPECT_FALSE(r.pass);
-  EXPECT_EQ(r.regressions, 1);
-  const std::string out = format_gate_console(r);
-  EXPECT_NE(out.find("REGRESSION"), std::string::npos);
-  EXPECT_NE(out.find("model_gup_core"), std::string::npos);
-  EXPECT_NE(out.find("FAIL"), std::string::npos);
-}
-
-TEST(Trajectory, ImprovementNeverFails) {
-  const TrajectoryDb db = history_of(5, 0.2269);
-  const GateResult r =
-      gate_candidate(db, entry_with(0.2269 * 1.5, 0.875, 0.004));
-  EXPECT_TRUE(r.pass);
-}
-
-TEST(Trajectory, WallClockIsInformationalOnly) {
-  // A 10x wall-clock blowup alone (loaded CI machine) must not fail.
-  const TrajectoryDb db = history_of(5, 0.2269);
-  const GateResult r = gate_candidate(db, entry_with(0.2269, 0.875, 0.04));
-  EXPECT_TRUE(r.pass);
-  bool saw_seconds = false;
-  for (const GateFinding& f : r.findings)
-    if (f.metric == "regress/nuCORALS_e40/seconds") {
-      saw_seconds = true;
-      EXPECT_FALSE(f.gated);
-    }
-  EXPECT_TRUE(saw_seconds);
-}
-
-TEST(Trajectory, NoisyWindowWidensTheBand) {
-  // The window itself oscillates (MAD = 0.01, so 3 robust sigmas ~= 0.044
-  // around the 0.20 median); a 12% dip is inside that noise band even
-  // though it exceeds the 5% min-effect floor, so the gate must not fire.
-  TrajectoryDb db;
-  const double vals[] = {0.18, 0.20, 0.22, 0.19, 0.21};
-  for (double v : vals) db.entries.push_back(entry_with(v, 0.875, 0.004));
-  const GateResult r = gate_candidate(db, entry_with(0.20 * 0.88, 0.875, 0.004));
-  EXPECT_TRUE(r.pass);
-}
-
-TEST(Trajectory, EmptyHistoryPassesTrivially) {
-  const GateResult r =
-      gate_candidate(TrajectoryDb{}, entry_with(0.2269, 0.875, 0.004));
-  EXPECT_TRUE(r.pass);
-  EXPECT_TRUE(r.findings.empty());
-}
-
-TEST(Trajectory, SaveLoadRoundTrip) {
-  TrajectoryDb db = history_of(2, 0.2269);
-  const std::string path = "diff_test_trajectory_tmp.json";
-  save_trajectory(db, path);
-  const TrajectoryDb back = load_trajectory(path);
-  std::remove(path.c_str());
-  ASSERT_EQ(back.entries.size(), 2u);
-  EXPECT_EQ(back.entries[0].git_sha, "cafe123");
-  EXPECT_EQ(back.entries[0].machine_conf, "xeon-x7550");
-  ASSERT_NE(back.entries[1].find("regress/nuCORALS_e40/model_gup_core"),
-            nullptr);
-  EXPECT_DOUBLE_EQ(*back.entries[1].find("regress/nuCORALS_e40/model_gup_core"),
-                   0.2269);
-}
-
-TEST(Trajectory, MissingFileIsEmptyHistory) {
-  EXPECT_TRUE(load_trajectory("does_not_exist_anywhere.json").entries.empty());
-}
-
-TEST(Trajectory, EntryFromRegressReadsProvenance) {
-  const JsonValue doc = parse_json(
-      "{\"schema_version\":2,\"machine\":\"xeon-x7550\","
-      "\"provenance\":{\"git_sha\":\"abc\",\"compiler\":\"g++\","
-      "\"build_type\":\"Release\",\"machine_conf\":\"xeon-x7550\"},"
-      "\"cases\":[{\"scheme\":\"nuCORALS\",\"edge\":40,\"updates\":1,"
-      "\"local_bytes\":1,\"remote_bytes\":0,\"unowned_bytes\":0,"
-      "\"locality\":1.0,\"model_gupdates_per_core\":0.3,\"seconds\":0.1}]}");
-  const TrajectoryEntry e = entry_from_regress(doc);
-  EXPECT_EQ(e.git_sha, "abc");
-  EXPECT_EQ(e.machine_conf, "xeon-x7550");
-  ASSERT_NE(e.find("regress/nuCORALS_e40/model_gup_core"), nullptr);
-  EXPECT_DOUBLE_EQ(*e.find("regress/nuCORALS_e40/model_gup_core"), 0.3);
-}
-
-TEST(Trajectory, TelemetryOverheadFoldsButIsInformationalOnly) {
-  TrajectoryEntry e;
-  merge_telemetry_overhead(
-      e, parse_json("{\"overhead_pct\":1.75,\"seconds_off\":0.4}"));
-  ASSERT_NE(e.find("telemetry/overhead_pct"), nullptr);
-  EXPECT_DOUBLE_EQ(*e.find("telemetry/overhead_pct"), 1.75);
-  EXPECT_FALSE(metric_is_gated("telemetry/overhead_pct"));
-  // A degraded document with no headline number folds nothing.
-  TrajectoryEntry none;
-  merge_telemetry_overhead(none, parse_json("{\"seconds_off\":0.4}"));
-  EXPECT_TRUE(none.metrics.empty());
-
-  // A wall-clock overhead blowup on a loaded runner must not fail the
-  // gate even when the history says it is usually near zero.
-  TrajectoryDb db = history_of(5, 0.2269);
-  for (TrajectoryEntry& h : db.entries)
-    h.metrics.emplace_back("telemetry/overhead_pct", 0.5);
-  TrajectoryEntry candidate = entry_with(0.2269, 0.875, 0.004);
-  candidate.metrics.emplace_back("telemetry/overhead_pct", 25.0);
-  const GateResult r = gate_candidate(db, candidate);
-  EXPECT_TRUE(r.pass);
-  bool saw = false;
-  for (const GateFinding& f : r.findings)
-    if (f.metric == "telemetry/overhead_pct") {
-      saw = true;
-      EXPECT_FALSE(f.gated);
-    }
-  EXPECT_TRUE(saw);
 }
 
 }  // namespace

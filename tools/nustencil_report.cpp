@@ -2,16 +2,15 @@
 // `nustencil --report=out.json`) into self-contained HTML dashboards.
 //
 // Single-run mode renders the traffic heatmap, locality timeline,
-// per-thread phase bars, roofline placement, per-span attribution and —
-// when a trajectory database (BENCH_trajectory.json) is present —
-// performance-trajectory sparklines.  Diff mode loads two reports,
-// classifies every metric delta as significant or noise (CI overlap
-// when both runs carry --reps stats), attributes each significant delta
-// to a cause with numeric evidence, prints the compact console verdict
-// table for CI logs, and renders the diff dashboard: config deltas,
-// verdict table, phase-time waterfall, NUMA traffic delta heatmap and
-// side-by-side rooflines.  Reports of any schema version >= 1 are
-// accepted; absent sections are skipped, not errors.
+// per-thread phase bars, roofline placement and per-span attribution.
+// Diff mode loads two reports, classifies every metric delta as
+// significant or noise (CI overlap when both runs carry --reps stats),
+// attributes each significant delta to a cause with numeric evidence,
+// prints the compact console verdict table for CI logs, and renders the
+// diff dashboard: config deltas, verdict table, phase-time waterfall,
+// NUMA traffic delta heatmap and side-by-side rooflines.  Reports of any
+// schema version >= 1 are accepted; absent sections are skipped, not
+// errors.
 //
 //   nustencil_report run.json                    # writes run.html
 //   nustencil_report run.json dash.html
@@ -30,7 +29,6 @@
 #include "metrics/diff.hpp"
 #include "metrics/json.hpp"
 #include "metrics/schema.hpp"
-#include "metrics/trajectory.hpp"
 #include "report/svg_chart.hpp"
 #include "report/svg_util.hpp"
 
@@ -486,69 +484,6 @@ std::string counters_table(const JsonValue& doc) {
 }
 
 // ---------------------------------------------------------------------------
-// Trajectory sparklines (single-run dashboard)
-
-/// Short entry label: 7-char git SHA, or the entry index.
-std::string entry_tick(const metrics::TrajectoryEntry& e, std::size_t i) {
-  if (!e.git_sha.empty()) return e.git_sha.substr(0, 7);
-  return "#" + std::to_string(i);
-}
-
-std::string trajectory_chart(const metrics::TrajectoryDb& db,
-                             const std::string& title,
-                             const std::string& y_label,
-                             const std::string& prefix,
-                             const std::string& suffix) {
-  report::ChartSpec c;
-  c.title = title;
-  c.x_label = "history entry";
-  c.y_label = y_label;
-  c.height = 300;
-  for (std::size_t i = 0; i < db.entries.size(); ++i)
-    c.x_ticks.push_back(entry_tick(db.entries[i], i));
-  for (const auto& [name, value] : db.entries.back().metrics) {
-    (void)value;
-    if (name.rfind(prefix, 0) != 0) continue;
-    if (!suffix.empty() &&
-        (name.size() < suffix.size() ||
-         name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0))
-      continue;
-    report::Series s;
-    s.label = name.substr(prefix.size(),
-                          name.size() - prefix.size() - suffix.size());
-    for (const metrics::TrajectoryEntry& e : db.entries) {
-      const double* v = e.find(name);
-      s.values.push_back(v ? *v : std::nan(""));
-    }
-    c.series.push_back(std::move(s));
-  }
-  if (c.series.empty()) return "";
-  return report::render_svg(c);
-}
-
-std::string trajectory_section(const std::string& path) {
-  metrics::TrajectoryDb db;
-  try {
-    db = metrics::load_trajectory(path);
-  } catch (const std::exception&) {
-    return "";  // unreadable history should not kill a run dashboard
-  }
-  if (db.entries.empty()) return "";
-  std::ostringstream os;
-  os << "<h2>Performance trajectory</h2>\n<p>" << db.entries.size()
-     << " entries from " << report::svg_escape(path) << "</p>\n";
-  const std::string model =
-      trajectory_chart(db, "regress model throughput over history",
-                       "model Gupdates/s per core", "regress/",
-                       "/model_gup_core");
-  const std::string kernel = trajectory_chart(
-      db, "kernel speedups over history", "speedup vs scalar", "kernel/", "");
-  if (model.empty() && kernel.empty()) return "";
-  os << model << kernel;
-  return os.str();
-}
-
-// ---------------------------------------------------------------------------
 // Dashboards
 
 const char* kStyle =
@@ -586,8 +521,7 @@ int check_schema(const JsonValue& doc, const std::string& path) {
   return version;
 }
 
-std::string render_dashboard(const JsonValue& doc,
-                             const std::string& trajectory_path) {
+std::string render_dashboard(const JsonValue& doc) {
   std::ostringstream os;
   os << "<!DOCTYPE html>\n<html>\n<head>\n<meta charset='utf-8'>\n<title>"
      << report::svg_escape(doc.at("config").at("scheme").str())
@@ -605,7 +539,6 @@ std::string render_dashboard(const JsonValue& doc,
   os << prof_section(doc);
   os << hw_section(doc);
   os << stats_table(doc);
-  os << trajectory_section(trajectory_path);
   os << counters_table(doc);
   os << provenance_footer(doc);
   os << "</body>\n</html>\n";
@@ -761,10 +694,6 @@ int main(int argc, char** argv) try {
                 "[out.html]; prints the console verdict table and renders "
                 "the diff dashboard");
   args.add_flag("no-html", "console output only (diff mode), skip the HTML");
-  args.add_option("trajectory",
-                  "trajectory database for the history sparklines in the "
-                  "single-run dashboard (skipped when the file is absent)",
-                  "BENCH_trajectory.json");
   if (!args.parse(argc, argv)) return 0;
   const std::vector<std::string>& pos = args.positionals();
 
@@ -796,7 +725,7 @@ int main(int argc, char** argv) try {
 
   const JsonValue doc = load_report(in_path);
   check_schema(doc, in_path);
-  write_html(render_dashboard(doc, args.get("trajectory")), out_path);
+  write_html(render_dashboard(doc), out_path);
   std::cout << "wrote dashboard to " << out_path << '\n';
   return 0;
 } catch (const std::exception& e) {
