@@ -1,29 +1,9 @@
 #include "common/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstddef>
 
 namespace nustencil {
-
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-double RunningStats::mean() const { return n_ == 0 ? 0.0 : mean_; }
-
-double RunningStats::stddev() const {
-  if (n_ < 2) return 0.0;
-  return std::sqrt(m2_ / static_cast<double>(n_ - 1));
-}
 
 double median(std::vector<double> v) {
   if (v.empty()) return 0.0;

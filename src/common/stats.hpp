@@ -1,29 +1,9 @@
-// Small statistics helpers used by microbenchmarks and the figure harness.
+// Small statistics helper used by the report statistics and benchmarks.
 #pragma once
 
-#include <cstddef>
 #include <vector>
 
 namespace nustencil {
-
-/// Online accumulator for mean / min / max / standard deviation.
-class RunningStats {
- public:
-  void add(double x);
-
-  std::size_t count() const { return n_; }
-  double mean() const;
-  double min() const { return min_; }
-  double max() const { return max_; }
-  double stddev() const;
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Median of a copy of `v` (empty vector -> 0).
 double median(std::vector<double> v);

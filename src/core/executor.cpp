@@ -1,6 +1,7 @@
 #include "core/executor.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/error.hpp"
 
@@ -51,13 +52,6 @@ Executor::Executor(Problem& problem, Instrumentation instr, KernelPolicy policy)
   if (st.banded())
     for (int p = 0; p < st.npoints(); ++p)
       band_ptrs_[static_cast<std::size_t>(p)] = problem.band(p).data();
-  if (instr_.metrics) {
-    metrics::Registry& reg = *instr_.metrics;
-    m_tiles_ = &reg.counter("kernel/tiles");
-    m_fast_rows_ = &reg.counter("kernel/rows/" + kernel_.name());
-    m_slow_cells_ = &reg.counter("kernel/slow_cells");
-    m_tile_hist_ = &reg.histogram("kernel/tile_updates");
-  }
 }
 
 Index Executor::update_box(const Box& box, long t, int tid) {
@@ -131,7 +125,7 @@ Index Executor::update_box(const Box& box, long t, int tid) {
         }
         plan.base[static_cast<std::size_t>(p)] = base;
       }
-      update_row(plan, ka, t, tid);
+      update_row(plan, ka, t);
       if (instr_.traffic || instr_.cache_sim) account_row(plan, t, tid);
       done += hi0 - lo0;
       if (++py == ny_) py = 0;
@@ -143,10 +137,8 @@ Index Executor::update_box(const Box& box, long t, int tid) {
     }
   }
   updates_ += done;
-  if (m_tiles_) {
-    m_tiles_->add(tid);
-    m_tile_hist_->observe(tid, static_cast<std::uint64_t>(done));
-  }
+  ++counts_.tiles;
+  ++counts_.tile_buckets[std::bit_width(static_cast<std::uint64_t>(done))];
   if (instr_.traffic) instr_.traffic->tick_updates(tid, static_cast<std::uint64_t>(done));
   // Still inside the Tile span, so every counter a span delta reads is
   // published before the span closes.
@@ -156,8 +148,7 @@ Index Executor::update_box(const Box& box, long t, int tid) {
   return done;
 }
 
-void Executor::update_row(const RowPlan& plan, const KernelArgs& ka, long t,
-                          int tid) {
+void Executor::update_row(const RowPlan& plan, const KernelArgs& ka, long t) {
   const StencilSpec& st = problem_->stencil();
   const auto& points = st.points();
   const int ntaps = ka.ntaps;
@@ -168,8 +159,7 @@ void Executor::update_row(const RowPlan& plan, const KernelArgs& ka, long t,
   // Fully checked + wrapped scalar loop, used for boundary cells and for
   // every cell when the dependency checker is active.
   auto slow_cells = [&](Index a, Index b) {
-    if (m_slow_cells_ && b > a)
-      m_slow_cells_->add(tid, static_cast<std::uint64_t>(b - a));
+    if (b > a) counts_.slow_cells += static_cast<std::uint64_t>(b - a);
     for (Index x = a; x < b; ++x) {
       const Index cell = plan.dst_row + x;
       double acc = 0.0;
@@ -202,13 +192,13 @@ void Executor::update_row(const RowPlan& plan, const KernelArgs& ka, long t,
       slow_cells(a, b);
     } else if (ka.whole_rows && len == nx_) {
       kernel_.fn(ka, plan.base.data(), plan.dst_row, 0, nx_);
-      if (m_fast_rows_) m_fast_rows_->add(tid);
+      ++counts_.fast_rows;
     } else {
       const RowSplit sp = compute_row_split(a, b, nx_, s);
       slow_cells(sp.lo0, sp.lo1);
       if (sp.fast0 < sp.fast1) {
         kernel_.fn(ka, plan.base.data(), plan.dst_row, sp.fast0, sp.fast1);
-        if (m_fast_rows_) m_fast_rows_->add(tid);
+        ++counts_.fast_rows;
       }
       slow_cells(sp.hi0, sp.hi1);
     }

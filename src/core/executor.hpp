@@ -12,13 +12,13 @@
 #pragma once
 
 #include <array>
+#include <cstdint>
 
 #include "cachesim/shared.hpp"
 #include "core/box.hpp"
 #include "core/depcheck.hpp"
 #include "core/field.hpp"
 #include "core/kernels.hpp"
-#include "metrics/registry.hpp"
 #include "numa/traffic.hpp"
 #include "prof/counter_shard.hpp"
 #include "trace/trace.hpp"
@@ -36,10 +36,6 @@ struct Instrumentation {
   numa::TrafficRecorder* traffic = nullptr;
   DependencyChecker* checker = nullptr;
   cachesim::SharedHierarchy* cache_sim = nullptr;
-  /// Kernel-dispatch counters land here (tiles, fast rows per kernel
-  /// variant, slow boundary cells, tile-size histogram).  Null disables
-  /// every metrics hook at the cost of one branch.
-  metrics::Registry* metrics = nullptr;
   /// The run's live counter shard: update_box publishes the thread's
   /// cumulative simulated counters into it at the end of every tile.
   /// Null (the default) disables the hook at the cost of one branch.
@@ -57,6 +53,18 @@ struct RowSplit {
   Index hi0, hi1;      ///< trailing slow range [hi0, hi1)
 };
 RowSplit compute_row_split(Index a, Index b, Index nx, int order);
+
+/// Kernel-dispatch counts of one executor, written only by its thread
+/// and read after the team has joined (RunSupport::finish folds them
+/// into RunConfig::metrics).
+struct KernelCounts {
+  std::uint64_t tiles = 0;       ///< update_box calls that updated cells
+  std::uint64_t fast_rows = 0;   ///< kernel calls (one per fast row segment)
+  std::uint64_t slow_cells = 0;  ///< cells on the scalar wrap path
+  /// Log2 histogram of updates per tile: bucket b counts tiles whose
+  /// update count u has bit_width(u) == b.
+  std::array<std::uint64_t, 65> tile_buckets{};
+};
 
 class Executor {
  public:
@@ -79,6 +87,7 @@ class Executor {
 
   const Problem& problem() const { return *problem_; }
   Index updates_done() const { return updates_; }
+  const KernelCounts& counts() const { return counts_; }
 
   /// Attaches the owning thread's span recorder: update_box then records
   /// a `tile` span (box origin + executing thread in the args) and
@@ -92,7 +101,7 @@ class Executor {
 
  private:
   struct RowPlan;
-  void update_row(const RowPlan& plan, const KernelArgs& ka, long t, int tid);
+  void update_row(const RowPlan& plan, const KernelArgs& ka, long t);
   void account_row(const RowPlan& plan, long t, int tid);
 
   Problem* problem_;
@@ -100,13 +109,7 @@ class Executor {
   KernelChoice kernel_;
   trace::ThreadRecorder* trace_ = nullptr;
   Index updates_ = 0;
-
-  // Metrics instruments, resolved once at construction (null when
-  // Instrumentation::metrics is null; each hook is then one branch).
-  metrics::Counter* m_tiles_ = nullptr;
-  metrics::Counter* m_fast_rows_ = nullptr;   ///< "kernel/rows/<variant>"
-  metrics::Counter* m_slow_cells_ = nullptr;
-  metrics::Histogram* m_tile_hist_ = nullptr;
+  KernelCounts counts_;
 
   // Per-problem invariants hoisted out of the row path.
   std::array<const double*, kMaxTaps> band_ptrs_{};

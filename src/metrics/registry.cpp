@@ -4,49 +4,26 @@
 
 namespace nustencil::metrics {
 
-std::vector<std::uint64_t> Histogram::buckets() const {
-  std::vector<std::uint64_t> total(kBuckets + 1, 0);
-  for (const Slot& s : slots_)
-    for (int b = 0; b <= kBuckets; ++b) total[static_cast<std::size_t>(b)] += s.buckets[b];
-  // Trim trailing empty buckets so reports stay compact.
-  while (total.size() > 1 && total.back() == 0) total.pop_back();
-  return total;
+Registry::Registry(int num_threads) {
+  NUSTENCIL_CHECK(num_threads >= 1, "Registry: need at least one thread");
 }
 
-std::uint64_t Histogram::count() const {
-  std::uint64_t n = 0;
-  for (const Slot& s : slots_)
-    for (int b = 0; b <= kBuckets; ++b) n += s.buckets[b];
-  return n;
+void Registry::add(const std::string& name, std::uint64_t v) {
+  totals_.counters[name] += v;
 }
 
-Registry::Registry(int num_threads) : num_threads_(num_threads) {
-  NUSTENCIL_CHECK(num_threads >= 1, "Registry: need at least one thread shard");
-}
-
-Counter& Registry::counter(const std::string& name) {
-  auto& slot = counters_[name];
-  if (!slot) slot = std::make_unique<Counter>(num_threads_);
-  return *slot;
-}
-
-Gauge& Registry::gauge(const std::string& name) {
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
-Histogram& Registry::histogram(const std::string& name) {
-  auto& slot = histograms_[name];
-  if (!slot) slot = std::make_unique<Histogram>(num_threads_);
-  return *slot;
+void Registry::add_buckets(const std::string& name,
+                           std::span<const std::uint64_t> buckets) {
+  std::vector<std::uint64_t>& total = totals_.histograms[name];
+  if (total.size() < buckets.size()) total.resize(buckets.size(), 0);
+  for (std::size_t b = 0; b < buckets.size(); ++b) total[b] += buckets[b];
 }
 
 Snapshot Registry::snapshot() const {
-  Snapshot s;
-  for (const auto& [name, c] : counters_) s.counters[name] = c->value();
-  for (const auto& [name, g] : gauges_) s.gauges[name] = g->value();
-  for (const auto& [name, h] : histograms_) s.histograms[name] = h->buckets();
+  Snapshot s = totals_;
+  // Trim trailing empty buckets so reports stay compact.
+  for (auto& [name, buckets] : s.histograms)
+    while (buckets.size() > 1 && buckets.back() == 0) buckets.pop_back();
   return s;
 }
 

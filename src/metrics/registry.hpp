@@ -1,129 +1,46 @@
-// Unified metrics registry: named, per-thread-sharded counters, gauges
-// and log2 histograms.
+// The run's post-run count record: named counters and log2 histograms.
 //
-// The hot-path contract mirrors src/trace: instruments hold plain
-// pointers that are null when metrics are off, so a disabled run costs
-// one branch per hook and nothing else.  When enabled, Counter::add and
-// Histogram::observe are single plain stores into the calling thread's
-// cache-line-padded slot (each slot is single-producer, like
-// numa::TrafficRecorder's per-thread stats), and aggregation happens only
-// on read, after the team has joined.  Handles returned by the registry
-// are stable for the registry's lifetime.
+// Every count has one owner while the team runs: the thread that
+// produces it (core::Executor's KernelCounts, sched::TaskPool's
+// SchedStats).  The registry is filled once, after the team has joined
+// (RunSupport::finish), so it is a plain single-threaded map with no
+// per-thread slots and nothing for a live reader to race on.
 #pragma once
 
 #include <cstdint>
 #include <map>
-#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "common/aligned.hpp"
-
 namespace nustencil::metrics {
 
-/// Monotonic event count, sharded one slot per thread.
-class Counter {
- public:
-  explicit Counter(int num_threads)
-      : slots_(static_cast<std::size_t>(num_threads)) {}
-
-  /// Hot path: plain increment of the calling thread's slot.  `tid` must
-  /// be < the registry's thread count and owned by the calling thread.
-  void add(int tid, std::uint64_t v = 1) {
-    slots_[static_cast<std::size_t>(tid)].value += v;
-  }
-
-  /// Aggregated value over all shards (call after workers joined).
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const Slot& s : slots_) total += s.value;
-    return total;
-  }
-
- private:
-  struct alignas(kCacheLineBytes) Slot {
-    std::uint64_t value = 0;
-  };
-  std::vector<Slot> slots_;
-};
-
-/// A run-level scalar set from one thread at a time (setup or teardown
-/// code, adapters exporting other instruments) — NOT for hot paths.
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0.0;
-};
-
-/// Log2-bucketed histogram of non-negative integer observations, sharded
-/// per thread.  Bucket b counts values v with bit_width(v) == b, i.e.
-/// bucket 0 holds v == 0 and bucket b >= 1 holds [2^(b-1), 2^b).
-class Histogram {
- public:
-  static constexpr int kBuckets = 64;
-
-  explicit Histogram(int num_threads)
-      : slots_(static_cast<std::size_t>(num_threads)) {}
-
-  /// Hot path: plain increment of one bucket of the caller's slot.
-  void observe(int tid, std::uint64_t v) {
-    int b = 0;
-    while (v != 0) {
-      v >>= 1;
-      ++b;
-    }
-    slots_[static_cast<std::size_t>(tid)].buckets[b] += 1;
-  }
-
-  /// Aggregated bucket counts over all shards.
-  std::vector<std::uint64_t> buckets() const;
-
-  /// Total observations (sum of all buckets).
-  std::uint64_t count() const;
-
- private:
-  struct alignas(kCacheLineBytes) Slot {
-    std::uint64_t buckets[kBuckets + 1] = {};
-  };
-  std::vector<Slot> slots_;
-};
-
-/// Aggregated, name-sorted view of a registry (for reports and tests).
+/// Name-sorted view of a registry (for reports and tests).  Histograms
+/// are log2-bucketed by their producer (bucket b counts values v with
+/// bit_width(v) == b, see core::KernelCounts); trailing empty buckets are
+/// trimmed.
 struct Snapshot {
   std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, double> gauges;
   std::map<std::string, std::vector<std::uint64_t>> histograms;
 };
 
-/// Owner of all named instruments of one run.  Lookup by name happens at
-/// setup time only; the returned references stay valid until the registry
-/// is destroyed.  Lookup is NOT thread-safe — resolve instruments before
-/// the worker team starts (the instruments themselves are then safe to
-/// use concurrently, one tid per thread).
 class Registry {
  public:
-  /// `num_threads` is the shard count every counter/histogram is built
-  /// with; tids passed to the hot-path calls must be below it.
+  /// `num_threads` (>= 1) is the team size of the run the registry
+  /// records.
   explicit Registry(int num_threads);
 
-  int num_threads() const { return num_threads_; }
+  /// Adds `v` to counter `name` (creating it at zero, so a zero count
+  /// still appears in the record).
+  void add(const std::string& name, std::uint64_t v);
 
-  /// Create-or-get by name.
-  Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
-  Histogram& histogram(const std::string& name);
+  /// Adds `buckets` element-wise to histogram `name`.
+  void add_buckets(const std::string& name, std::span<const std::uint64_t> buckets);
 
-  /// Aggregates every instrument (call after workers joined).
   Snapshot snapshot() const;
 
  private:
-  int num_threads_;
-  std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
-  std::map<std::string, std::unique_ptr<Histogram>> histograms_;
+  Snapshot totals_;
 };
 
 }  // namespace nustencil::metrics

@@ -392,9 +392,6 @@ void write_run_report(const RunReport& report, std::ostream& os) {
   w.key("counters").begin_object();
   for (const auto& [name, v] : snap.counters) w.kv(name, v);
   w.end_object();
-  w.key("gauges").begin_object();
-  for (const auto& [name, v] : snap.gauges) w.kv(name, v);
-  w.end_object();
   w.key("histograms").begin_object();
   for (const auto& [name, buckets] : snap.histograms) {
     w.key(name).begin_array();
@@ -418,41 +415,6 @@ std::string run_report_json(const RunReport& report) {
   std::ostringstream os;
   write_run_report(report, os);
   return os.str();
-}
-
-void export_run_to_registry(Registry& reg, const RunReport& report) {
-  reg.gauge("run/seconds").set(report.seconds);
-  reg.gauge("run/gupdates_per_s").set(report.gupdates_per_second);
-  if (!report.traffic.bytes_from_node.empty())
-    reg.gauge("traffic/locality").set(report.traffic.locality());
-  if (report.phases.enabled) {
-    reg.gauge("phase/init_s").set(report.phases.total_s(trace::Phase::Init));
-    reg.gauge("phase/compute_s").set(report.phases.total_s(trace::Phase::Tile));
-    reg.gauge("phase/barrier_wait_s")
-        .set(report.phases.total_s(trace::Phase::BarrierWait));
-    reg.gauge("phase/spinflag_wait_s")
-        .set(report.phases.total_s(trace::Phase::SpinWait));
-    reg.gauge("phase/imbalance").set(report.phases.imbalance());
-  }
-  if (report.cache) {
-    for (std::size_t i = 0; i < report.cache->level.size(); ++i) {
-      const auto& lv = report.cache->level[i];
-      const std::uint64_t total = lv.hits + lv.misses;
-      reg.gauge("cache/L" + std::to_string(i + 1) + "_hit_rate")
-          .set(total == 0 ? 1.0
-                          : static_cast<double>(lv.hits) / static_cast<double>(total));
-    }
-  }
-  if (report.hw && report.hw->enabled && report.hw->any_available()) {
-    for (const auto& e : report.hw->events)
-      if (e.available)
-        reg.gauge(std::string("hw/") + hwc::event_name(e.event))
-            .set(static_cast<double>(
-                report.hw->totals[static_cast<std::size_t>(e.event)]));
-    reg.gauge("hw/scaling_max").set(report.hw->max_scaling());
-    if (report.hw->validation && report.hw->validation->status == "ok")
-      reg.gauge("hw/rank_correlation").set(report.hw->validation->spearman);
-  }
 }
 
 std::string describe_report(const std::string& report_path, bool cache_sim) {

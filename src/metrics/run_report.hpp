@@ -101,7 +101,7 @@ struct RunReport {
   std::optional<ModelSection> model;
   std::optional<StatsSection> stats;  ///< set when the run had --reps > 1
   std::optional<TimeseriesSection> timeseries;  ///< set when telemetry sampled
-  const Registry* registry = nullptr;  ///< counters/gauges/histograms
+  const Registry* registry = nullptr;  ///< counters/histograms
 };
 
 /// Serialises the report as a schema-versioned JSON document (top-level
@@ -113,12 +113,6 @@ void write_run_report_file(const RunReport& report, const std::string& path);
 
 /// The document as a string (tests, tools).
 std::string run_report_json(const RunReport& report);
-
-/// Folds the run's headline scalars into the registry as gauges
-/// ("run/seconds", "run/gupdates_per_s", "traffic/locality",
-/// "phase/<name>_s", "cache/L<i>_hit_rate") so every source is also
-/// visible through the one registry namespace.
-void export_run_to_registry(Registry& reg, const RunReport& report);
 
 /// Human-readable description of the report configuration for
 /// `nustencil --explain`.

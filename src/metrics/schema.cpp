@@ -21,7 +21,7 @@ const std::vector<std::string>& run_report_top_level_keys() {
       "schema_version", "generator", "provenance", "config",     "machine",
       "result",         "traffic",   "cache",      "phases",     "sched",
       "prof",           "hw",        "model",      "stats",      "timeseries",
-      "counters",       "gauges",    "histograms"};
+      "counters",       "histograms"};
   return keys;
 }
 

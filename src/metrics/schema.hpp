@@ -27,9 +27,12 @@ namespace nustencil::metrics {
 /// telemetry rings: shared sample-time axis, per-thread throughput and
 /// locality series, stall-event count; enabled only when the run sampled
 /// with --telemetry=on).
+/// v7: removed the top-level "gauges" section (copies of the result,
+/// traffic, phases, cache and hw sections) and the "sched/*" keys of
+/// "counters" (the "sched" section carries them).
 /// Readers (nustencil_report, metrics/diff) stay forward-tolerant: any
 /// schema >= 1 parses, absent sections are skipped.
-inline constexpr int kRunReportSchemaVersion = 6;
+inline constexpr int kRunReportSchemaVersion = 7;
 
 /// The fixed leading CSV columns of the nustencil CLI summary table
 /// (before the detail_* and phase columns).

@@ -18,20 +18,6 @@ RegionId PageTable::register_region(std::string name, Index bytes) {
   return regions_.size() - 1;
 }
 
-void PageTable::first_touch(RegionId region, Index byte_begin, Index byte_end, int node) {
-  Region& r = get(region);
-  NUSTENCIL_CHECK(byte_begin >= 0 && byte_end <= r.bytes && byte_begin <= byte_end,
-                  "PageTable::first_touch: range out of region");
-  NUSTENCIL_CHECK(node >= 0 && node < 127, "PageTable::first_touch: bad node");
-  if (byte_begin == byte_end) return;
-  const Index p0 = byte_begin / page_bytes_;
-  const Index p1 = (byte_end - 1) / page_bytes_;
-  for (Index p = p0; p <= p1; ++p) {
-    auto& owner = r.page_owner[static_cast<std::size_t>(p)];
-    if (owner == kUnowned) owner = static_cast<std::int8_t>(node);
-  }
-}
-
 void PageTable::first_touch_page_start(RegionId region, Index byte_begin,
                                        Index byte_end, int node) {
   Region& r = get(region);

@@ -33,17 +33,13 @@ class PageTable {
   /// unowned. Returns a handle used by all later calls.
   RegionId register_region(std::string name, Index bytes);
 
-  /// First-touch: assigns every still-unowned page overlapping
-  /// [byte_begin, byte_end) to `node`.
-  void first_touch(RegionId region, Index byte_begin, Index byte_end, int node);
-
   /// Deterministic first-touch: assigns every still-unowned page whose
   /// *first byte* lies in [byte_begin, byte_end) to `node`.  When the
   /// touch ranges of concurrent initialisers tile the region disjointly
   /// (as the schemes' per-tile init passes do), each page start falls in
   /// exactly one range, so a page straddling two ranges always goes to
-  /// the owner of its first byte — independent of thread timing, unlike
-  /// the overlap rule above where the race winner keeps the page.
+  /// the owner of its first byte — independent of thread timing, and no
+  /// two threads ever write the same page's owner entry.
   void first_touch_page_start(RegionId region, Index byte_begin, Index byte_end,
                               int node);
 

@@ -83,8 +83,8 @@ struct ProfSummary {
   std::uint64_t sampled_spans = 0;   ///< counter-carrying spans in the rings
   std::uint64_t dropped_events = 0;  ///< ring overflow across all threads
   /// Sum of every per-span counter delta, accumulated outside the rings:
-  /// matches the run-wide registry totals exactly (the invariant
-  /// prof_test.cpp pins).
+  /// matches the run-wide totals the live counter shard publishes
+  /// exactly (the invariant prof_test.cpp pins).
   trace::CounterSet totals;
   std::vector<Straggler> stragglers;
   std::vector<RooflinePoint> roofline;

@@ -4,7 +4,6 @@
 #include <cstdlib>
 
 #include "common/error.hpp"
-#include "metrics/registry.hpp"
 
 namespace nustencil::sched {
 
@@ -62,14 +61,6 @@ TaskPool::TaskPool(int num_threads, std::vector<int> thread_node, Schedule sched
   }
 }
 
-void TaskPool::bind_metrics(metrics::Registry* reg) {
-  if (!reg) return;
-  m_attempts_ = &reg->counter("sched/steal_attempts");
-  m_steals_ = &reg->counter("sched/steal_success");
-  m_fails_ = &reg->counter("sched/steal_fail");
-  m_stolen_updates_ = &reg->counter("sched/stolen_updates");
-}
-
 void TaskPool::reset(int num_tasks, const std::function<int(int)>& owner_of) {
   NUSTENCIL_CHECK(remaining_.load(std::memory_order_acquire) == 0,
                   "TaskPool::reset: previous phase still has live tasks");
@@ -118,7 +109,8 @@ void TaskPool::push_back(int tid, int task) {
 
 void TaskPool::run(int tid, const Step& step, const threading::AbortToken* abort,
                    trace::ThreadRecorder* rec) {
-  SchedStats::Thread& my = counts_[static_cast<std::size_t>(tid)].counts;
+  PerThread& me = counts_[static_cast<std::size_t>(tid)];
+  SchedStats::Thread& my = me.counts;
   const std::vector<int>& victims = victims_[static_cast<std::size_t>(tid)];
   int backoff = 1;
 
@@ -153,17 +145,16 @@ void TaskPool::run(int tid, const Step& step, const threading::AbortToken* abort
     bool stole = false;
     for (const int v : victims) {
       ++my.steal_attempts;
-      if (m_attempts_) m_attempts_->add(tid);
       const int task = steal_back(v);
       if (task < 0) {
         ++my.steal_fails;
-        if (m_fails_) m_fails_->add(tid);
         continue;
       }
-      ++my.steals;
+      // Single writer: a load and a store, no read-modify-write.
+      me.steals.store(me.steals.load(std::memory_order_relaxed) + 1,
+                      std::memory_order_relaxed);
       counts_[static_cast<std::size_t>(v)].tasks_lost.fetch_add(
           1, std::memory_order_relaxed);
-      if (m_steals_) m_steals_->add(tid);
       backoff = 1;
       execute(task, /*stolen=*/true, v);
       stole = true;
@@ -180,7 +171,6 @@ void TaskPool::run(int tid, const Step& step, const threading::AbortToken* abort
 
 void TaskPool::add_stolen_updates(int tid, std::uint64_t updates) {
   counts_[static_cast<std::size_t>(tid)].counts.stolen_updates += updates;
-  if (m_stolen_updates_) m_stolen_updates_->add(tid, updates);
 }
 
 SchedStats TaskPool::stats() const {
@@ -190,10 +180,17 @@ SchedStats TaskPool::stats() const {
   s.threads.reserve(counts_.size());
   for (const PerThread& t : counts_) {
     SchedStats::Thread out = t.counts;
+    out.steals = t.steals.load(std::memory_order_relaxed);
     out.stolen_tasks = t.tasks_lost.load(std::memory_order_relaxed);
     s.threads.push_back(out);
   }
   return s;
+}
+
+std::uint64_t TaskPool::steals_so_far() const {
+  std::uint64_t n = 0;
+  for (const PerThread& t : counts_) n += t.steals.load(std::memory_order_relaxed);
+  return n;
 }
 
 }  // namespace nustencil::sched

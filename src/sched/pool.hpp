@@ -33,11 +33,6 @@
 #include "topology/machine.hpp"
 #include "trace/trace.hpp"
 
-namespace nustencil::metrics {
-class Registry;
-class Counter;
-}  // namespace nustencil::metrics
-
 namespace nustencil::sched {
 
 /// Verdict of one task step.  Done retires the task; Yield re-enqueues it
@@ -58,10 +53,6 @@ class TaskPool {
   /// `thread_node[tid]` places worker tid for the distance-ordered victim
   /// ranking; Schedule::StealLocal drops every victim on a foreign node.
   TaskPool(int num_threads, std::vector<int> thread_node, Schedule schedule);
-
-  /// Resolves the steal counters in `reg` (pass the run's registry once,
-  /// before workers start; null keeps metrics off).
-  void bind_metrics(metrics::Registry* reg);
 
   /// Arms the pool with `num_tasks` tasks, task i on owner_of(i)'s deque
   /// in ascending order.  Single-threaded: callers fence with a barrier
@@ -89,6 +80,10 @@ class TaskPool {
   /// Cumulative statistics over all phases; call after workers joined.
   SchedStats stats() const;
 
+  /// Successful steals so far, summed over the workers.  Safe to call
+  /// from any thread while they run (the telemetry sampler does).
+  std::uint64_t steals_so_far() const;
+
  private:
   /// One spinlocked deque per worker, each on its own cache line.  Tile
   /// granularity is coarse (a task is a whole tile or parallelogram), so
@@ -106,9 +101,14 @@ class TaskPool {
   };
 
   struct alignas(kCacheLineBytes) PerThread {
+    /// Written by the owning thread only; stats() fills in `steals` and
+    /// `stolen_tasks` from the two atomics below.
     SchedStats::Thread counts;
+    /// Successful steals: single-writer (the owner), but read live by
+    /// steals_so_far(), so a relaxed atomic.
+    std::atomic<std::uint64_t> steals{0};
     /// Tasks lost to thieves: credited to the *victim's* slot by the
-    /// stealing thread, so unlike the other fields it needs to be atomic.
+    /// stealing thread, so it takes an atomic add.
     std::atomic<std::uint64_t> tasks_lost{0};
   };
 
@@ -124,11 +124,6 @@ class TaskPool {
   std::vector<int> owner_;  ///< task -> owning thread (current phase)
   std::vector<PerThread> counts_;
   std::atomic<int> remaining_{0};
-
-  metrics::Counter* m_attempts_ = nullptr;
-  metrics::Counter* m_steals_ = nullptr;
-  metrics::Counter* m_fails_ = nullptr;
-  metrics::Counter* m_stolen_updates_ = nullptr;
 };
 
 }  // namespace nustencil::sched

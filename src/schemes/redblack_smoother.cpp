@@ -66,9 +66,9 @@ RedBlackResult run_redblack_smoother(core::Field& field,
                           z * (rank >= 3 ? strides[2] : 0);
         fill_range(field, row + tile.lo[0], row + tile.hi[0], seed);
         if (pages)
-          pages->first_touch(field.region(), core::Field::byte_of(row + tile.lo[0]),
-                             core::Field::byte_of(row + tile.hi[0]),
-                             topo->node_of_thread(tid));
+          pages->first_touch_page_start(
+              field.region(), core::Field::byte_of(row + tile.lo[0]),
+              core::Field::byte_of(row + tile.hi[0]), topo->node_of_thread(tid));
       }
   });
 

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "hwc/validate.hpp"
+#include "metrics/registry.hpp"
 #include "telemetry/sampler.hpp"
 
 namespace nustencil::schemes {
@@ -66,7 +67,6 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
   instr.traffic = recorder_ ? &*recorder_ : nullptr;
   instr.checker = checker_ ? &*checker_ : nullptr;
   instr.cache_sim = config.cache_sim;
-  instr.metrics = config.metrics;
   instr.counters = counters_ ? &*counters_ : nullptr;
   for (int tid = 0; tid < config.num_threads; ++tid) {
     executors_.push_back(
@@ -81,13 +81,22 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
 
   team_ = std::make_unique<threading::Team>(config.num_threads, config.pin_threads);
 
+  // Placed with the same machine/pin-policy node map the traffic
+  // instrumentation uses, so victim ordering is NUMA-aware even when
+  // instrumentation is off.
+  if (config.schedule != sched::Schedule::Static)
+    pool_ = std::make_unique<sched::TaskPool>(
+        config.num_threads,
+        sched::thread_nodes(*machine_, config.pin_policy, config.num_threads),
+        config.schedule);
+
   // Bind the live telemetry sampler last, when every source it reads
   // exists.
   if (config.telemetry) {
     telemetry::RunSources sources;
     sources.timesteps = config.timesteps;
     sources.counters = &*counters_;
-    sources.registry = config.metrics;
+    sources.pool = pool_.get();
     sources.trace = trace_;
     sources.abort = &abort_;
     if (hw_ && hw_->active()) {
@@ -133,18 +142,6 @@ void RunSupport::run_workers(const std::function<void(int)>& body) {
 
 int RunSupport::node_of_thread(int tid) const {
   return topo_ ? topo_->node_of_thread(tid) : 0;
-}
-
-sched::TaskPool* RunSupport::pool() {
-  if (config_->schedule == sched::Schedule::Static) return nullptr;
-  if (!pool_) {
-    pool_ = std::make_unique<sched::TaskPool>(
-        config_->num_threads,
-        sched::thread_nodes(*machine_, config_->pin_policy, config_->num_threads),
-        config_->schedule);
-    pool_->bind_metrics(config_->metrics);
-  }
-  return pool_.get();
 }
 
 void RunSupport::serial_init() {
@@ -228,6 +225,16 @@ RunResult RunSupport::finish(const std::string& scheme_name, double seconds) {
     }
   }
   if (checker_) checker_->check_all_at(config_->timesteps);
+  if (config_->metrics) {
+    metrics::Registry& reg = *config_->metrics;
+    for (const auto& e : executors_) {
+      const core::KernelCounts& k = e->counts();
+      reg.add("kernel/tiles", k.tiles);
+      reg.add("kernel/rows/" + e->kernel().name(), k.fast_rows);
+      reg.add("kernel/slow_cells", k.slow_cells);
+      reg.add_buckets("kernel/tile_updates", k.tile_buckets);
+    }
+  }
   if (pool_) {
     r.sched = pool_->stats();
     r.details["steal_attempts"] = static_cast<double>(r.sched.total_attempts());

@@ -66,12 +66,8 @@ class RunSupport : private trace::CounterSampler {
   int node_of_thread(int tid) const;
 
   /// Work-stealing task pool of this run, or nullptr under the static
-  /// schedule.  Created on first call (call before workers start: the
-  /// pool resolves metrics counters, which is not thread-safe) and
-  /// placed with the same machine/pin-policy node map the traffic
-  /// instrumentation uses, so victim ordering is NUMA-aware even when
-  /// instrumentation is off.  finish() folds its stats into the result.
-  sched::TaskPool* pool();
+  /// schedule.  finish() folds its stats into the result.
+  sched::TaskPool* pool() { return pool_.get(); }
 
   /// Serial allocation/initialisation by "thread 0": fills the whole
   /// problem and first-touches every page on node 0 — exactly what a
@@ -84,7 +80,8 @@ class RunSupport : private trace::CounterSampler {
   void finalize_boundary();
 
   /// Assembles the RunResult (collects traffic, verifies the dependency
-  /// checker reached `timesteps` everywhere).
+  /// checker reached `timesteps` everywhere) and adds every executor's
+  /// KernelCounts to RunConfig::metrics.
   RunResult finish(const std::string& scheme_name, double seconds);
 
  private:

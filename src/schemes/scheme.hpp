@@ -92,11 +92,9 @@ struct RunConfig {
   /// metrics-only recorder when `trace` is null).
   bool collect_phase_metrics = false;
 
-  /// Optional metrics registry: when set, the executors publish kernel
-  /// dispatch counters (tiles, fast rows per variant, slow boundary
-  /// cells, tile-size histogram) into it.  The registry must have at
-  /// least `num_threads` shards.  Null disables every hook at the cost
-  /// of one branch.
+  /// Optional metrics registry: when set, the run adds its executors'
+  /// kernel-dispatch counts (tiles, fast rows per variant, slow boundary
+  /// cells, tile-size histogram) to it once, after the team has joined.
   metrics::Registry* metrics = nullptr;
 
   /// Per-span performance attribution: attach counter deltas (updates,
@@ -124,7 +122,7 @@ struct RunConfig {
 
   /// Optional live telemetry sampler (src/telemetry/), which also drives
   /// an attached --progress heartbeat: when set, the run binds the
-  /// sampler to its live counter shard, registry, trace and abort token
+  /// sampler to its live counter shard, task pool, trace and abort token
   /// at construction and releases it when the run finishes.  The caller
   /// owns the sampler; null (the default) constructs nothing, and the
   /// executors' per-tile publish stays one null-pointer branch.

@@ -8,7 +8,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
-#include "metrics/registry.hpp"
+#include "sched/pool.hpp"
 #include "telemetry/openmetrics.hpp"
 #include "thread/abort.hpp"
 
@@ -68,8 +68,6 @@ void Sampler::begin_run(const RunSources& sources) {
   openmetrics_failed_ = false;
   watchdog_aborted_ = false;
   suppress_watchdog_ = false;
-  steals_ = nullptr;
-  steal_attempts_ = nullptr;
   prev_.assign(static_cast<std::size_t>(num_threads()), {});
   prev_spans_.assign(static_cast<std::size_t>(num_threads()), {});
 
@@ -83,14 +81,6 @@ void Sampler::begin_run(const RunSources& sources) {
     store_->add_series("run/mups");
     store_->add_series("run/locality");
     store_->add_series("run/layer");
-
-    // Resolve counter handles on the main thread, before workers start:
-    // Registry lookup is not thread-safe, but the handles are stable for
-    // the registry's lifetime, so the sampler thread only dereferences.
-    if (src_.registry) {
-      steals_ = &src_.registry->counter("sched/steal_success");
-      steal_attempts_ = &src_.registry->counter("sched/steal_attempts");
-    }
 
     if (cfg_.watchdog_stall_intervals > 0) {
       watchdog_.emplace(cfg_.watchdog_stall_intervals, cfg_.watchdog_action);
@@ -238,8 +228,8 @@ void Sampler::sample_once(std::int64_t t_ns) {
         w.kv("layer", static_cast<std::int64_t>(layer));
       });
     }
-    if (steals_) {
-      const std::uint64_t steals = steals_->value();
+    if (src_.pool) {
+      const std::uint64_t steals = src_.pool->steals_so_far();
       if (steals > last_steals_) {
         log_->event("steal_burst", t_ms, [&](metrics::JsonWriter& w) {
           w.kv("steals", steals - last_steals_);
@@ -310,10 +300,10 @@ void Sampler::export_openmetrics(std::int64_t t_ns,
   families.push_back(
       {"nustencil_stalls_total", "counter", "Watchdog stall events this run",
        {{"", static_cast<double>(watchdog_ ? watchdog_->stall_events() : 0)}}});
-  if (steals_)
+  if (src_.pool)
     families.push_back({"nustencil_steals_total", "counter",
                         "Successful task steals",
-                        {{"", static_cast<double>(steals_->value())}}});
+                        {{"", static_cast<double>(src_.pool->steals_so_far())}}});
   if (src_.counters->cache_levels() > 0) {
     std::uint64_t hits = 0, misses = 0;
     for (const ThreadCumulative& c : cum) {

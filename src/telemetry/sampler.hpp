@@ -3,10 +3,10 @@
 // execute.
 //
 // The sources are the run's prof::CounterShard (the same rows the
-// per-span sampler reads), the ThreadRecorder phase totals, resolved
-// Registry counters and hwc::ThreadSet::sample.  Every value the sampler
-// reads concurrently is a relaxed atomic written by one thread, so
-// telemetry is a race-free read-side observer.  Samples are
+// per-span sampler reads), the ThreadRecorder phase totals, the TaskPool's
+// per-thread steal counts and hwc::ThreadSet::sample.  Every value the
+// sampler reads concurrently is a relaxed atomic written by one thread,
+// so telemetry is a race-free read-side observer.  Samples are
 // per-thread-coherent but not globally atomic (see DESIGN.md), which is
 // fine for monitoring.
 //
@@ -41,9 +41,8 @@
 #include "telemetry/watchdog.hpp"
 #include "trace/trace.hpp"
 
-namespace nustencil::metrics {
-class Registry;
-class Counter;
+namespace nustencil::sched {
+class TaskPool;
 }
 namespace nustencil::threading {
 class AbortToken;
@@ -73,7 +72,7 @@ struct Config {
 struct RunSources {
   long timesteps = 0;
   const prof::CounterShard* counters = nullptr;     ///< required; one row per thread
-  metrics::Registry* registry = nullptr;            ///< steal counters
+  const sched::TaskPool* pool = nullptr;            ///< steal counts; null = static
   const trace::Trace* trace = nullptr;              ///< wait totals, spans
   threading::AbortToken* abort = nullptr;           ///< watchdog abort target
   std::function<void(int, trace::CounterSet&)> hw;  ///< measured counters
@@ -157,8 +156,6 @@ class Sampler {
   std::optional<TimeSeriesStore> store_;
   std::optional<Watchdog> watchdog_;
   std::unique_ptr<EventLog> log_;
-  const metrics::Counter* steals_ = nullptr;
-  const metrics::Counter* steal_attempts_ = nullptr;
 
   // Sampler-thread-only tick state.
   std::uint64_t seq_ = 0;

@@ -1,18 +1,16 @@
-// Spin-wait synchronisation flags ("local synchronisation" in the paper).
+// Spin-wait synchronisation ("local synchronisation" in the paper).
 //
-// nuCORALS attaches a structure of flags to each thread: one flag per base
-// parallelogram index within the root parallelogram.  A consumer thread
-// spin-waits on the flag of a base parallelogram that intersects its
-// boundary; the producing neighbour sets it after computing the lower part.
-// CATS/nuCATS use the same mechanism for tile-boundary pipelining, with one
-// monotone counter per tile boundary.
+// A producer publishes how far it has got through a monotone
+// ProgressCounter; a consumer spin-waits until the counter reaches the
+// epoch it needs.  nuCORALS keeps one counter per base parallelogram of
+// a thread (value = 1 + the last time step whose local part of the base
+// is complete), CATS/nuCATS one per tile (the last finished plane) and
+// MWD one per diamond column (completed steps).  The stealing schedules
+// probe the same counters without blocking (current() >= need).
 #pragma once
 
 #include <atomic>
-#include <cstddef>
-#include <memory>
 #include <thread>
-#include <vector>
 
 #include "common/aligned.hpp"
 #include "common/error.hpp"
@@ -20,54 +18,6 @@
 #include "trace/trace.hpp"
 
 namespace nustencil::threading {
-
-/// A fixed-size array of one-shot flags, each on its own cache line.
-class FlagArray {
- public:
-  explicit FlagArray(std::size_t n) : flags_(n) {}
-
-  void reset() {
-    for (auto& f : flags_) f.value.store(0, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-  }
-
-  void set(std::size_t i) {
-    NUSTENCIL_DCHECK(i < flags_.size(), "FlagArray::set out of range");
-    flags_[i].value.store(1, std::memory_order_release);
-  }
-
-  bool test(std::size_t i) const {
-    NUSTENCIL_DCHECK(i < flags_.size(), "FlagArray::test out of range");
-    return flags_[i].value.load(std::memory_order_acquire) != 0;
-  }
-
-  /// Spin (with yield) until flag `i` is set; throws on abort.  A
-  /// recorder, when given, receives a spinflag-wait span (flag index as
-  /// the target, `owner` = producing thread/tile) only when the flag was
-  /// not already set — the satisfied fast path stays clock-free.
-  void wait(std::size_t i, const AbortToken* abort = nullptr,
-            trace::ThreadRecorder* rec = nullptr, std::int32_t owner = -1) const {
-    if (test(i)) return;
-    const std::int64_t start = rec ? rec->now_ns() : 0;
-    std::uint64_t spins = 0;
-    while (!test(i)) {
-      ++spins;
-      if (abort) abort->check();
-      std::this_thread::yield();
-    }
-    if (rec)
-      rec->record(trace::Phase::SpinWait, start, rec->now_ns(),
-                  {static_cast<std::int32_t>(i), -1, -1, owner}, spins);
-  }
-
-  std::size_t size() const { return flags_.size(); }
-
- private:
-  struct alignas(kCacheLineBytes) PaddedFlag {
-    std::atomic<int> value{0};
-  };
-  std::vector<PaddedFlag> flags_;
-};
 
 /// A monotonically increasing progress counter (one per pipeline stage),
 /// padded to its own cache line.

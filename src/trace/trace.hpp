@@ -34,7 +34,7 @@ enum class Phase : std::uint8_t {
   Init = 0,       ///< allocation + first-touch initialisation (leaf)
   Tile,           ///< one Executor::update_box sweep (leaf, compute)
   BarrierWait,    ///< spinning in Barrier::arrive_and_wait (leaf)
-  SpinWait,       ///< spinning on a FlagArray / ProgressCounter (leaf)
+  SpinWait,       ///< spinning on a threading::ProgressCounter (leaf)
   Parallelogram,  ///< one base parallelogram, CORALS family (structural)
   Layer,          ///< one temporal layer / chunk between barriers (structural)
   Steal,          ///< a stolen task executing on a thief thread (structural)

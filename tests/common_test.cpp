@@ -81,22 +81,6 @@ TEST(AlignedBuffer, BadAlignmentThrows) {
   EXPECT_THROW(AlignedBuffer(64, 48), Error);
 }
 
-TEST(RunningStats, Moments) {
-  RunningStats s;
-  for (double x : {1.0, 2.0, 3.0, 4.0}) s.add(x);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 4.0);
-  EXPECT_NEAR(s.stddev(), 1.2909944, 1e-6);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.stddev(), 0.0);
-}
-
 TEST(Median, OddAndEven) {
   EXPECT_DOUBLE_EQ(median({3.0, 1.0, 2.0}), 2.0);
   EXPECT_DOUBLE_EQ(median({4.0, 1.0, 2.0, 3.0}), 2.5);

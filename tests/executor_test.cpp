@@ -202,6 +202,15 @@ TEST(Executor, UpdateCountAndEmptyBox) {
   Box empty = whole(p.shape());
   empty.hi[1] = empty.lo[1];
   EXPECT_EQ(e.update_box(empty, 1, 0), 0);
+  // The executor's own kernel counts: the empty box is no tile, 200
+  // updates land in log2 bucket bit_width(200) == 8, and each of the 20
+  // rows is one kernel call plus, without whole-row kernels, one wrap
+  // cell at each end.
+  const KernelCounts& c = e.counts();
+  EXPECT_EQ(c.tiles, 1u);
+  EXPECT_EQ(c.tile_buckets[8], 1u);
+  EXPECT_EQ(c.fast_rows, 20u);
+  EXPECT_EQ(c.slow_cells, e.kernel().whole_rows ? 0u : 40u);
 }
 
 TEST(Executor, DependencyCheckerCatchesOutOfOrderUpdate) {

@@ -1,10 +1,9 @@
-// Metrics subsystem: registry sharding/aggregation, JSON writer/parser
+// Metrics subsystem: the post-run registry record, JSON writer/parser
 // round trips, and the run-report document parsing back into itself.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "common/error.hpp"
@@ -17,63 +16,28 @@
 namespace nustencil::metrics {
 namespace {
 
-TEST(Registry, CounterAggregatesAcrossShards) {
-  Registry reg(4);
-  Counter& c = reg.counter("events");
-  c.add(0);
-  c.add(1, 10);
-  c.add(3, 100);
-  EXPECT_EQ(c.value(), 111u);
-  EXPECT_EQ(reg.snapshot().counters.at("events"), 111u);
-}
-
-TEST(Registry, CreateOrGetReturnsStableHandles) {
+TEST(Registry, AddSumsCountsAndKeepsZeros) {
   Registry reg(2);
-  Counter& a = reg.counter("x");
-  Counter& b = reg.counter("x");
-  EXPECT_EQ(&a, &b);
-  a.add(0, 5);
-  EXPECT_EQ(reg.counter("x").value(), 5u);
-  // Distinct names are distinct instruments.
-  EXPECT_NE(&reg.counter("x"), &reg.counter("y"));
+  reg.add("events", 1);
+  reg.add("events", 110);
+  reg.add("never", 0);  // a zero count still appears in the record
+  const Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.counters.at("events"), 111u);
+  EXPECT_EQ(snap.counters.at("never"), 0u);
+  EXPECT_EQ(snap.counters.size(), 2u);
 }
 
-TEST(Registry, ConcurrentShardedIncrementsAreExact) {
-  constexpr int kThreads = 4;
-  constexpr std::uint64_t kPerThread = 100000;
-  Registry reg(kThreads);
-  Counter& c = reg.counter("hot");  // resolved before the team starts
-  std::vector<std::thread> team;
-  for (int tid = 0; tid < kThreads; ++tid)
-    team.emplace_back([&c, tid] {
-      for (std::uint64_t i = 0; i < kPerThread; ++i) c.add(tid);
-    });
-  for (auto& t : team) t.join();
-  EXPECT_EQ(c.value(), kPerThread * kThreads);
-}
-
-TEST(Registry, GaugeHoldsLastValue) {
-  Registry reg(1);
-  reg.gauge("g").set(1.5);
-  reg.gauge("g").set(2.5);
-  EXPECT_DOUBLE_EQ(reg.snapshot().gauges.at("g"), 2.5);
-}
-
-TEST(Registry, HistogramLog2Buckets) {
+TEST(Registry, AddBucketsSumsElementwiseAndTrims) {
   Registry reg(2);
-  Histogram& h = reg.histogram("sizes");
-  h.observe(0, 0);   // bucket 0
-  h.observe(0, 1);   // bucket 1
-  h.observe(1, 2);   // bucket 2: [2, 4)
-  h.observe(1, 3);   // bucket 2
-  h.observe(0, 4);   // bucket 3: [4, 8)
-  EXPECT_EQ(h.count(), 5u);
-  const std::vector<std::uint64_t> b = h.buckets();
-  ASSERT_GE(b.size(), 4u);
-  EXPECT_EQ(b[0], 1u);
-  EXPECT_EQ(b[1], 1u);
-  EXPECT_EQ(b[2], 2u);
-  EXPECT_EQ(b[3], 1u);
+  const std::vector<std::uint64_t> a = {1, 1, 2, 0, 0};
+  const std::vector<std::uint64_t> b = {0, 0, 1, 1, 0, 0, 0};
+  reg.add_buckets("sizes", a);
+  reg.add_buckets("sizes", b);
+  reg.add_buckets("empty", std::vector<std::uint64_t>(65, 0));
+  const Snapshot snap = reg.snapshot();
+  EXPECT_EQ(snap.histograms.at("sizes"),
+            (std::vector<std::uint64_t>{1, 1, 3, 1}));
+  EXPECT_EQ(snap.histograms.at("empty"), std::vector<std::uint64_t>{0});
 }
 
 TEST(Json, WriterProducesParseableDocument) {
@@ -172,9 +136,8 @@ RunReport minimal_report(const topology::MachineSpec& machine,
 TEST(RunReportJson, ParsesBackWithAllSections) {
   const topology::MachineSpec machine = topology::xeonX7550();
   Registry reg(2);
-  reg.counter("kernel/tiles").add(0, 7);
-  reg.gauge("run/seconds").set(0.5);
-  reg.histogram("kernel/tile_updates").observe(0, 8);
+  reg.add("kernel/tiles", 7);
+  reg.add_buckets("kernel/tile_updates", std::vector<std::uint64_t>{0, 0, 0, 0, 1});
   const RunReport rep = minimal_report(machine, &reg);
 
   const JsonValue doc = parse_json(run_report_json(rep));
@@ -191,18 +154,7 @@ TEST(RunReportJson, ParsesBackWithAllSections) {
   EXPECT_DOUBLE_EQ(matrix.array[1].array[0].num(), 50.0);
   EXPECT_EQ(doc.at("traffic").at("locality_series").array.size(), 2u);
   EXPECT_DOUBLE_EQ(doc.at("counters").at("kernel/tiles").num(), 7.0);
-  EXPECT_DOUBLE_EQ(doc.at("gauges").at("run/seconds").num(), 0.5);
   EXPECT_EQ(doc.at("histograms").at("kernel/tile_updates").array.size(), 5u);
-}
-
-TEST(RunReportJson, ExportRunToRegistryAddsGauges) {
-  const topology::MachineSpec machine = topology::xeonX7550();
-  Registry reg(2);
-  const RunReport rep = minimal_report(machine, &reg);
-  export_run_to_registry(reg, rep);
-  const Snapshot snap = reg.snapshot();
-  EXPECT_DOUBLE_EQ(snap.gauges.at("run/seconds"), 0.5);
-  EXPECT_NEAR(snap.gauges.at("traffic/locality"), 100.0 / 150.0, 1e-12);
 }
 
 }  // namespace

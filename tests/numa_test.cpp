@@ -12,26 +12,36 @@ TEST(PageTable, FirstTouchAssignsOnlyOnce) {
   PageTable pt(4096);
   const RegionId r = pt.register_region("a", 4096 * 4);
   EXPECT_EQ(pt.owner(r, 0), kUnowned);
-  pt.first_touch(r, 0, 4096, 1);
+  pt.first_touch_page_start(r, 0, 4096, 1);
   EXPECT_EQ(pt.owner(r, 0), 1);
-  pt.first_touch(r, 0, 4096, 2);  // second touch must not steal the page
+  pt.first_touch_page_start(r, 0, 4096, 2);  // second touch must not steal the page
   EXPECT_EQ(pt.owner(r, 100), 1);
 }
 
 TEST(PageTable, RangeSpanningPages) {
+  // The page-start rule: a page belongs to the touch range that holds its
+  // first byte, so a page straddling two ranges goes to the owner of its
+  // first byte, whichever range is touched first.
   PageTable pt(4096);
   const RegionId r = pt.register_region("a", 4096 * 4);
-  pt.first_touch(r, 100, 4096 * 2 + 50, 3);  // pages 0, 1, 2
-  EXPECT_EQ(pt.owner(r, 0), 3);
+  pt.first_touch_page_start(r, 100, 4096 * 2 + 50, 3);  // starts of pages 1, 2
+  EXPECT_EQ(pt.owner(r, 0), kUnowned);  // page 0 starts before the range
   EXPECT_EQ(pt.owner(r, 4096), 3);
-  EXPECT_EQ(pt.owner(r, 4096 * 2), 3);
+  EXPECT_EQ(pt.owner(r, 4096 * 2), 3);  // straddles the range end
   EXPECT_EQ(pt.owner(r, 4096 * 3), kUnowned);
+  // The neighbouring ranges: page 0 goes to the range holding byte 0; the
+  // straddling page 2 stays with node 3 although node 2 touches its tail.
+  pt.first_touch_page_start(r, 0, 100, 1);
+  pt.first_touch_page_start(r, 4096 * 2 + 50, 4096 * 4, 2);
+  EXPECT_EQ(pt.owner(r, 50), 1);
+  EXPECT_EQ(pt.owner(r, 4096 * 2 + 60), 3);
+  EXPECT_EQ(pt.owner(r, 4096 * 3), 2);
 }
 
 TEST(PageTable, PlaceOverridesOwnership) {
   PageTable pt(4096);
   const RegionId r = pt.register_region("a", 4096 * 2);
-  pt.first_touch(r, 0, 4096, 0);
+  pt.first_touch_page_start(r, 0, 4096, 0);
   pt.place(r, 0, 4096, 5);
   EXPECT_EQ(pt.owner(r, 0), 5);
 }
@@ -39,8 +49,8 @@ TEST(PageTable, PlaceOverridesOwnership) {
 TEST(PageTable, CountBytesByNodeSplitsAtPageBoundary) {
   PageTable pt(4096);
   const RegionId r = pt.register_region("a", 4096 * 2);
-  pt.first_touch(r, 0, 4096, 0);
-  pt.first_touch(r, 4096, 8192, 1);
+  pt.first_touch_page_start(r, 0, 4096, 0);
+  pt.first_touch_page_start(r, 4096, 8192, 1);
   std::vector<std::uint64_t> by_node;
   pt.count_bytes_by_node(r, 2048, 6144, 2, by_node);
   EXPECT_EQ(by_node[0], 2048u);  // [2048, 4096) on node 0
@@ -59,7 +69,7 @@ TEST(PageTable, UnownedBytesCounted) {
 TEST(PageTable, OwnedFraction) {
   PageTable pt(4096);
   const RegionId r = pt.register_region("a", 4096 * 4);
-  pt.first_touch(r, 0, 4096 * 3, 2);
+  pt.first_touch_page_start(r, 0, 4096 * 3, 2);
   EXPECT_DOUBLE_EQ(pt.owned_fraction(r, 2), 0.75);
   EXPECT_DOUBLE_EQ(pt.owned_fraction(r, 0), 0.0);
 }
@@ -67,8 +77,8 @@ TEST(PageTable, OwnedFraction) {
 TEST(PageTable, SmallPagesForScaledDomains) {
   PageTable pt(256);
   const RegionId r = pt.register_region("a", 1024);
-  pt.first_touch(r, 0, 256, 0);
-  pt.first_touch(r, 256, 1024, 1);
+  pt.first_touch_page_start(r, 0, 256, 0);
+  pt.first_touch_page_start(r, 256, 1024, 1);
   EXPECT_EQ(pt.owner(r, 255), 0);
   EXPECT_EQ(pt.owner(r, 256), 1);
 }
@@ -76,7 +86,7 @@ TEST(PageTable, SmallPagesForScaledDomains) {
 TEST(PageTable, OutOfRangeThrows) {
   PageTable pt(4096);
   const RegionId r = pt.register_region("a", 4096);
-  EXPECT_THROW(pt.first_touch(r, 0, 8192, 0), Error);
+  EXPECT_THROW(pt.first_touch_page_start(r, 0, 8192, 0), Error);
   EXPECT_THROW(pt.owner(r, 4096), Error);
   EXPECT_THROW(pt.owner(r + 1, 0), Error);
 }
@@ -95,8 +105,8 @@ TEST(TrafficRecorder, ClassifiesLocalAndRemote) {
   PageTable pt(4096);
   VirtualTopology topo(machine);
   const RegionId r = pt.register_region("a", 4096 * 2);
-  pt.first_touch(r, 0, 4096, 0);      // node 0
-  pt.first_touch(r, 4096, 8192, 1);   // node 1
+  pt.first_touch_page_start(r, 0, 4096, 0);      // node 0
+  pt.first_touch_page_start(r, 4096, 8192, 1);   // node 1
 
   TrafficRecorder rec(pt, topo, 16);
   rec.account(/*tid=*/0, r, 0, 8192);    // thread 0 on node 0
@@ -117,8 +127,8 @@ TEST(TrafficRecorder, PageStraddlingRangeAttributedExactlyOnce) {
   PageTable pt(4096);
   VirtualTopology topo(machine);
   const RegionId r = pt.register_region("straddle", 4096 * 2);
-  pt.first_touch(r, 0, 4096, 0);
-  pt.first_touch(r, 4096, 8192, 1);
+  pt.first_touch_page_start(r, 0, 4096, 0);
+  pt.first_touch_page_start(r, 4096, 8192, 1);
 
   TrafficRecorder rec(pt, topo, 1);
   rec.account(/*tid=*/0, r, 1000, 7000);  // 3096 B on page 0, 2904 B on page 1
@@ -135,7 +145,7 @@ TEST(TrafficRecorder, StraddleIntoUnownedCountedOncePerPage) {
   PageTable pt(4096);
   VirtualTopology topo(machine);
   const RegionId r = pt.register_region("half", 4096 * 2);
-  pt.first_touch(r, 0, 4096, 1);  // second page stays untouched
+  pt.first_touch_page_start(r, 0, 4096, 1);  // second page stays untouched
 
   TrafficRecorder rec(pt, topo, 1);
   rec.account(/*tid=*/0, r, 4000, 5000);
@@ -150,8 +160,8 @@ TEST(TrafficRecorder, NodeMatrixSplitsConsumerByOwner) {
   PageTable pt(4096);
   VirtualTopology topo(machine);
   const RegionId r = pt.register_region("m", 4096 * 2);
-  pt.first_touch(r, 0, 4096, 0);
-  pt.first_touch(r, 4096, 8192, 1);
+  pt.first_touch_page_start(r, 0, 4096, 0);
+  pt.first_touch_page_start(r, 4096, 8192, 1);
 
   TrafficRecorder rec(pt, topo, 16);
   rec.account(/*tid=*/0, r, 0, 8192);  // consumer node 0: one page each owner
@@ -173,8 +183,8 @@ TEST(TrafficRecorder, LocalitySeriesSamplesPerWindow) {
   PageTable pt(4096);
   VirtualTopology topo(machine);
   const RegionId r = pt.register_region("series", 4096 * 2);
-  pt.first_touch(r, 0, 4096, 0);
-  pt.first_touch(r, 4096, 8192, 1);
+  pt.first_touch_page_start(r, 0, 4096, 0);
+  pt.first_touch_page_start(r, 4096, 8192, 1);
 
   TrafficRecorder rec(pt, topo, 1);
   rec.set_sample_window(100);
@@ -208,7 +218,7 @@ TEST(TrafficRecorder, SamplingDisabledKeepsSeriesEmpty) {
   PageTable pt(4096);
   VirtualTopology topo(machine);
   const RegionId r = pt.register_region("off", 4096);
-  pt.first_touch(r, 0, 4096, 0);
+  pt.first_touch_page_start(r, 0, 4096, 0);
   TrafficRecorder rec(pt, topo, 1);
   rec.account(0, r, 0, 4096);
   rec.tick_updates(0, 1000);

@@ -405,8 +405,8 @@ TEST(ProfCounterShard, RowsExposePublishedStateToEveryReader) {
   // and four cold cache lines.
   numa::PageTable pages(4096);
   const numa::RegionId region = pages.register_region("a", 4096 * 3);
-  pages.first_touch(region, 0, 4096, /*node=*/0);
-  pages.first_touch(region, 4096, 8192, /*node=*/1);
+  pages.first_touch_page_start(region, 0, 4096, /*node=*/0);
+  pages.first_touch_page_start(region, 4096, 8192, /*node=*/1);
   const topology::MachineSpec machine = topology::xeonX7550();
   numa::VirtualTopology topo(machine);
   numa::TrafficRecorder traffic(pages, topo, 2);

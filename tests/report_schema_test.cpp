@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "metrics/json.hpp"
-#include "metrics/registry.hpp"
 #include "metrics/run_report.hpp"
 #include "metrics/schema.hpp"
 #include "topology/machine.hpp"
@@ -38,7 +37,7 @@ TEST(Schema, RunReportTopLevelKeysAreGolden) {
       "machine",        "result",    "traffic",    "cache",
       "phases",         "sched",     "prof",       "hw",
       "model",          "stats",     "timeseries", "counters",
-      "gauges",         "histograms"};
+      "histograms"};
   EXPECT_EQ(run_report_top_level_keys(), golden);
 }
 
@@ -49,7 +48,8 @@ TEST(Schema, VersionIsPinned) {
   // v4: top-level "stats" section (--reps summaries).
   // v5: top-level "hw" section (measured hardware counters).
   // v6: top-level "timeseries" section (live telemetry rings).
-  EXPECT_EQ(kRunReportSchemaVersion, 6);
+  // v7: no "gauges" section; no "sched/*" keys in "counters".
+  EXPECT_EQ(kRunReportSchemaVersion, 7);
 }
 
 TEST(Schema, EmittedDocumentMatchesDeclaredKeys) {

@@ -10,13 +10,16 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 
 #include "cachesim/shared.hpp"
 #include "common/error.hpp"
 #include "metrics/json.hpp"
+#include "metrics/registry.hpp"
 #include "prof/counter_shard.hpp"
 #include "prof/progress.hpp"
+#include "schemes/naive.hpp"
 #include "schemes/nucats.hpp"
 #include "schemes/numwd.hpp"
 #include "schemes/run_support.hpp"
@@ -529,6 +532,26 @@ TEST(Sampler, RealRunClosingSampleMatchesTheRunTotals) {
   const std::uint64_t owned = result.traffic.local_bytes + result.traffic.remote_bytes;
   EXPECT_GT(owned, 0u);
   EXPECT_EQ(sums["nustencil_local_bytes"] + sums["nustencil_remote_bytes"], owned);
+
+  // A stealing run with a metrics registry: the sampler reads the steal
+  // count live while the workers steal, and its closing value is the
+  // pool's own total.
+  metrics::Registry registry(3);
+  schemes::RunConfig steal;
+  steal.num_threads = 3;
+  steal.timesteps = 40;
+  steal.schedule = sched::Schedule::Steal;
+  steal.metrics = &registry;
+  steal.telemetry = &sampler;
+  const schemes::RunResult stolen = test::expect_matches_reference(
+      schemes::NaiveScheme{}, Coord{67, 67, 4}, core::StencilSpec::paper_3d7p(), steal);
+  std::optional<std::uint64_t> steals;
+  for (const std::string& line : read_lines(prom))
+    if (line.rfind("nustencil_steals_total ", 0) == 0)
+      steals = std::stoull(line.substr(line.rfind(' ') + 1));
+  ASSERT_TRUE(steals.has_value());
+  EXPECT_EQ(*steals, stolen.sched.total_steals());
+  EXPECT_GT(*steals, 0u);
   std::remove(prom.c_str());
 }
 

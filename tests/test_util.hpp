@@ -10,9 +10,10 @@
 
 namespace nustencil::test {
 
-/// Runs `scheme` and the reference on identical problems; expects exact
-/// agreement (Jacobi updates are order-independent, and kernels perform
-/// the same FP operations) up to a tiny tolerance for fused/vector paths.
+/// Runs `scheme` and the reference on identical problems; expects bitwise
+/// agreement: Jacobi updates are order-independent, and every kernel these
+/// tests run computes each cell with the same FP operations as the
+/// reference, so any nonzero difference is a bug.
 inline schemes::RunResult expect_matches_reference(const schemes::Scheme& scheme,
                                                    Coord shape,
                                                    const core::StencilSpec& stencil,
@@ -47,7 +48,7 @@ inline schemes::RunResult expect_matches_reference(const schemes::Scheme& scheme
 
   const double diff = core::max_rel_diff(actual.buffer(config.timesteps),
                                          expected.buffer(config.timesteps));
-  EXPECT_LE(diff, 1e-12) << scheme.name() << " diverged from the reference";
+  EXPECT_EQ(diff, 0.0) << scheme.name() << " diverged from the reference";
   return result;
 }
 

@@ -90,27 +90,6 @@ TEST(Barrier, AbortUnblocksWaiters) {
                Error);
 }
 
-TEST(FlagArray, SetTestWaitReset) {
-  FlagArray flags(4);
-  EXPECT_FALSE(flags.test(2));
-  flags.set(2);
-  EXPECT_TRUE(flags.test(2));
-  flags.wait(2);  // returns immediately
-  flags.reset();
-  EXPECT_FALSE(flags.test(2));
-}
-
-TEST(FlagArray, CrossThreadHandoff) {
-  FlagArray flags(1);
-  std::thread producer([&] {
-    std::this_thread::yield();
-    flags.set(0);
-  });
-  flags.wait(0);
-  producer.join();
-  EXPECT_TRUE(flags.test(0));
-}
-
 TEST(ProgressCounter, MonotoneAndWaitable) {
   ProgressCounter c;
   EXPECT_EQ(c.current(), 0);
@@ -168,35 +147,6 @@ TEST(BarrierTrace, EveryRoundRecordsParticipantsMinusOneWaitSpans) {
     }
 }
 
-TEST(FlagArrayTrace, SatisfiedFastPathRecordsNothing) {
-  FlagArray flags(2);
-  flags.set(1);
-  trace::Trace trace;
-  trace.begin_run(1);
-  flags.wait(1, nullptr, trace.thread(0), /*owner=*/0);
-  EXPECT_EQ(trace.thread(0)->span_count(trace::Phase::SpinWait), 0u);
-  EXPECT_EQ(trace.thread(0)->events().size(), 0u);
-}
-
-TEST(FlagArrayTrace, BlockedWaitRecordsSpanWithTargetAndOwner) {
-  FlagArray flags(3);
-  trace::Trace trace;
-  trace.begin_run(1);
-  std::thread producer([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    flags.set(2);
-  });
-  flags.wait(2, nullptr, trace.thread(0), /*owner=*/7);
-  producer.join();
-  const std::vector<trace::Event> events = trace.thread(0)->events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].phase, trace::Phase::SpinWait);
-  EXPECT_EQ(events[0].args.a, 2);      // flag index = wait target
-  EXPECT_EQ(events[0].args.owner, 7);  // producing tile/thread
-  EXPECT_GE(events[0].spins, 1u);
-  EXPECT_GT(events[0].end_ns, events[0].start_ns);
-}
-
 TEST(ProgressCounterTrace, SatisfiedFastPathRecordsNothing) {
   ProgressCounter c;
   c.advance_to(5);
@@ -230,9 +180,6 @@ TEST(SyncTrace, NullRecorderAddsNoEventsAndNoSpans) {
   // reads): exercised here exactly as the hot loops call them.
   Barrier barrier(1);
   barrier.arrive_and_wait(nullptr, nullptr);
-  FlagArray flags(1);
-  flags.set(0);
-  flags.wait(0, nullptr, nullptr);
   ProgressCounter c;
   c.advance_to(1);
   c.wait_for(1, nullptr, nullptr);

@@ -642,7 +642,6 @@ int main(int argc, char** argv) try {
       }
       rep.model = build_model_section(*scheme, *machine, shape, stencil, result);
       if (telemetry_on && sampler) rep.timeseries = sampler->report_section();
-      metrics::export_run_to_registry(*registry, rep);
       rep.registry = &*registry;
       const std::string path = per_run_path(report_path, threads, sweeping);
       metrics::write_run_report_file(rep, path);
