@@ -1,8 +1,9 @@
 // Ablation: base parallelogram size (Section III-C, "internal parameters").
 //
 // The recursion stops above single space-time points because tiny bases
-// cost control logic and per-step neighbour scans; oversized bases stop
-// exploiting the upper cache levels.  Bases always span whole x rows (x
+// cost control logic (per-step box geometry, need lookups and kernel
+// calls on a few cells); oversized bases stop exploiting the upper cache
+// levels.  Bases always span whole x rows (x
 // is never decomposed, so never cut), so this bench sweeps the y/z base
 // size and the base height, and reports bases per layer plus real
 // wall-clock throughput on the host it runs on — control overhead is a
@@ -46,8 +47,8 @@ int main(int argc, char** argv) {
                   {run.details.at("bases_per_layer"), run.gupdates_per_second()});
   }
   table.print(std::cout);
-  std::cout << "\nTiny bases drown in control logic and per-step neighbour "
-               "scans; the defaults (whole x rows, 8x8 y/z cells, 8 steps) "
-               "sit on the flat part of the curve.\n";
+  std::cout << "\nTiny bases drown in per-step control logic and kernel calls "
+               "on a few cells; the defaults (whole x rows, 8x8 y/z cells, 8 "
+               "steps) sit on the flat part of the curve.\n";
   return 0;
 }

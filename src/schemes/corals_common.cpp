@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
+#include <cstdint>
 #include <vector>
 
 #include "core/spacetime.hpp"
@@ -18,23 +18,51 @@ namespace {
 using core::SkewedInterval;
 using core::SpaceTimeTile;
 
-/// Everything one thread tile needs within a layer.  Built by the owning
-/// thread in the layer's build phase, read by neighbours during execution
-/// (a barrier separates the phases).
+/// One time band of a tile's bases.  Time is cut first, so the bases of a
+/// band are contiguous in execution order and share [t0, t1) and their
+/// slopes: a base's box at step u is its t0 box shifted by slope * (u - t0).
+/// A bucket grid over the t0 boxes, with the smallest base extent as the
+/// bucket size in each dimension, finds the bases overlapping a query box
+/// in a few tests instead of one test per base of the band.
+struct Band {
+  Index t0 = 0;
+  Index t1 = 0;
+  std::size_t first = 0;  ///< the band's first base in the tile
+  long pair0 = 0;  ///< (base, step) pairs of the tile that precede the band
+  std::array<int, 3> slope{};
+  std::array<Index, 3> origin{};
+  std::array<Index, 3> bucket{1, 1, 1};
+  std::array<Index, 3> buckets{1, 1, 1};
+  /// Per bucket (x fastest), the bases whose t0 box touches it, ascending.
+  std::vector<std::vector<std::uint32_t>> cells;
+};
+
+/// Everything one thread tile needs within a layer.  The geometry (clip,
+/// bases, bands) depends only on the layer height, so it is rebuilt only
+/// when the height changes: the owner builds it in the layer's build
+/// phase and neighbours read it during execution (a barrier separates the
+/// phases).
 ///
-/// Synchronisation granularity is (base, time step): progress[k] holds
-/// 1 + the last layer-relative time step whose local part of base k is
-/// complete.  Whole-base flags would deadlock for narrow thread tiles
-/// (a single base can span the entire tile width, closing a wait cycle
-/// around the periodic ring); per-time-step progress always waits on a
-/// strictly earlier time, so waits ground out at the layer start — this is
-/// the paper's "the lower part of each intersecting base parallelogram
-/// must be computed first" at its natural granularity.
+/// Synchronisation granularity is (base, time step).  A tile runs its
+/// (base, step) pairs in one fixed order — bases in recursion order, each
+/// from its first step to its last — under the static loop and the steal
+/// cursor alike, so one counter, the number of pairs done, tells every
+/// consumer which pairs are complete.  Whole-base flags would deadlock for
+/// narrow thread tiles (a single base can span the entire tile width,
+/// closing a wait cycle around the periodic ring); per-step progress
+/// always waits on a strictly earlier time, so waits ground out at the
+/// layer start — this is the paper's "the lower part of each intersecting
+/// base parallelogram must be computed first" at its natural granularity.
 struct TileState {
   std::array<SkewedInterval, 3> clip{};  ///< thread parallelogram, slope +s
   std::vector<SpaceTimeTile> bases;      ///< execution order
-  std::unique_ptr<threading::ProgressCounter[]> progress;
-  std::size_t progress_size = 0;
+  std::vector<Band> bands;
+  long height = 0;                  ///< layer height of the geometry
+  threading::ProgressCounter done;  ///< (base, step) pairs completed this layer
+  /// What each pair waits for; built after the build barrier by whoever
+  /// runs the tile first and read only by whoever runs the tile.
+  CoralsNeedTable needs;
+  long needs_height = 0;
 };
 
 /// Interval of the thread parallelogram of `tile` in dimension `d` at
@@ -58,68 +86,143 @@ core::Box clip_box(const TileState& ts, int rank, Index dt) {
   return b;
 }
 
-/// Waits until the tile `nb` has completed, through time u, every base
-/// whose local part overlaps the producer region R (given per dimension in
-/// `nb`'s own virtual frame — the caller applies periodic wrap shifts).
-/// `nb_tile` only labels the recorded spin-wait spans with the producer.
-void wait_on_region(const core::Box& region, Index u, int rank, const TileState& nb,
-                    const threading::AbortToken& abort,
-                    trace::ThreadRecorder* rec, int nb_tile) {
-  for (std::size_t k = 0; k < nb.bases.size(); ++k) {
-    const SpaceTimeTile& nbase = nb.bases[k];
-    if (u < nbase.t0 || u >= nbase.t1) continue;
-    if (nb.progress[k].current() >= u + 1) continue;  // already far enough
-    const core::Box nbox = nbase.box_at(u);
-    bool overlap = true;
-    for (int e = 0; e < rank && overlap; ++e) {
-      const Index lo = std::max({nbox.lo[e], clip_lo(nb, e, u), region.lo[e]});
-      const Index hi = std::min({nbox.hi[e], clip_hi(nb, e, u), region.hi[e]});
-      overlap = lo < hi;
+/// Calls fn(cell) for every bucket of `band` in the inclusive bucket
+/// ranges [lo, hi].
+template <typename Fn>
+void for_each_bucket(const Band& band, const std::array<Index, 3>& lo,
+                     const std::array<Index, 3>& hi, Fn&& fn) {
+  for (Index z = lo[2]; z <= hi[2]; ++z)
+    for (Index y = lo[1]; y <= hi[1]; ++y)
+      for (Index x = lo[0]; x <= hi[0]; ++x)
+        fn(static_cast<std::size_t>((z * band.buckets[1] + y) * band.buckets[0] + x));
+}
+
+/// Builds the clip, the bases and their band grids of thread tile `tile`
+/// for a layer of `tau_act` steps.
+void build_geometry(TileState& ts, const core::Box& tile, const Coord& counts,
+                    const Coord& shape, int s, long tau_act,
+                    const core::BaseSizes& sizes) {
+  const int rank = shape.rank();
+  const CoralsLayer layer = corals_layer(tile, counts, shape, s, tau_act);
+  ts.clip = layer.clip;
+  ts.bases.clear();
+  core::decompose_parallelogram(layer.root, sizes, ts.bases);
+  ts.bands.clear();
+  ts.height = tau_act;
+
+  long pairs = 0;
+  for (std::size_t k = 0; k < ts.bases.size();) {
+    Band band;
+    band.t0 = ts.bases[k].t0;
+    band.t1 = ts.bases[k].t1;
+    band.first = k;
+    band.pair0 = pairs;
+    while (k < ts.bases.size() && ts.bases[k].t0 == band.t0) ++k;
+    const std::size_t last = k;
+    pairs += static_cast<long>(last - band.first) * (band.t1 - band.t0);
+
+    for (int e = 0; e < rank; ++e) {
+      const auto i = static_cast<std::size_t>(e);
+      const SkewedInterval& head = ts.bases[band.first].dims[i];
+      Index lo = head.lo, hi = head.hi, smallest = head.hi - head.lo;
+      for (std::size_t j = band.first; j < last; ++j) {
+        const SkewedInterval& iv = ts.bases[j].dims[i];
+        lo = std::min(lo, iv.lo);
+        hi = std::max(hi, iv.hi);
+        smallest = std::min(smallest, iv.hi - iv.lo);
+      }
+      band.slope[i] = head.slope_lo;
+      band.origin[i] = lo;
+      band.bucket[i] = smallest;
+      band.buckets[i] = (hi - lo + smallest - 1) / smallest;
     }
-    if (overlap) nb.progress[k].wait_for(u + 1, &abort, rec, nb_tile);
+    band.cells.resize(
+        static_cast<std::size_t>(band.buckets[0] * band.buckets[1] * band.buckets[2]));
+    for (std::size_t j = band.first; j < last; ++j) {
+      std::array<Index, 3> lo{}, hi{};
+      for (int e = 0; e < rank; ++e) {
+        const auto i = static_cast<std::size_t>(e);
+        const SkewedInterval& iv = ts.bases[j].dims[i];
+        lo[i] = (iv.lo - band.origin[i]) / band.bucket[i];
+        hi[i] = (iv.hi - 1 - band.origin[i]) / band.bucket[i];
+      }
+      for_each_bucket(band, lo, hi, [&](std::size_t c) {
+        band.cells[c].push_back(static_cast<std::uint32_t>(j));
+      });
+    }
+    ts.bands.push_back(std::move(band));
   }
 }
 
-/// Non-blocking variant of wait_on_region: true when tile `nb` has
-/// already completed, through time u, every base whose local part
-/// overlaps the producer region.  Probes the same progress counters the
-/// blocking wait spins on, so a stealing scheduler can test readiness
-/// without wedging a thief.
-bool region_ready(const core::Box& region, Index u, int rank, const TileState& nb) {
-  for (std::size_t k = 0; k < nb.bases.size(); ++k) {
-    const SpaceTimeTile& nbase = nb.bases[k];
-    if (u < nbase.t0 || u >= nbase.t1) continue;
-    if (nb.progress[k].current() >= u + 1) continue;  // already far enough
-    const core::Box nbox = nbase.box_at(u);
-    bool overlap = true;
-    for (int e = 0; e < rank && overlap; ++e) {
-      const Index lo = std::max({nbox.lo[e], clip_lo(nb, e, u), region.lo[e]});
-      const Index hi = std::min({nbox.hi[e], clip_hi(nb, e, u), region.hi[e]});
-      overlap = lo < hi;
-    }
-    if (overlap) return false;
+/// The number of (base, step) pairs tile `nb` must have completed before
+/// the producer region R (given per dimension in `nb`'s own virtual frame
+/// — the caller applies periodic wrap shifts) is final at step u: one past
+/// the last pair (k, u) whose local part overlaps R, or 0 when none does.
+long region_need(const TileState& nb, const core::Box& region, Index u, int rank) {
+  const auto band = std::find_if(nb.bands.begin(), nb.bands.end(),
+                                 [&](const Band& b) { return u < b.t1; });
+  NUSTENCIL_DCHECK(band != nb.bands.end() && u >= band->t0, "step outside the layer");
+  const Index dt = u - band->t0;
+
+  // The query box in the band's t0 frame, and the buckets it touches.
+  std::array<Index, 3> qlo{}, qhi{}, blo{}, bhi{};
+  for (int e = 0; e < rank; ++e) {
+    const auto i = static_cast<std::size_t>(e);
+    const Index shift = static_cast<Index>(band->slope[i]) * dt;
+    qlo[i] = std::max(clip_lo(nb, e, u), region.lo[e]) - shift;
+    qhi[i] = std::min(clip_hi(nb, e, u), region.hi[e]) - shift;
+    const Index end = band->origin[i] + band->buckets[i] * band->bucket[i];
+    if (qlo[i] >= qhi[i] || qhi[i] <= band->origin[i] || qlo[i] >= end) return 0;
+    blo[i] = (std::max(qlo[i], band->origin[i]) - band->origin[i]) / band->bucket[i];
+    bhi[i] = (std::min(qhi[i], end) - 1 - band->origin[i]) / band->bucket[i];
   }
-  return true;
+
+  // Only the latest overlapping base matters: its pair at u comes last.
+  long best = -1;
+  for_each_bucket(*band, blo, bhi, [&](std::size_t c) {
+    const std::vector<std::uint32_t>& bucket = band->cells[c];
+    for (auto it = bucket.rbegin(); it != bucket.rend(); ++it) {
+      const std::uint32_t k = *it;
+      if (static_cast<long>(k) <= best) return;
+      bool overlap = true;
+      for (int e = 0; e < rank && overlap; ++e) {
+        const SkewedInterval& iv = nb.bases[k].dims[static_cast<std::size_t>(e)];
+        overlap = iv.lo < qhi[static_cast<std::size_t>(e)] &&
+                  qlo[static_cast<std::size_t>(e)] < iv.hi;
+      }
+      if (overlap) {
+        best = static_cast<long>(k);
+        return;
+      }
+    }
+  });
+  if (best < 0) return 0;
+  return band->pair0 +
+         (best - static_cast<long>(band->first)) * (band->t1 - band->t0) + dt + 1;
 }
 
 /// Enumerates the producer regions of `base` of tile `my_tc` at time
-/// step t and invokes fn(shifted_region, u, nb, nb_tile) for each; fn
-/// returning false stops the enumeration (and makes this return false).
+/// step t and invokes fn(shifted_region, u, nb, nb_tile) for each.
 ///
-/// Inputs that cross the right window boundary in a decomposed dimension d
-/// form the producer region
-///   R_d = [clip_hi(u), cell_hi - 1 + s],  R_e = consumer cells at t,
-/// at time u = t-1.  Because every window skews right by s per step, R may
-/// extend past the d-neighbour's window in any other decomposed dimension
-/// e (the top-s "overhang") — those points belong to the *diagonal*
-/// neighbour, so all offset combinations {d:+1} x {e: 0 or +1} must be
-/// visited, each with its periodic wrap shift.
+/// The cells C the tile computes from `base` at t read, at u = t-1, their
+/// star neighbourhood.  In a decomposed dimension d the inputs beyond the
+/// right window boundary hi_d(u) are
+///   the d-axis taps:  d in [hi_d(u), C_hi_d + s),  every other e in C_e;
+///   the e-axis taps of the cells beyond the boundary themselves (the
+///   window moved right by s since u):
+///                     d in [hi_d(u), C_hi_d),  e in [C_lo_e - s, C_hi_e + s).
+/// Because every window skews right by s per step, a region may extend
+/// past the d-neighbour's window in any other skewed dimension e (the
+/// "overhang") — those points belong to the *diagonal* neighbour, or for
+/// an undecomposed ring to the d-neighbour one period on, so all offset
+/// combinations {d:+1} x {e: 0 or +1} are visited, each with its periodic
+/// wrap shift.  An unskewed x ring needs no e-axis region: bases span it.
 template <typename Fn>
-bool for_each_right_producer(const std::vector<TileState>& states, const TileState& mine,
+void for_each_right_producer(const std::vector<TileState>& states, const TileState& mine,
                              const Coord& my_tc, const Coord& counts, const Coord& shape,
                              const SpaceTimeTile& base, Index t, int rank, int s,
                              Fn&& fn) {
-  if (t < 1) return true;  // time-0 inputs come from the previous layer
+  if (t < 1) return;  // time-0 inputs come from the previous layer
   const Index u = t - 1;
   const core::Box bb = base.box_at(t);
 
@@ -130,78 +233,129 @@ bool for_each_right_producer(const std::vector<TileState>& states, const TileSta
   for (int e = 0; e < rank; ++e) {
     cells.lo[e] = std::max(bb.lo[e], clip_lo(mine, e, t));
     cells.hi[e] = std::min(bb.hi[e], clip_hi(mine, e, t));
-    if (cells.lo[e] >= cells.hi[e]) return true;
+    if (cells.lo[e] >= cells.hi[e]) return;
   }
+
+  // Skewed dimensions: the ones a region can overhang.
+  std::array<int, 3> skewed{};
+  int num_skewed = 0;
+  for (int e = 0; e < rank; ++e)
+    if (mine.clip[static_cast<std::size_t>(e)].slope_lo != 0)
+      skewed[static_cast<std::size_t>(num_skewed++)] = e;
 
   for (int d = 0; d < rank; ++d) {
     if (counts[d] <= 1) continue;
     const Index in_lo = clip_hi(mine, d, u);
-    const Index in_hi = cells.hi[d] + s;  // reads reach s beyond the cells
-    if (in_hi <= in_lo) continue;         // nothing crosses this boundary
+    if (cells.hi[d] + s <= in_lo) continue;  // nothing crosses this boundary
 
-    // Producer region in my frame.
-    core::Box region = cells;
-    region.lo[d] = in_lo;
-    region.hi[d] = in_hi;
+    // Producer regions in my frame.
+    std::array<core::Box, 3> regions;
+    int num_regions = 0;
+    core::Box along = cells;
+    along.lo[d] = in_lo;
+    along.hi[d] = cells.hi[d] + s;
+    regions[static_cast<std::size_t>(num_regions++)] = along;
+    if (cells.hi[d] > in_lo) {
+      for (int i = 0; i < num_skewed; ++i) {
+        const int e = skewed[static_cast<std::size_t>(i)];
+        if (e == d) continue;
+        core::Box across = cells;
+        across.lo[d] = in_lo;
+        across.lo[e] -= s;
+        across.hi[e] += s;
+        regions[static_cast<std::size_t>(num_regions++)] = across;
+      }
+    }
 
-    // Enumerate neighbour offsets: +1 in d, and 0/+1 in every other
-    // decomposed dimension (the diagonal overhang).
+    // Neighbour offsets: +1 in d, and 0/+1 in every other skewed
+    // dimension (the overhang).
     std::array<int, 3> other{};
     int num_other = 0;
-    for (int e = 0; e < rank; ++e)
-      if (e != d && counts[e] > 1) other[static_cast<std::size_t>(num_other++)] = e;
+    for (int i = 0; i < num_skewed; ++i)
+      if (skewed[static_cast<std::size_t>(i)] != d)
+        other[static_cast<std::size_t>(num_other++)] = skewed[static_cast<std::size_t>(i)];
 
     for (int mask = 0; mask < (1 << num_other); ++mask) {
       Coord nb_tc = my_tc;
+      Coord shift = Coord::filled(rank, 0);
       nb_tc[d] = (my_tc[d] + 1) % counts[d];
-      core::Box shifted = region;
-      if (nb_tc[d] == 0) {  // periodic wrap in d
-        shifted.lo[d] -= shape[d];
-        shifted.hi[d] -= shape[d];
-      }
+      if (nb_tc[d] == 0) shift[d] = shape[d];  // periodic wrap in d
       for (int bit = 0; bit < num_other; ++bit) {
         if (!(mask & (1 << bit))) continue;
         const int e = other[static_cast<std::size_t>(bit)];
         nb_tc[e] = (my_tc[e] + 1) % counts[e];
-        if (nb_tc[e] == 0) {
-          shifted.lo[e] -= shape[e];
-          shifted.hi[e] -= shape[e];
-        }
+        if (nb_tc[e] == 0) shift[e] = shape[e];
       }
       const int nb_tile = tile_index(counts, nb_tc);
       const TileState& nb = states[static_cast<std::size_t>(nb_tile)];
-      if (&nb == &mine) continue;
-      if (!fn(shifted, u, nb, nb_tile)) return false;
+      for (int r = 0; r < num_regions; ++r) {
+        core::Box shifted = regions[static_cast<std::size_t>(r)];
+        for (int e = 0; e < rank; ++e) {
+          shifted.lo[e] -= shift[e];
+          shifted.hi[e] -= shift[e];
+        }
+        fn(shifted, u, nb, nb_tile);
+      }
     }
   }
+}
+
+/// Builds the need table of tile `my_tile` from the geometry of every
+/// tile: per (base, step) pair, the largest need on each neighbour tile
+/// over the pair's producer regions (waits on several bases of one
+/// neighbour collapse to their maximum).
+void build_needs(const std::vector<TileState>& states, TileState& mine, int my_tile,
+                 const Coord& counts, const Coord& shape, int s) {
+  const int rank = shape.rank();
+  const Coord my_tc = tile_coord(counts, my_tile);
+  CoralsNeedTable& table = mine.needs;
+  table.begin.assign(1, 0);
+  table.needs.clear();
+  for (const SpaceTimeTile& base : mine.bases) {
+    for (Index t = base.t0; t < base.t1; ++t) {
+      const auto first = static_cast<std::ptrdiff_t>(table.needs.size());
+      for_each_right_producer(
+          states, mine, my_tc, counts, shape, base, t, rank, s,
+          [&](const core::Box& region, Index u, const TileState& nb, int nb_tile) {
+            const long steps = region_need(nb, region, u, rank);
+            if (steps == 0) return;
+            const auto same = std::find_if(
+                table.needs.begin() + first, table.needs.end(),
+                [&](const CoralsNeed& need) { return need.tile == nb_tile; });
+            if (same == table.needs.end())
+              table.needs.push_back({nb_tile, steps});
+            else
+              same->steps = std::max(same->steps, steps);
+          });
+      table.begin.push_back(table.needs.size());
+    }
+  }
+  mine.needs_height = mine.height;
+}
+
+/// Waits until every need of the p-th (base, step) pair of `table` is
+/// met.  Spin-wait spans carry the needed step count as their target and
+/// the producing tile as their owner.
+void wait_needs(const std::vector<TileState>& states, const CoralsNeedTable& table,
+                std::size_t p, const threading::AbortToken& abort,
+                trace::ThreadRecorder* rec) {
+  for (std::size_t i = table.begin[p]; i < table.begin[p + 1]; ++i) {
+    const CoralsNeed& need = table.needs[i];
+    states[static_cast<std::size_t>(need.tile)].done.wait_for(need.steps, &abort, rec,
+                                                              need.tile);
+  }
+}
+
+/// Non-blocking variant of wait_needs: probes the same counters, so a
+/// stealing scheduler can test readiness without wedging a thief.
+bool needs_met(const std::vector<TileState>& states, const CoralsNeedTable& table,
+               std::size_t p) {
+  for (std::size_t i = table.begin[p]; i < table.begin[p + 1]; ++i) {
+    const CoralsNeed& need = table.needs[i];
+    if (states[static_cast<std::size_t>(need.tile)].done.current() < need.steps)
+      return false;
+  }
   return true;
-}
-
-/// Local synchronisation for `base` of tile `my_tc` at time step t (see
-/// for_each_right_producer for the geometry).
-void wait_on_right_neighbors(const std::vector<TileState>& states, const TileState& mine,
-                             const Coord& my_tc, const Coord& counts, const Coord& shape,
-                             const SpaceTimeTile& base, Index t, int rank, int s,
-                             const threading::AbortToken& abort,
-                             trace::ThreadRecorder* rec) {
-  for_each_right_producer(states, mine, my_tc, counts, shape, base, t, rank, s,
-                          [&](const core::Box& region, Index u, const TileState& nb,
-                              int nb_tile) {
-                            wait_on_region(region, u, rank, nb, abort, rec, nb_tile);
-                            return true;
-                          });
-}
-
-/// True when every producer of `base` at time t has progressed far
-/// enough that the local part can be computed without waiting.
-bool right_neighbors_ready(const std::vector<TileState>& states, const TileState& mine,
-                           const Coord& my_tc, const Coord& counts, const Coord& shape,
-                           const SpaceTimeTile& base, Index t, int rank, int s) {
-  return for_each_right_producer(
-      states, mine, my_tc, counts, shape, base, t, rank, s,
-      [&](const core::Box& region, Index u, const TileState& nb, int /*nb_tile*/) {
-        return region_ready(region, u, rank, nb);
-      });
 }
 
 }  // namespace
@@ -262,6 +416,22 @@ CoralsLayer corals_layer(const core::Box& tile, const Coord& counts, const Coord
   return l;
 }
 
+std::vector<CoralsNeedTable> corals_needs(const Coord& shape, int threads, int s,
+                                          const CoralsParams& params, long tau_act) {
+  const CoralsLayout layout = plan_corals(shape, threads, s, params);
+  const core::BaseSizes sizes = corals_base_sizes(params);
+  std::vector<TileState> states(static_cast<std::size_t>(threads));
+  for (std::size_t i = 0; i < states.size(); ++i)
+    build_geometry(states[i], layout.tiles[i], layout.counts, shape, s, tau_act, sizes);
+  std::vector<CoralsNeedTable> tables;
+  for (int i = 0; i < threads; ++i) {
+    TileState& ts = states[static_cast<std::size_t>(i)];
+    build_needs(states, ts, i, layout.counts, shape, s);
+    tables.push_back(std::move(ts.needs));
+  }
+  return tables;
+}
+
 RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
                           const CoralsParams& params) {
   const int rank = problem.shape().rank();
@@ -298,20 +468,21 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
 
   std::vector<TileState> states(static_cast<std::size_t>(n));
   threading::Barrier barrier(n);
+  // Bases of tile 0 in the first layer, which has the full height
+  // min(tau, timesteps); the last layer may be shorter.
+  std::size_t full_layer_bases = 0;
 
-  // Stealing state: a (base, time) cursor per tile plus each tile's
-  // coordinate for the producer enumeration.  A task advances through its
-  // bases in the same order the static path uses, probing the neighbour
-  // progress counters non-blockingly and re-enqueueing itself when a
+  // Stealing state: a (base, time) cursor per tile.  A task advances
+  // through its (base, step) pairs in the same order the static path uses,
+  // probing its needs non-blockingly and re-enqueueing itself when a
   // producer is behind.
   const bool stealing = config.schedule != sched::Schedule::Static;
   struct TileCursor {
     std::size_t j = 0;
     Index t = 0;
+    std::size_t pair = 0;  ///< (base, step) pairs done
   };
   std::vector<TileCursor> cursors(static_cast<std::size_t>(n));
-  std::vector<Coord> tile_coords;
-  for (int i = 0; i < n; ++i) tile_coords.push_back(tile_coord(counts, i));
   sched::TaskPool* pool = stealing ? sup.pool() : nullptr;
 
   Timer timer;
@@ -334,29 +505,34 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
 
     for (long tb = 0; tb < config.timesteps; tb += tau) {
       const long tau_act = std::min<long>(tau, config.timesteps - tb);
+      const auto layer_index = static_cast<std::int32_t>(tb / tau);
       sup.set_layer(tb / tau);
       const trace::ScopedSpan layer_span(
           rec, trace::Phase::Layer,
-          {static_cast<std::int32_t>(tb / tau), static_cast<std::int32_t>(tb),
-           static_cast<std::int32_t>(tau_act), my_tile});
+          {layer_index, static_cast<std::int32_t>(tb), static_cast<std::int32_t>(tau_act),
+           my_tile});
+
+      // Need table of tile i for this layer height, built by whoever runs
+      // the tile first after the build barrier (it reads the neighbours'
+      // geometry).  Recorded as an init leaf like the geometry build.
+      auto ensure_needs = [&](int i, trace::ThreadRecorder* r) {
+        TileState& ts = states[static_cast<std::size_t>(i)];
+        if (ts.needs_height == tau_act) return;
+        const trace::ScopedSpan needs_span(r, trace::Phase::Init, {layer_index, -1, -1, i});
+        build_needs(states, ts, i, counts, shape, s);
+      };
 
       {
-        // Build phase: thread parallelogram (clip) + root + bases + flags.
+        // Build phase: thread parallelogram (clip) + root + bases, once
+        // per layer height, and the progress counter every layer.
         // Recorded as an init leaf — for deep layers the recursive base
-        // decomposition and flag allocation are a visible setup cost.
-        const trace::ScopedSpan build_span(
-            rec, trace::Phase::Init,
-            {static_cast<std::int32_t>(tb / tau), -1, -1, my_tile});
-        const CoralsLayer layer = corals_layer(tile, counts, shape, s, tau_act);
-        mine.clip = layer.clip;
-        mine.bases.clear();
-        core::decompose_parallelogram(layer.root, base_sizes, mine.bases);
-        if (mine.progress_size < mine.bases.size()) {
-          mine.progress =
-              std::make_unique<threading::ProgressCounter[]>(mine.bases.size());
-          mine.progress_size = mine.bases.size();
-        }
-        for (std::size_t k = 0; k < mine.progress_size; ++k) mine.progress[k].reset();
+        // decomposition is a visible setup cost.
+        const trace::ScopedSpan build_span(rec, trace::Phase::Init,
+                                           {layer_index, -1, -1, my_tile});
+        if (mine.height != tau_act)
+          build_geometry(mine, tile, counts, shape, s, tau_act, base_sizes);
+        mine.done.reset();
+        if (tb == 0 && my_tile == 0) full_layer_bases = mine.bases.size();
       }
       if (stealing && tid == 0) {
         for (auto& c : cursors) c = TileCursor{};
@@ -371,14 +547,13 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
               TileState& ts = states[static_cast<std::size_t>(i)];
               TileCursor& cur = cursors[static_cast<std::size_t>(i)];
               core::Executor& ex = sup.executor(wtid);
+              ensure_needs(i, sup.recorder(wtid));
               bool advanced = false;
               while (cur.j < ts.bases.size()) {
                 const SpaceTimeTile& base = ts.bases[cur.j];
                 if (cur.t < base.t0) cur.t = base.t0;
                 while (cur.t < base.t1) {
-                  if (!right_neighbors_ready(states, ts,
-                                             tile_coords[static_cast<std::size_t>(i)],
-                                             counts, shape, base, cur.t, rank, s))
+                  if (!needs_met(states, ts.needs, cur.pair))
                     return advanced ? sched::StepResult::Yield
                                     : sched::StepResult::Blocked;
                   const core::Box box =
@@ -389,7 +564,7 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
                     if (stolen)
                       pool->add_stolen_updates(wtid, ex.updates_done() - before);
                   }
-                  ts.progress[cur.j].advance_to(cur.t + 1);
+                  ts.done.advance_to(static_cast<long>(++cur.pair));
                   ++cur.t;
                   advanced = true;
                 }
@@ -403,12 +578,12 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
         continue;
       }
 
+      ensure_needs(my_tile, rec);
       // Execution phase.  Tile spans chain end-to-start (one clock read
-      // per step) so the inter-step bookkeeping — neighbour progress scan,
-      // box/clip geometry, flag advance — is accounted as compute; spin
-      // waits nest inside the step span and their time is excluded from
-      // the tile total so the leaf phases still partition thread time.
-      const Coord my_tc = tile_coord(counts, my_tile);
+      // per step) so the inter-step bookkeeping — need lookups, box/clip
+      // geometry, counter advance — is accounted as compute; spin waits
+      // nest inside the step span and their time is excluded from the
+      // tile total so the leaf phases still partition thread time.
       std::int64_t t_prev = rec ? rec->now_ns() : 0;
       // Chained spans bypass ScopedSpan, so they sample the per-span
       // counters by hand: a snapshot at every chain point turns the
@@ -417,23 +592,22 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
       const bool sampling = rec && rec->sampler();
       trace::CounterSet prev_counters;
       if (sampling) rec->sample(prev_counters);
+      std::size_t pair = 0;
       for (std::size_t j = 0; j < mine.bases.size(); ++j) {
         const SpaceTimeTile& base = mine.bases[j];
         const trace::ScopedSpan base_span(
             rec, trace::Phase::Parallelogram,
-            {static_cast<std::int32_t>(j), static_cast<std::int32_t>(tb / tau),
-             -1, my_tile});
+            {static_cast<std::int32_t>(j), layer_index, -1, my_tile});
         // Compute the local clip of the base one time step at a time,
         // synchronising with the right neighbours (local synchronisation)
         // at every step whose inputs cross a thread boundary.
         for (Index t = base.t0; t < base.t1; ++t) {
           const std::int64_t spin_before =
               rec ? rec->total_ns(trace::Phase::SpinWait) : 0;
-          wait_on_right_neighbors(states, mine, my_tc, counts, shape, base, t, rank, s,
-                                  sup.abort(), rec);
+          wait_needs(states, mine.needs, pair, sup.abort(), rec);
           const core::Box box = intersect(base.box_at(t), clip_box(mine, rank, t));
           if (!box.empty()) exec.update_box(box, tb + t, tid);
-          mine.progress[j].advance_to(t + 1);
+          mine.done.advance_to(static_cast<long>(++pair));
           if (rec) {
             const std::int64_t end = rec->now_ns();
             const trace::SpanArgs args{
@@ -463,8 +637,7 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
   RunResult r = sup.finish(params.name, seconds);
   r.details["tau"] = static_cast<double>(tau);
   r.details["b"] = static_cast<double>(layout.b);
-  r.details["bases_per_layer"] =
-      states.empty() ? 0.0 : static_cast<double>(states[0].bases.size());
+  r.details["bases_per_layer"] = static_cast<double>(full_layer_bases);
   return r;
 }
 

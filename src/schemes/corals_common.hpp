@@ -28,19 +28,27 @@
 //            dimension, so bases span whole x rows).  Bases are executed
 //            in recursion order — which provably respects every
 //            intra-thread dependency for left-skewed cuts — and clipped
-//            against the thread parallelogram.  A base whose footprint
-//            reaches within 2s of the right window boundary first waits,
-//            for every right-neighbour base overlapping the needed input
-//            region, on that neighbour's progress counter (the paper's
-//            "local synchronisation"); each thread advances its own
-//            counter after finishing the local part of a base at a step.
-//            A global barrier separates layers.
+//            against the thread parallelogram.  Each tile publishes one
+//            progress counter: the number of (base, step) pairs it has
+//            completed, in its fixed execution order.  A step whose inputs
+//            cross the right window boundary waits, per right or diagonal
+//            neighbour tile, until that counter covers every neighbour base
+//            whose local part overlaps the needed input region at the
+//            previous step (the paper's "local synchronisation").  The
+//            order is fixed, so "base k has done step u" is one counter
+//            threshold, and the waits on one neighbour collapse to their
+//            maximum.  These thresholds form a need table, built once per
+//            layer height (corals_needs).  A global barrier separates
+//            layers.
 //
 //            Deadlock freedom: time is cut first, so the bases of every
 //            thread share the same time bands; a cross-thread wait targets
 //            a right neighbour's progress at a strictly earlier step and
 //            exists only in decomposed dimensions.  The unskewed x ring
-//            has no neighbour, so whole rows add no wait edge.
+//            has no neighbour, so whole rows add no wait edge.  A counter
+//            threshold waits for exactly the (base, step) states that the
+//            per-base rule names, so the argument holds for the one
+//            counter per tile.
 #pragma once
 
 #include <array>
@@ -99,6 +107,28 @@ struct CoralsLayer {
 };
 CoralsLayer corals_layer(const core::Box& tile, const Coord& counts, const Coord& shape,
                          int s, long tau_act);
+
+/// One wait of a (base, step) pair on a neighbour tile: that tile must
+/// have completed at least `steps` of its (base, step) pairs this layer.
+struct CoralsNeed {
+  int tile = 0;
+  long steps = 0;
+};
+
+/// A tile's need table for one layer height.  The tile runs its (base,
+/// step) pairs in one fixed order — bases in recursion order, each from
+/// its first step to its last — under every schedule; the needs of its
+/// p-th pair are needs[begin[p], begin[p + 1]), at most one per
+/// neighbour tile (so at most 3 with two decomposed dimensions).
+struct CoralsNeedTable {
+  std::vector<std::size_t> begin{0};
+  std::vector<CoralsNeed> needs;
+};
+
+/// The need table of every thread tile in a layer of `tau_act` steps,
+/// indexed by tile.
+std::vector<CoralsNeedTable> corals_needs(const Coord& shape, int threads, int s,
+                                          const CoralsParams& params, long tau_act);
 
 RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
                           const CoralsParams& params);

@@ -4,8 +4,10 @@
 // first-touch affinity, (II) temporal tiling into layers of height
 // tau = b/(2s) of right-skewed thread parallelograms, (III) cache-
 // oblivious recursive subdivision of a left-skewed root parallelogram per
-// thread, with spin-flag local synchronisation at thread boundaries and a
-// global barrier between layers.  See schemes/corals_common.hpp.
+// thread, with local synchronisation at thread boundaries (one progress
+// counter per thread tile, waited on through a per-layer-height need
+// table) and a global barrier between layers.  See
+// schemes/corals_common.hpp.
 #pragma once
 
 #include "schemes/corals_common.hpp"

@@ -2,10 +2,10 @@
 //
 // A producer publishes how far it has got through a monotone
 // ProgressCounter; a consumer spin-waits until the counter reaches the
-// epoch it needs.  nuCORALS keeps one counter per base parallelogram of
-// a thread (value = 1 + the last time step whose local part of the base
-// is complete), CATS/nuCATS one per tile (the last finished plane) and
-// MWD one per diamond column (completed steps).  The stealing schedules
+// epoch it needs.  CORALS/nuCORALS keep one counter per thread tile (the
+// number of (base, step) pairs done, in the tile's fixed execution
+// order), CATS/nuCATS one per tile (the last finished plane) and MWD one
+// per diamond column (completed steps).  The stealing schedules
 // probe the same counters without blocking (current() >= need).
 #pragma once
 

@@ -55,7 +55,8 @@ constexpr bool phase_is_leaf(Phase p) {
 /// Small fixed argument set carried by every span.  The meaning depends
 /// on the phase (see the Chrome JSON writer): Tile uses a/b/c as the box
 /// origin and owner as the executing thread; SpinWait uses a as the wait
-/// target and owner as the producing tile/thread; Layer uses a as the
+/// target (for CORALS/nuCORALS the producing tile's (base, step) pair
+/// count) and owner as the producing tile/thread; Layer uses a as the
 /// layer index, b as the absolute start step and c as the layer height.
 struct SpanArgs {
   std::int32_t a = -1;

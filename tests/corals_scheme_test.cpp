@@ -3,6 +3,8 @@
 // orders, banded coefficients, 1D/2D/3D domains and awkward (prime) sizes.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "schemes/corals.hpp"
 #include "schemes/nucorals.hpp"
 #include "test_util.hpp"
@@ -187,6 +189,209 @@ TEST(NuCoralsScheme, UpdateCountExact) {
   core::Problem problem(Coord{12, 12, 12}, core::StencilSpec::paper_3d7p());
   const auto result = scheme.run(problem, corals_config(4, 9));
   EXPECT_EQ(result.updates, 12 * 12 * 12 * 9);
+}
+
+TEST(NuCoralsScheme, WaitsForAcrossTapsOfCellsBeyondTheBoundary) {
+  // Found by Fuzz.CoralsGeometryMatchesReference: 9- and 10-wide y tiles
+  // cut their bases at different z positions, so a cell the window gained
+  // since u reads a z-neighbour at u from a later neighbour base than any
+  // base under its own z range.  The wait must cover those z-axis taps.
+  schemes::CoralsParams params;
+  params.name = "CORALS-engine";
+  params.base_space = 2;
+  params.base_time = 3;
+  const test::CoralsEngine engine(params);
+  for (int s = 1; s <= 2; ++s) {
+    for (const auto schedule : {sched::Schedule::Static, sched::Schedule::Steal}) {
+      for (int rep = 0; rep < 4; ++rep) {
+        RunConfig cfg = corals_config(4, 10, /*check=*/rep % 2 == 0);
+        cfg.schedule = schedule;
+        test::expect_matches_reference(engine, Coord{18, 19, 20},
+                                       core::StencilSpec::stable_star(3, s), cfg);
+      }
+    }
+  }
+}
+
+// ---- Need table ---------------------------------------------------------
+
+/// One thread tile's layer geometry, rebuilt from the public Phase II/III
+/// helpers, with the number of (base, step) pairs before each base.
+struct RefTile {
+  std::array<core::SkewedInterval, 3> clip{};
+  std::vector<core::SpaceTimeTile> bases;
+  std::vector<long> pair0;
+  long pairs = 0;
+};
+
+/// Brute-force needs of pair (base, t) of tile `me`, point by point:
+/// every input the star stencil reads at u = t - 1 for the cells the pair
+/// computes, if another tile's window holds it at u (modulo the periodic
+/// domain), names the base of that tile whose local part holds it.  Per
+/// tile: the pair count that covers the latest such (base, u).
+std::map<int, long> scan_needs(const std::vector<RefTile>& tiles, int me,
+                               const Coord& shape, int s,
+                               const core::SpaceTimeTile& base, Index t) {
+  std::map<int, long> out;
+  if (t < 1) return out;
+  const int rank = shape.rank();
+  const Index u = t - 1;
+  const RefTile& mine = tiles[static_cast<std::size_t>(me)];
+  const core::Box bb = base.box_at(t);
+  core::Box cells = bb;
+  for (int e = 0; e < rank; ++e) {
+    const auto& clip = mine.clip[static_cast<std::size_t>(e)];
+    cells.lo[e] = std::max(bb.lo[e], clip.lo_at(t));
+    cells.hi[e] = std::min(bb.hi[e], clip.hi_at(t));
+    if (cells.lo[e] >= cells.hi[e]) return out;
+  }
+  const auto read = [&](const Coord& q) {
+    for (std::size_t nb = 0; nb < tiles.size(); ++nb) {
+      const RefTile& other = tiles[nb];
+      Coord local = q;  // q in the frame of tile nb's window at u
+      bool inside = true;
+      for (int e = 0; e < rank && inside; ++e) {
+        const auto& clip = other.clip[static_cast<std::size_t>(e)];
+        const Index lo = clip.lo_at(u);
+        local[e] = lo + (((q[e] - lo) % shape[e]) + shape[e]) % shape[e];
+        inside = local[e] < clip.hi_at(u);
+      }
+      if (!inside) continue;
+      if (static_cast<int>(nb) == me) return;
+      for (std::size_t k = 0; k < other.bases.size(); ++k) {
+        const core::SpaceTimeTile& nbase = other.bases[k];
+        if (u < nbase.t0 || u >= nbase.t1) continue;
+        const core::Box nbox = nbase.box_at(u);
+        bool holds = true;
+        for (int e = 0; e < rank; ++e)
+          holds = holds && nbox.lo[e] <= local[e] && local[e] < nbox.hi[e];
+        if (!holds) continue;
+        long& need = out[static_cast<int>(nb)];
+        need = std::max(need, other.pair0[k] + (u - nbase.t0) + 1);
+        return;
+      }
+      ADD_FAILURE() << "no base holds an input";
+      return;
+    }
+    ADD_FAILURE() << "no window holds an input";
+  };
+  Coord p = cells.lo;
+  while (true) {
+    for (int a = 0; a < rank; ++a) {
+      for (int off = -s; off <= s; ++off) {
+        Coord q = p;
+        q[a] += off;
+        read(q);
+      }
+    }
+    int e = 0;
+    for (; e < rank; ++e) {
+      if (++p[e] < cells.hi[e]) break;
+      p[e] = cells.lo[e];
+    }
+    if (e == rank) break;
+  }
+  return out;
+}
+
+void expect_needs_match_scan(const Coord& shape, int threads, int s,
+                             const schemes::CoralsParams& params, long tau_act) {
+  SCOPED_TRACE(::testing::Message()
+               << "rank " << shape.rank() << " n=" << threads << " s=" << s
+               << " tau_act=" << tau_act << " base " << params.base_space << "x"
+               << params.base_time);
+  const schemes::CoralsLayout layout = schemes::plan_corals(shape, threads, s, params);
+  std::vector<RefTile> tiles(static_cast<std::size_t>(threads));
+  for (int i = 0; i < threads; ++i) {
+    RefTile& ref = tiles[static_cast<std::size_t>(i)];
+    const schemes::CoralsLayer layer = schemes::corals_layer(
+        layout.tiles[static_cast<std::size_t>(i)], layout.counts, shape, s, tau_act);
+    ref.clip = layer.clip;
+    core::decompose_parallelogram(layer.root, schemes::corals_base_sizes(params),
+                                  ref.bases);
+    for (const auto& base : ref.bases) {
+      ref.pair0.push_back(ref.pairs);
+      ref.pairs += base.timesteps();
+    }
+  }
+  int decomposed = 0;
+  for (int d = 0; d < shape.rank(); ++d) decomposed += layout.counts[d] > 1 ? 1 : 0;
+  // One entry per neighbour tile: d-, e- and diagonal neighbours.
+  const std::size_t max_entries = (std::size_t{1} << decomposed) - 1;
+
+  const std::vector<schemes::CoralsNeedTable> tables =
+      schemes::corals_needs(shape, threads, s, params, tau_act);
+  ASSERT_EQ(tables.size(), tiles.size());
+  std::size_t total = 0;
+  for (int i = 0; i < threads; ++i) {
+    const RefTile& ref = tiles[static_cast<std::size_t>(i)];
+    const schemes::CoralsNeedTable& table = tables[static_cast<std::size_t>(i)];
+    ASSERT_EQ(table.begin.size(), static_cast<std::size_t>(ref.pairs) + 1);
+    std::size_t p = 0;
+    for (const auto& base : ref.bases) {
+      for (Index t = base.t0; t < base.t1; ++t, ++p) {
+        std::map<int, long> got;
+        for (std::size_t q = table.begin[p]; q < table.begin[p + 1]; ++q) {
+          const schemes::CoralsNeed& need = table.needs[q];
+          EXPECT_TRUE(got.emplace(need.tile, need.steps).second)
+              << "two entries for tile " << need.tile;
+          EXPECT_GE(need.steps, 1);
+          EXPECT_LE(need.steps, tiles[static_cast<std::size_t>(need.tile)].pairs);
+        }
+        EXPECT_LE(got.size(), max_entries);
+        EXPECT_EQ(got, scan_needs(tiles, i, shape, s, base, t))
+            << "tile " << i << " pair " << p;
+        total += got.size();
+      }
+    }
+  }
+  if (threads > 1 && tau_act > 1) EXPECT_GT(total, 0u);
+}
+
+TEST(CoralsNeeds, MatchBruteForceScan) {
+  for (const Coord& shape : {Coord{48}, Coord{20, 48}, Coord{12, 30, 26}}) {
+    for (int s = 1; s <= 3; ++s) {
+      for (int threads : {2, 3, 4, 6, 8}) {
+        const schemes::CoralsParams params;
+        const long tau = schemes::plan_corals(shape, threads, s, params).tau;
+        expect_needs_match_scan(shape, threads, s, params, tau);
+        if (tau > 1) expect_needs_match_scan(shape, threads, s, params, (tau + 1) / 2);
+      }
+    }
+  }
+}
+
+TEST(CoralsNeeds, MatchBruteForceScanWhenXIsCut) {
+  for (const Coord& counts : {Coord{2, 1, 2}, Coord{2, 2, 1}, Coord{2, 2, 2}}) {
+    for (int s = 1; s <= 2; ++s) {
+      schemes::CoralsParams params;
+      params.force_counts = counts;
+      const Coord shape{24, 12, 20};
+      const int threads = static_cast<int>(counts.product());
+      const long tau = schemes::plan_corals(shape, threads, s, params).tau;
+      expect_needs_match_scan(shape, threads, s, params, tau);
+      expect_needs_match_scan(shape, threads, s, params, std::max(1L, tau - 1));
+    }
+  }
+}
+
+TEST(CoralsNeeds, MatchBruteForceScanWithSmallBases) {
+  struct Case {
+    Index space;
+    long time;
+  };
+  for (const Case c : {Case{2, 1}, Case{2, 2}, Case{3, 1}, Case{4, 2}}) {
+    schemes::CoralsParams params;
+    params.base_space = c.space;
+    params.base_time = c.time;
+    for (const Coord& shape : {Coord{20, 36}, Coord{10, 16, 14}}) {
+      for (int threads : {3, 4}) {
+        const long tau = schemes::plan_corals(shape, threads, 1, params).tau;
+        expect_needs_match_scan(shape, threads, 1, params, tau);
+        expect_needs_match_scan(shape, threads, 1, params, std::max(1L, tau - 1));
+      }
+    }
+  }
 }
 
 }  // namespace

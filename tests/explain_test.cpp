@@ -34,24 +34,29 @@ TEST(Explain, NuCoralsPlanMatchesPaperFormulas) {
 
 TEST(Explain, NuCoralsBaseCountMatchesRun) {
   // --explain and the run build the root parallelogram through the same
-  // helper, so the base count it prints is the one the run executes.
-  // 4 threads on 64x24x20: b = 10, tau = 5; 10 steps = two full layers.
+  // helper, so the base count it prints is the one the run executes in a
+  // full-height layer.  4 threads on 64x24x20: b = 10, tau = 5; 10 steps
+  // are two full layers, 12 steps leave a 2-step last layer with fewer
+  // bases, which the reported count must not pick up.
   const Coord shape{64, 24, 20};
-  const std::string text = schemes::describe_plan(
-      "nuCORALS", shape, core::StencilSpec::paper_3d7p(), kXeon, 4, 10);
-  const std::string key = "base parallelograms     : ";
-  const auto at = text.find(key);
-  ASSERT_NE(at, std::string::npos) << text;
-  const long explained = std::stol(text.substr(at + key.size()));
-  EXPECT_NE(text.find("rows whole in x"), std::string::npos) << text;
+  for (const long steps : {10L, 12L}) {
+    const std::string text = schemes::describe_plan(
+        "nuCORALS", shape, core::StencilSpec::paper_3d7p(), kXeon, 4, steps);
+    const std::string key = "base parallelograms     : ";
+    const auto at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << text;
+    const long explained = std::stol(text.substr(at + key.size()));
+    EXPECT_NE(text.find("rows whole in x"), std::string::npos) << text;
 
-  schemes::RunConfig cfg;
-  cfg.num_threads = 4;
-  cfg.timesteps = 10;
-  core::Problem problem(shape, core::StencilSpec::paper_3d7p());
-  const auto run = schemes::make_scheme("nuCORALS")->run(problem, cfg);
-  EXPECT_EQ(run.details.at("tau"), 5.0);
-  EXPECT_EQ(static_cast<double>(explained), run.details.at("bases_per_layer"));
+    schemes::RunConfig cfg;
+    cfg.num_threads = 4;
+    cfg.timesteps = steps;
+    core::Problem problem(shape, core::StencilSpec::paper_3d7p());
+    const auto run = schemes::make_scheme("nuCORALS")->run(problem, cfg);
+    EXPECT_EQ(run.details.at("tau"), 5.0);
+    EXPECT_EQ(static_cast<double>(explained), run.details.at("bases_per_layer"))
+        << steps << " steps";
+  }
 }
 
 TEST(Explain, NuCatsWavefrontFitsCache) {
