@@ -9,11 +9,16 @@
 // one tile cross-section (Nx x Wy) and is sized to fit the last-level
 // cache — that is CATS' "carefully chosen cross-section".
 //
-// Tiles advance through (p, k) in lockstep, synchronised by per-tile
-// progress counters:
-//   * y-neighbours must have finished position p-s entirely,
-//   * the z-lower neighbour must have finished position p-2s,
-//   * the z-upper neighbour must have finished (p, k-1).
+// Tiles advance position by position, synchronised by per-tile progress
+// counters.  At position p a tile visits only the steps k whose plane
+// z = p - k*s lies inside it (most (p, k) states of a deep chunk update
+// no plane) and waits, before its first such step:
+//   * for its y-neighbours to have finished position p-s entirely,
+//   * in a z-split, the upper segment for the lower one to have finished
+//     position p-s-1;
+// and, before step k, the lower segment for the upper one to have
+// finished (p, k-1).  A tile publishes one code per finished position,
+// plus per-step codes only in a z-split (the lower segment reads them).
 // All waits target lexicographically earlier (p, k) states, so the
 // pipeline is deadlock-free.
 //
@@ -40,17 +45,25 @@ struct CatsPlan {
   int num_tiles() const { return tiles_y * z_segments; }
 };
 
+/// Fewest cells a stealing refinement leaves in one tile plane, i.e. in
+/// one update_box call.  The ledger measures a fixed cost of about 500 ns
+/// per call (core.tile_overhead_ns, 4-core Xeon VM), comparable to the
+/// kernel time of a few hundred cells.  On 67x61x59 (250 steps, 4
+/// threads) 24 tiles of 2-3 rows (~200-cell planes) ran nuCATS ~15%
+/// slower under stealing than the 8 tiles of 8 rows this floor keeps.
+inline constexpr Index kCatsMinStealPlaneCells = 1024;
+
 /// Computes the tiling for either scheme. `numa_aware` selects the nuCATS
 /// tile-count adjustment + ownership assignment versus CATS round-robin.
-/// `tiles_per_thread` > 1 (used by the stealing schedules) refines the
-/// y-tiling by an integer multiplier so thieves can take fractions of a
-/// subdomain; the multiplier keeps every thread's owned y-range — and
-/// hence the nuCATS first-touch placement — identical to the unrefined
-/// plan, and is reduced (down to 1) when the minimum tile width or a
-/// z-segmented plan forbids refining.
+/// A stealing `schedule` refines the y-tiling by an integer multiplier
+/// (up to 4) so thieves can take fractions of a subdomain; the multiplier
+/// keeps every thread's owned y-range — and hence the nuCATS first-touch
+/// placement — identical to the Static plan, and is reduced (down to 1)
+/// while the minimum tile width, kCatsMinStealPlaneCells or a z-segmented
+/// plan forbids refining.  The run and --explain both plan through here.
 CatsPlan plan_cats(const core::Box& updatable, const core::StencilSpec& stencil,
                    const topology::MachineSpec& machine, int threads, long timesteps,
-                   bool numa_aware, int tiles_per_thread = 1);
+                   bool numa_aware, sched::Schedule schedule = sched::Schedule::Static);
 
 /// Shared run implementation; `numa_aware` controls init and assignment.
 RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,

@@ -33,13 +33,15 @@ std::string bytes_human(double b) {
 
 void describe_cats(std::ostringstream& os, const Coord& shape,
                    const core::StencilSpec& st, const topology::MachineSpec& m,
-                   int threads, long timesteps, bool numa_aware) {
+                   int threads, long timesteps, bool numa_aware,
+                   sched::Schedule schedule) {
   core::Box updatable;
   updatable.lo = Coord::filled(3, 0);
   updatable.hi = shape;
   updatable.lo[2] += st.order();
   updatable.hi[2] -= st.order();
-  const CatsPlan plan = plan_cats(updatable, st, m, threads, timesteps, numa_aware);
+  const CatsPlan plan =
+      plan_cats(updatable, st, m, threads, timesteps, numa_aware, schedule);
   const double wavefront = static_cast<double>(shape[0]) *
                            static_cast<double>(plan.wy) *
                            (static_cast<double>(plan.chunk) * st.order() + 2.0 * st.order() + 2.0) *
@@ -142,7 +144,8 @@ std::string describe_plan(const std::string& requested, const Coord& shape,
 
   if (name == "CATS" || name == "nuCATS") {
     NUSTENCIL_CHECK(shape.rank() == 3, "describe_plan: CATS family is 3D-only");
-    describe_cats(os, shape, stencil, machine, threads, timesteps, name == "nuCATS");
+    describe_cats(os, shape, stencil, machine, threads, timesteps, name == "nuCATS",
+                  schedule);
   } else if (name == "CORALS" || name == "nuCORALS") {
     describe_corals(os, shape, stencil, machine, threads, timesteps,
                     name == "nuCORALS");

@@ -4,8 +4,9 @@
 // ProgressCounter; a consumer spin-waits until the counter reaches the
 // epoch it needs.  CORALS/nuCORALS keep one counter per thread tile (the
 // number of (base, step) pairs done, in the tile's fixed execution
-// order), CATS/nuCATS one per tile (the last finished plane) and MWD one
-// per diamond column (completed steps).  The stealing schedules
+// order), CATS/nuCATS one per tile (the last finished sweep position;
+// only the two halves of a z-split plan also publish per-step codes) and
+// MWD one per diamond column (completed steps).  The stealing schedules
 // probe the same counters without blocking (current() >= need).
 #pragma once
 

@@ -88,6 +88,20 @@ TEST(NuCatsScheme, HighOrderWithSplitTraversalDimension) {
                                  core::StencilSpec::stable_star(3, 2), cfg);
 }
 
+TEST(NuCatsScheme, StealWithSplitTraversalDimensionHighOrder) {
+  // Regression: a tile walks only the chunk steps whose plane lies inside
+  // it.  Before the upper z-segment's first plane, (p - lo)/s is negative
+  // and must round down: rounding toward zero (0 for p = lo - 1, s = 2)
+  // updated the lower segment's top plane from the upper segment's task.
+  NuCatsScheme scheme;
+  auto cfg = cats_config(8, 13);
+  cfg.schedule = sched::Schedule::Steal;
+  cfg.check_dependencies = true;
+  const auto result = test::expect_matches_reference(
+      scheme, Coord{64, 16, 32}, core::StencilSpec::stable_star(3, 2), cfg);
+  EXPECT_EQ(result.details.at("z_segments"), 2.0);
+}
+
 TEST(NuCatsScheme, ManyThreadsSmallDomain) {
   NuCatsScheme scheme;
   auto cfg = cats_config(8, 4);
@@ -155,6 +169,58 @@ TEST(CatsPlan, ChunkShrinksForBanded) {
                                          100, true);
   EXPECT_LE(banded.chunk * banded.wy, constant.chunk * constant.wy)
       << "coefficient bands enlarge the wavefront working set";
+}
+
+TEST(CatsPlan, StealRefinementKeepsOwnershipAndPlaneFloor) {
+  // The stealing plan refines the Static plan's y-tiles by up to 4x, stops
+  // before a plane drops below kCatsMinStealPlaneCells, and never moves a
+  // row to another thread (the nuCATS first-touch placement).
+  const auto machine = topology::xeonX7550();
+  struct Case {
+    Coord shape;
+    long steps;
+    bool banded;
+    int steal_tiles;
+    Index steal_wy;
+  };
+  for (const Case& c : {Case{Coord{67, 61, 59}, 250, false, 8, 8},
+                        Case{Coord{97, 83, 71}, 100, false, 8, 11},
+                        Case{Coord{128, 128, 128}, 32, false, 16, 8},
+                        Case{Coord{192, 192, 192}, 4, false, 16, 12},
+                        // Banded: 12 Static tiles; 4x and 3x would cut
+                        // 4- and 5-row planes, so the floor stops at 2x.
+                        Case{Coord{192, 192, 192}, 4, true, 24, 8},
+                        Case{Coord{256, 256, 256}, 4, false, 16, 16}}) {
+    const auto st =
+        c.banded ? core::StencilSpec::banded_star(3, 1) : core::StencilSpec::paper_3d7p();
+    core::Box box;
+    box.lo = Coord{0, 0, 1};
+    box.hi = Coord{c.shape[0], c.shape[1], c.shape[2] - 1};
+    const auto fixed = schemes::plan_cats(box, st, machine, 4, c.steps, true);
+    const auto steal = schemes::plan_cats(box, st, machine, 4, c.steps, true,
+                                          sched::Schedule::Steal);
+    SCOPED_TRACE(::testing::Message() << c.shape << " / " << c.steps << " steps: "
+                                      << fixed.num_tiles() << " -> " << steal.num_tiles()
+                                      << " tiles");
+    EXPECT_EQ(steal.num_tiles(), c.steal_tiles);
+    EXPECT_EQ(steal.wy, c.steal_wy);
+
+    const auto row_owners = [&](const schemes::CatsPlan& plan) {
+      std::vector<int> owners(static_cast<std::size_t>(c.shape[1]), -1);
+      for (int i = 0; i < plan.num_tiles(); ++i) {
+        const core::Box& t = plan.tiles[static_cast<std::size_t>(i)];
+        for (Index y = t.lo[1]; y < t.hi[1]; ++y)
+          owners[static_cast<std::size_t>(y)] = plan.owner[static_cast<std::size_t>(i)];
+      }
+      return owners;
+    };
+    EXPECT_EQ(row_owners(steal), row_owners(fixed));
+
+    if (steal.num_tiles() > fixed.num_tiles()) {
+      for (const core::Box& t : steal.tiles)
+        EXPECT_GE(t.extent(0) * t.extent(1), schemes::kCatsMinStealPlaneCells);
+    }
+  }
 }
 
 }  // namespace

@@ -69,6 +69,33 @@ TEST(Explain, NuCatsWavefrontFitsCache) {
   EXPECT_NE(cats.find("round-robin"), std::string::npos);
 }
 
+TEST(Explain, NuCatsTileCountMatchesRun) {
+  // --explain plans through the same plan_cats call as the run, schedule
+  // included.  On 128x64x16 with 4 threads the Static plan has 4 tiles;
+  // stealing refines it 2x, where 8-row planes of 1024 cells meet the
+  // per-call floor (4x and 3x would not).
+  const Coord shape{128, 64, 16};
+  for (const auto schedule : {sched::Schedule::Static, sched::Schedule::Steal}) {
+    const std::string text = schemes::describe_plan(
+        "nuCATS", shape, core::StencilSpec::paper_3d7p(), kXeon, 4, 4, schedule);
+    const std::string key = "z-segment(s) = ";
+    const auto at = text.find(key);
+    ASSERT_NE(at, std::string::npos) << text;
+    const long explained = std::stol(text.substr(at + key.size()));
+    EXPECT_EQ(explained, schedule == sched::Schedule::Steal ? 8 : 4) << text;
+
+    schemes::RunConfig cfg;
+    cfg.num_threads = 4;
+    cfg.timesteps = 4;
+    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+    cfg.schedule = schedule;
+    core::Problem problem(shape, core::StencilSpec::paper_3d7p());
+    const auto run = schemes::make_scheme("nuCATS")->run(problem, cfg);
+    EXPECT_EQ(static_cast<double>(explained), run.details.at("tiles"))
+        << sched::schedule_name(schedule);
+  }
+}
+
 TEST(PinPolicy, CompactFillsSocketsFirst) {
   numa::VirtualTopology compact(kXeon, numa::PinPolicy::Compact);
   EXPECT_EQ(compact.node_of_thread(0), 0);

@@ -111,6 +111,57 @@ TEST(Fuzz, CoralsGeometryMatchesReference) {
   }
 }
 
+TEST(Fuzz, CatsGeometryMatchesReference) {
+  // Random shapes, orders, chunk depths, thread counts and schedules for
+  // the CATS wavefront: the walk over the steps whose plane lies in the
+  // tile, the once-per-position waits and the z-split pair's per-step
+  // codes must reproduce the reference bitwise.  A shrunken last-level
+  // cache makes the chunk depth Tc shorter than many runs, and about half
+  // the nuCATS trials run 2 * ny/(2s) threads, twice the tiles the ring
+  // allows, which splits z.
+  std::mt19937 rng(10063148);
+  topology::MachineSpec machine = topology::xeonX7550();
+  int multi_chunk = 0, z_split = 0;
+  const int trials = 300;
+  for (int trial = 0; trial < trials; ++trial) {
+    const bool numa_aware = rng() % 2 == 0;
+    const int order = 1 + static_cast<int>(rng() % 3);
+    const bool banded = order == 1 && rng() % 3 == 0;
+    std::uniform_int_distribution<Index> extent(4 * order + 1, 26);
+    const Coord shape{extent(rng), extent(rng), extent(rng)};
+    const int max_tiles = static_cast<int>(shape[1] / (2 * order));
+    machine.caches.back().size_bytes = Index{4096} << (rng() % 5);
+    machine.caches.back().shared_by_cores = 1;
+
+    schemes::RunConfig cfg;
+    cfg.machine = &machine;
+    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+    cfg.num_threads = numa_aware && rng() % 2 == 0 && 2 * max_tiles <= 8
+                          ? 2 * max_tiles
+                          : 1 + static_cast<int>(rng() % 8);
+    cfg.timesteps = 1 + static_cast<long>(rng() % 24);
+    cfg.seed = static_cast<unsigned>(rng());
+    cfg.check_dependencies = true;
+    if (rng() % 2 == 0) cfg.schedule = sched::Schedule::Steal;
+    const std::string name = numa_aware ? "nuCATS" : "CATS";
+    SCOPED_TRACE(::testing::Message()
+                 << name << " " << shape << " s=" << order << (banded ? " banded" : "")
+                 << " n=" << cfg.num_threads << " T=" << cfg.timesteps << " LLC "
+                 << machine.caches.back().size_bytes << " "
+                 << sched::schedule_name(cfg.schedule) << " trial=" << trial);
+    const auto scheme = schemes::make_scheme(name);
+    const core::StencilSpec st = banded ? core::StencilSpec::banded_star(3, order)
+                                        : core::StencilSpec::stable_star(3, order);
+    const auto result = test::expect_matches_reference(*scheme, shape, st, cfg);
+    multi_chunk += result.details.at("chunk") < static_cast<double>(cfg.timesteps);
+    z_split += result.details.at("z_segments") == 2.0;
+    cfg.check_dependencies = false;
+    test::expect_matches_reference(*scheme, shape, st, cfg);
+  }
+  EXPECT_GT(multi_chunk, trials / 5);
+  EXPECT_GT(z_split, trials / 10);
+}
+
 TEST(Fuzz, RandomBoxSplitsEqualWholeSweep) {
   // Partition the domain into random disjoint boxes; updating them in any
   // order must equal the whole-domain sweep (Jacobi order-independence).
