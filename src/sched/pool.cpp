@@ -33,14 +33,13 @@ TaskPool::TaskPool(int num_threads, std::vector<int> thread_node, Schedule sched
   NUSTENCIL_CHECK(num_threads >= 1, "TaskPool: need at least one thread");
   NUSTENCIL_CHECK(static_cast<int>(node_.size()) == num_threads,
                   "TaskPool: one node per thread required");
-  NUSTENCIL_CHECK(schedule != Schedule::Static,
-                  "TaskPool: the static schedule runs without a pool");
 
   // Victim ranking per thief: same NUMA node first, then increasing
   // simulated distance |node_v - node_t|; ties broken by ring distance
   // from the thief so contention spreads instead of piling on thread 0.
+  // The static schedule has no thieves.
   victims_.resize(static_cast<std::size_t>(num_threads));
-  for (int tid = 0; tid < num_threads; ++tid) {
+  for (int tid = 0; schedule != Schedule::Static && tid < num_threads; ++tid) {
     std::vector<int>& order = victims_[static_cast<std::size_t>(tid)];
     for (int v = 0; v < num_threads; ++v) {
       if (v == tid) continue;
@@ -62,18 +61,25 @@ TaskPool::TaskPool(int num_threads, std::vector<int> thread_node, Schedule sched
 }
 
 void TaskPool::reset(int num_tasks, const std::function<int(int)>& owner_of) {
-  NUSTENCIL_CHECK(remaining_.load(std::memory_order_acquire) == 0,
-                  "TaskPool::reset: previous phase still has live tasks");
   owner_.assign(static_cast<std::size_t>(num_tasks), 0);
-  for (auto& d : deques_) d.tasks.clear();
+  for (PerThread& t : counts_) t.own.clear();
   for (int i = 0; i < num_tasks; ++i) {
     const int owner = owner_of(i);
     NUSTENCIL_CHECK(owner >= 0 && owner < num_threads_,
                     "TaskPool::reset: task owner out of range");
     owner_[static_cast<std::size_t>(i)] = owner;
-    deques_[static_cast<std::size_t>(owner)].tasks.push_back(i);
+    counts_[static_cast<std::size_t>(owner)].own.push_back(i);
   }
-  remaining_.store(num_tasks, std::memory_order_release);
+  rearm();
+}
+
+void TaskPool::rearm() {
+  if (schedule_ == Schedule::Static) return;
+  NUSTENCIL_CHECK(remaining_.load(std::memory_order_acquire) == 0,
+                  "TaskPool: previous phase still has live tasks");
+  for (std::size_t tid = 0; tid < deques_.size(); ++tid)
+    deques_[tid].tasks.assign(counts_[tid].own.begin(), counts_[tid].own.end());
+  remaining_.store(static_cast<int>(owner_.size()), std::memory_order_release);
 }
 
 int TaskPool::pop_front(int tid) {
@@ -109,28 +115,44 @@ void TaskPool::push_back(int tid, int task) {
 
 void TaskPool::run(int tid, const Step& step, const threading::AbortToken* abort,
                    trace::ThreadRecorder* rec) {
+  if (schedule_ == Schedule::Static) {
+    // One unit per visit, round-robin over the own tasks; a finished task
+    // leaves the list.
+    PerThread& me = counts_[static_cast<std::size_t>(tid)];
+    std::vector<int>& live = me.live;
+    live.assign(me.own.begin(), me.own.end());
+    for (std::size_t i = 0; !live.empty();) {
+      if (abort) abort->check();
+      if (step(live[i], tid, /*stolen=*/false) == StepResult::Done)
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
+      else
+        ++i;
+      if (i == live.size()) i = 0;
+    }
+    return;
+  }
+
   PerThread& me = counts_[static_cast<std::size_t>(tid)];
   SchedStats::Thread& my = me.counts;
   const std::vector<int>& victims = victims_[static_cast<std::size_t>(tid)];
   int backoff = 1;
 
   const auto execute = [&](int task, bool stolen, int victim) {
+    bool advanced = false;
     StepResult r;
-    if (stolen && rec) {
-      const trace::ScopedSpan span(rec, trace::Phase::Steal,
+    {
+      const trace::ScopedSpan span(stolen ? rec : nullptr, trace::Phase::Steal,
                                    {task, victim, -1, tid});
-      r = step(task, tid, stolen);
-    } else {
-      r = step(task, tid, stolen);
+      while ((r = step(task, tid, stolen)) == StepResult::Progress) advanced = true;
     }
     if (r == StepResult::Done) {
       remaining_.fetch_sub(1, std::memory_order_acq_rel);
     } else {
-      // Owner-first invariant: a yielded or blocked task returns to its
-      // owner's deque (at the back, so the owner round-robins the rest of
-      // its tiles before re-probing this one).
+      // Owner-first invariant: a blocked task returns to its owner's
+      // deque (at the back, so the owner round-robins the rest of its
+      // tiles before re-probing this one).
       push_back(owner_[static_cast<std::size_t>(task)], task);
-      if (r == StepResult::Blocked) std::this_thread::yield();
+      if (!advanced) std::this_thread::yield();
     }
   };
 
@@ -175,6 +197,7 @@ void TaskPool::add_stolen_updates(int tid, std::uint64_t updates) {
 
 SchedStats TaskPool::stats() const {
   SchedStats s;
+  if (schedule_ == Schedule::Static) return s;
   s.enabled = true;
   s.schedule = schedule_name(schedule_);
   s.threads.reserve(counts_.size());

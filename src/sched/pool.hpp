@@ -1,22 +1,34 @@
-// NUMA-affine work-stealing task pool with owner-first deques.
+// NUMA-affine task pool with owner-first work lists: every scheduled
+// scheme runs its tiles through it, static or stealing.
 //
-// Every worker drains a deque of its *own* subdomain's tiles from the
-// front — preserving the owner-computes order the static schedules use —
-// and only when that deque is empty steals from victims ordered by
-// simulated NUMA distance (same node first, then nearest nodes under the
-// machine's |node_a - node_b| metric).  A thief takes from the *far end*
-// of the victim's deque: the victim works the front, so the back holds
-// the tiles it would reach last — the ones least likely to have warm
-// pages in the victim's caches and the cheapest to give away.
+// Every worker works through its *own* subdomain's tiles first, in
+// ascending order.  A task's step callback advances it by one unit (a
+// whole tile, a sweep position, a base parallelogram, a diamond-column
+// step) and says whether it made progress, finished, or found a
+// dependency unmet.
 //
-// Temporal-blocking dependencies are honoured cooperatively: a task's
-// step callback checks its predecessors' progress counters
-// (thread/spinflag.hpp semantics: non-blocking `current() >= need`
-// probes of the same monotone epochs the static paths spin-wait on) and
-// returns Blocked instead of spinning.  A blocked task goes back to the
-// *owner's* deque, so stalled work never pins a thief, and a task lives
-// in exactly one deque (or one executing thread) at a time — which is
-// what keeps its progress counter single-writer and monotone.
+//  * Schedule::Static is the pool without thieves.  Each visit advances a
+//    task by one unit with blocking waits, and an unfinished task goes to
+//    the back of its owner's list, so a worker round-robins its tasks
+//    unit by unit — the owner-computes order of the paper's schemes.  A
+//    worker leaves run() as soon as its own list is empty; its idle time
+//    at the end of a phase is the caller's barrier wait.
+//  * The stealing schedules keep each worker's tasks on a deque it drains
+//    from the front, stepping a task greedily while it makes progress.
+//    An idle worker steals from victims ordered by simulated NUMA distance
+//    (same node first, then nearest nodes under |node_a - node_b|), taking
+//    the *far end* of the victim's deque: the victim works the front, so
+//    the back holds the tiles it would reach last — the ones least likely
+//    to be warm in its caches and the cheapest to give away.
+//
+// Temporal-blocking dependencies are honoured cooperatively under
+// stealing: a step probes its predecessors' progress counters
+// (thread/spinflag.hpp: non-blocking `current() >= need` tests of the same
+// monotone epochs the static waits block on) and returns Blocked instead
+// of spinning.  A blocked task goes back to the *owner's* deque, so
+// stalled work never pins a thief, and a task lives in exactly one deque
+// (or one executing thread) at a time — which is what keeps its progress
+// counter single-writer and monotone.
 #pragma once
 
 #include <atomic>
@@ -35,11 +47,11 @@
 
 namespace nustencil::sched {
 
-/// Verdict of one task step.  Done retires the task; Yield re-enqueues it
-/// on the owner after partial progress (cooperative preemption point);
-/// Blocked re-enqueues it because a dependency predecessor has not
-/// retired far enough yet (the pool backs off before retrying).
-enum class StepResult { Done, Yield, Blocked };
+/// Verdict of one task step.  Done retires the task; Progress means the
+/// step advanced it and more remains; Blocked means it advanced nothing
+/// because a dependency predecessor has not got far enough yet (never
+/// under Schedule::Static, whose waits block).
+enum class StepResult { Done, Progress, Blocked };
 
 /// NUMA node of each worker under the same virtual placement the traffic
 /// instrumentation uses (numa::VirtualTopology), computed directly from
@@ -51,20 +63,31 @@ std::vector<int> thread_nodes(const topology::MachineSpec& machine,
 class TaskPool {
  public:
   /// `thread_node[tid]` places worker tid for the distance-ordered victim
-  /// ranking; Schedule::StealLocal drops every victim on a foreign node.
+  /// ranking; Schedule::StealLocal drops every victim on a foreign node
+  /// and Schedule::Static every victim.
   TaskPool(int num_threads, std::vector<int> thread_node, Schedule schedule);
 
-  /// Arms the pool with `num_tasks` tasks, task i on owner_of(i)'s deque
+  /// Arms the pool with `num_tasks` tasks, task i on owner_of(i)'s list
   /// in ascending order.  Single-threaded: callers fence with a barrier
   /// (every worker must have left run() of the previous phase).
   void reset(int num_tasks, const std::function<int(int)>& owner_of);
 
+  /// Arms the pool again with the tasks of the last reset, on the same
+  /// owners (a no-op under Schedule::Static, whose workers re-arm their
+  /// own lists in run()).  Same fencing rule as reset().
+  void rearm();
+
   /// step(task, tid, stolen) advances one task; see StepResult.
   using Step = std::function<StepResult(int task, int tid, bool stolen)>;
 
-  /// Worker loop of thread `tid`: drains the own deque front-first, then
-  /// steals along the victim order, until every task of the current phase
-  /// has retired.  Re-entrant per phase (reset between phases).
+  /// Worker loop of thread `tid`.  Static: one step per visit, an
+  /// unfinished task back to the end of the own list, until that list is
+  /// empty.  Stealing: steps each task while it makes progress, drains
+  /// the own deque front-first, then steals along the victim order, until
+  /// every task of the current phase has retired.  A task that stops on
+  /// Blocked goes back to its owner's deque; the pool backs off first
+  /// when the visit made no progress at all.  Re-entrant per phase
+  /// (rearm between phases).
   void run(int tid, const Step& step, const threading::AbortToken* abort,
            trace::ThreadRecorder* rec);
 
@@ -78,6 +101,7 @@ class TaskPool {
   }
 
   /// Cumulative statistics over all phases; call after workers joined.
+  /// Disabled (and empty) under Schedule::Static: nothing can be stolen.
   SchedStats stats() const;
 
   /// Successful steals so far, summed over the workers.  Safe to call
@@ -85,10 +109,10 @@ class TaskPool {
   std::uint64_t steals_so_far() const;
 
  private:
-  /// One spinlocked deque per worker, each on its own cache line.  Tile
-  /// granularity is coarse (a task is a whole tile or parallelogram), so
-  /// a plain lock costs noise compared to lock-free Chase-Lev while
-  /// keeping both ends safely accessible.
+  /// One spinlocked deque per worker (stealing schedules), each on its
+  /// own cache line.  Tile granularity is coarse (a task is a whole tile
+  /// or parallelogram), so a plain lock costs noise compared to lock-free
+  /// Chase-Lev while keeping both ends safely accessible.
   struct alignas(kCacheLineBytes) WorkDeque {
     std::atomic<bool> locked{false};
     std::deque<int> tasks;
@@ -110,6 +134,11 @@ class TaskPool {
     /// Tasks lost to thieves: credited to the *victim's* slot by the
     /// stealing thread, so it takes an atomic add.
     std::atomic<std::uint64_t> tasks_lost{0};
+    /// Static schedule: the worker's own tasks in ascending order, and
+    /// the round-robin list run() works down (touched by the owner only,
+    /// so a phase needs no re-arming and no lock).
+    std::vector<int> own;
+    std::vector<int> live;
   };
 
   int pop_front(int tid);
@@ -121,7 +150,7 @@ class TaskPool {
   std::vector<int> node_;
   std::vector<std::vector<int>> victims_;
   std::vector<WorkDeque> deques_;
-  std::vector<int> owner_;  ///< task -> owning thread (current phase)
+  std::vector<int> owner_;  ///< task -> owning thread
   std::vector<PerThread> counts_;
   std::atomic<int> remaining_{0};
 };

@@ -1,12 +1,14 @@
 // Tile-scheduling policy knob plus the per-run scheduling statistics.
 //
-// `static` keeps every scheme's original owner-computes loop (bit-identical
-// to the pre-scheduler code path); `steal` adds NUMA-distance-ordered work
-// stealing on top of the owner-first decomposition; `steal_local` restricts
-// victims to the thief's own NUMA node.  The heavy machinery lives in
-// sched/pool.hpp — this header stays dependency-light so that
-// schemes/scheme.hpp can expose the knob and the stats in RunConfig /
-// RunResult without pulling the pool in.
+// The knob picks the mode of the one task pool (sched/pool.hpp) every
+// scheduled scheme runs its tiles through.  `static` is the pool without
+// thieves: each thread round-robins its own tiles one unit per visit with
+// blocking waits — the paper's owner-computes order; `steal` adds
+// NUMA-distance-ordered work stealing on top of the owner-first
+// decomposition; `steal_local` restricts victims to the thief's own NUMA
+// node.  This header stays dependency-light so that schemes/scheme.hpp can
+// expose the knob and the stats in RunConfig / RunResult without pulling
+// the pool in.
 #pragma once
 
 #include <cstdint>
@@ -28,7 +30,7 @@ const char* schedule_name(Schedule s);
 
 /// Per-run scheduling statistics, collected by the TaskPool and surfaced
 /// through RunResult / the run report.  `enabled` stays false under the
-/// static schedule (no pool exists, nothing can be stolen).
+/// static schedule (the pool has no thieves, nothing can be stolen).
 struct SchedStats {
   struct Thread {
     std::uint64_t steal_attempts = 0;  ///< victim-deque probes

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "schemes/run_support.hpp"
-#include "thread/barrier.hpp"
-#include "thread/spinflag.hpp"
 
 namespace nustencil::schemes {
 
@@ -137,7 +135,6 @@ RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,
   const int n = config.num_threads;
   const core::Box updatable =
       core::updatable_box(problem.shape(), problem.stencil(), config.boundary);
-  const bool stealing = config.schedule != sched::Schedule::Static;
   const CatsPlan plan = plan_cats(updatable, problem.stencil(), sup.machine(), n,
                                   config.timesteps, numa_aware, config.schedule);
   const int ntiles = plan.num_tiles();
@@ -167,10 +164,10 @@ RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,
 
   // One progress counter per tile, holding the codes `advance` publishes.
   std::vector<threading::ProgressCounter> progress(static_cast<std::size_t>(ntiles));
-  threading::Barrier barrier(n);
   const Index zlo = updatable.lo[2], zhi = updatable.hi[2];
   const long tc_max = plan.chunk;
   const bool z_split = plan.z_segments == 2;
+  const auto owner_of = [&](int tile) { return plan.owner[static_cast<std::size_t>(tile)]; };
 
   // Where tile i stands: sweep position p and the next chunk step k to
   // run there (k > 0 only after a stealing probe failed mid-position).
@@ -178,159 +175,102 @@ RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,
     Index p = 0;
     long k = 0;
   };
-  // Advances tile i through position cur.p of a chunk of tc steps, for
-  // both schedules.  Only the steps k whose plane z = p - k*s lies inside
-  // the tile are visited, and their waits are checked; a position with no
-  // such step (the sweep's ramp-up and drain, the upper z-segment's first
-  // positions) only publishes its code.  `ready(j, need)` is the
-  // dependency test on tile j's code: the static path blocks until it
-  // holds, the stealing path probes without blocking.  `update(box, k)`
-  // runs one plane.  Returns false, with cur.k at the step to resume
-  // from, when a probe fails.
-  //
-  // Codes published: p_rel * Tc_max + Tc_max once the position is done
-  // (what the y-neighbours and the upper z-segment read) and, in a z-split
-  // plan only, p_rel * Tc_max + k + 1 after each step k (what the lower
-  // z-segment reads).  Steps without a plane count as done.
-  const auto advance = [&](int i, TileCursor& cur, long tc, auto&& ready,
-                           auto&& update) {
-    const core::Box& tile = plan.tiles[static_cast<std::size_t>(i)];
-    threading::ProgressCounter& own = progress[static_cast<std::size_t>(i)];
-    const Index p = cur.p;
-    const long code_base = (p - zlo) * tc_max;
-    // z = p - k*s in [lo, hi)  <=>  (p - hi + 1)/s <= k <= (p - lo)/s,
-    // rounded inward with floor division: p - lo is negative before the
-    // upper z-segment's first position, and truncation toward zero would
-    // turn k <= -1/2 into k <= 0 and update the plane below the tile.
-    const auto floor_div = [&](Index a) { return a >= 0 ? a / s : -((-a + s - 1) / s); };
-    const long k_first = std::max<long>(cur.k, -floor_div(tile.hi[2] - 1 - p));
-    const long k_last = std::min<long>(tc - 1, floor_div(p - tile.lo[2]));
-    if (k_first <= k_last) {
-      const int ty = i % plan.tiles_y;
-      const int zs = i / plan.tiles_y;
-      // y-neighbours (periodic ring) must have finished position p-s.
-      if (p - s >= zlo && plan.tiles_y > 1) {
-        const long need = (p - s - zlo + 1) * tc_max;
-        const int left = zs * plan.tiles_y + (ty + plan.tiles_y - 1) % plan.tiles_y;
-        const int right = zs * plan.tiles_y + (ty + 1) % plan.tiles_y;
-        if (!ready(left, need) || !ready(right, need)) return false;
-      }
-      const int other = (1 - zs) * plan.tiles_y + ty;
-      // The upper segment's plane at (p, k) reads the lower segment's
-      // planes z-j (j = 1..s) of step k-1, which were updated at
-      // positions p-s-j — so the lower segment must have completed every
-      // position through p-s-1.  (For s = 1 this is the familiar p-2s
-      // bound; for higher orders p-2s alone is insufficient.)
-      if (z_split && zs == 1 && p - s - 1 >= zlo && !ready(other, (p - s - zlo) * tc_max))
-        return false;
-      if (z_split) own.advance_to(code_base + k_first);
-      for (long k = k_first; k <= k_last; ++k) {
-        // Lower segment's top planes read the upper segment's previous
-        // time level at the same position.
-        if (z_split && zs == 0 && k > 0 && !ready(other, code_base + k)) {
-          cur.k = k;
-          return false;
-        }
-        core::Box box = tile;
-        box.lo[2] = p - k * s;
-        box.hi[2] = box.lo[2] + 1;
-        update(box, k);
-        if (z_split) own.advance_to(code_base + k + 1);
-      }
-    }
-    // Publish full-position completion even when the final chunk is
-    // shorter than tc_max (the position-level waits above target
-    // (p' + 1) * tc_max and would otherwise never be satisfied).
-    own.advance_to(code_base + tc_max);
-    cur = TileCursor{p + 1, 0};
-    return true;
-  };
-
-  // Stealing: one cursor per tile.  A task advances its tile while every
-  // pipeline input is ready and re-enqueues itself otherwise, so a thief
-  // can never wedge inside a spin-wait for work that sits in its own deque.
-  std::vector<TileCursor> cursors(stealing ? static_cast<std::size_t>(ntiles) : 0);
-  sched::TaskPool* pool = stealing ? sup.pool() : nullptr;
-  // The static path's waits as non-blocking probes — including same-owner
-  // neighbours, which the static loop order satisfies implicitly but
-  // greedy per-tile cursors do not.
-  const auto probe = [&](int j, long need) {
-    return progress[static_cast<std::size_t>(j)].current() >= need;
+  std::vector<TileCursor> cursors(static_cast<std::size_t>(ntiles), TileCursor{zlo, 0});
+  sup.set_tasks(ntiles, owner_of);
+  // Between chunks, while every worker waits in the phase barrier.
+  const auto next_chunk = [&] {
+    for (auto& c : cursors) c = TileCursor{zlo, 0};
+    for (auto& c : progress) c.reset();
   };
 
   Timer timer;
   sup.run_workers([&](int tid) {
     trace::ThreadRecorder* rec = sup.recorder(tid);
-    const auto owner_tid = [&](int tile) {
-      return plan.owner[static_cast<std::size_t>(tile)];
-    };
-    std::vector<int> mine;
-    for (int i = 0; i < ntiles; ++i)
-      if (owner_tid(i) == tid) mine.push_back(i);
-    // Same-owner tiles need no wait: this thread runs every one of its
-    // tiles through position p-1 before any reaches p, and the z-split
-    // pair never shares an owner.
-    const auto wait = [&](int j, long need) {
-      if (owner_tid(j) != tid)
-        progress[static_cast<std::size_t>(j)].wait_for(need, &sup.abort(), rec,
-                                                       owner_tid(j));
-      return true;
+    long tb = 0, tc = 0;
+    Index p_end = 0;  // exclusive
+
+    // The task step: advances tile i through its cursor's position of the
+    // chunk [tb, tb + tc).  Only the steps k whose plane z = p - k*s lies
+    // inside the tile are visited, and their waits are checked; a position
+    // with no such step (the sweep's ramp-up and drain, the upper
+    // z-segment's first positions) only publishes its code.  A wait that
+    // does not hold (stealing probes only) leaves cur.k at the step to
+    // resume from.  Under the static schedule a thread's tiles advance one
+    // position per visit in turn, so every tile of the thread has finished
+    // position p-1 before any reaches p: waits on same-owner tiles hold on
+    // arrival, and the z-split pair never shares an owner.
+    //
+    // Codes published: p_rel * Tc_max + Tc_max once the position is done
+    // (what the y-neighbours and the upper z-segment read) and, in a
+    // z-split plan only, p_rel * Tc_max + k + 1 after each step k (what the
+    // lower z-segment reads).  Steps without a plane count as done.
+    const TaskStep advance = [&](int i, const TaskContext& ctx) {
+      const core::Box& tile = plan.tiles[static_cast<std::size_t>(i)];
+      threading::ProgressCounter& own = progress[static_cast<std::size_t>(i)];
+      TileCursor& cur = cursors[static_cast<std::size_t>(i)];
+      const auto ready = [&](int j, long need) {
+        return ctx.ready(progress[static_cast<std::size_t>(j)], need, owner_of(j));
+      };
+      const Index p = cur.p;
+      const long code_base = (p - zlo) * tc_max;
+      // z = p - k*s in [lo, hi)  <=>  (p - hi + 1)/s <= k <= (p - lo)/s,
+      // rounded inward with floor division: p - lo is negative before the
+      // upper z-segment's first position, and truncation toward zero would
+      // turn k <= -1/2 into k <= 0 and update the plane below the tile.
+      const auto floor_div = [&](Index a) { return a >= 0 ? a / s : -((-a + s - 1) / s); };
+      const long k_first = std::max<long>(cur.k, -floor_div(tile.hi[2] - 1 - p));
+      const long k_last = std::min<long>(tc - 1, floor_div(p - tile.lo[2]));
+      if (k_first <= k_last) {
+        const int ty = i % plan.tiles_y;
+        const int zs = i / plan.tiles_y;
+        // y-neighbours (periodic ring) must have finished position p-s.
+        if (p - s >= zlo && plan.tiles_y > 1) {
+          const long need = (p - s - zlo + 1) * tc_max;
+          const int left = zs * plan.tiles_y + (ty + plan.tiles_y - 1) % plan.tiles_y;
+          const int right = zs * plan.tiles_y + (ty + 1) % plan.tiles_y;
+          if (!ready(left, need) || !ready(right, need)) return sched::StepResult::Blocked;
+        }
+        const int other = (1 - zs) * plan.tiles_y + ty;
+        // The upper segment's plane at (p, k) reads the lower segment's
+        // planes z-j (j = 1..s) of step k-1, which were updated at
+        // positions p-s-j — so the lower segment must have completed every
+        // position through p-s-1.  (For s = 1 this is the familiar p-2s
+        // bound; for higher orders p-2s alone is insufficient.)
+        if (z_split && zs == 1 && p - s - 1 >= zlo &&
+            !ready(other, (p - s - zlo) * tc_max))
+          return sched::StepResult::Blocked;
+        if (z_split) own.advance_to(code_base + k_first);
+        for (long k = k_first; k <= k_last; ++k) {
+          // Lower segment's top planes read the upper segment's previous
+          // time level at the same position.
+          if (z_split && zs == 0 && k > 0 && !ready(other, code_base + k)) {
+            cur.k = k;
+            return k > k_first ? sched::StepResult::Progress : sched::StepResult::Blocked;
+          }
+          core::Box box = tile;
+          box.lo[2] = p - k * s;
+          box.hi[2] = box.lo[2] + 1;
+          ctx.exec().update_box(box, tb + k, ctx.tid());
+          if (z_split) own.advance_to(code_base + k + 1);
+        }
+      }
+      // Publish full-position completion even when the final chunk is
+      // shorter than tc_max (the position-level waits above target
+      // (p' + 1) * tc_max and would otherwise never be satisfied).
+      own.advance_to(code_base + tc_max);
+      cur = TileCursor{p + 1, 0};
+      return cur.p < p_end ? sched::StepResult::Progress : sched::StepResult::Done;
     };
 
-    for (long tb = 0; tb < config.timesteps; tb += tc_max) {
-      const long tc = std::min<long>(tc_max, config.timesteps - tb);
+    for (; tb < config.timesteps; tb += tc_max) {
+      tc = std::min<long>(tc_max, config.timesteps - tb);
+      p_end = zhi + (tc - 1) * s;
       sup.set_layer(tb / tc_max);
       const trace::ScopedSpan layer_span(
           rec, trace::Phase::Layer,
           {static_cast<std::int32_t>(tb / tc_max), static_cast<std::int32_t>(tb),
            static_cast<std::int32_t>(tc)});
-      const Index p_end = zhi + (tc - 1) * s;  // exclusive
-      if (!stealing) {
-        core::Executor& exec = sup.executor(tid);
-        const auto update = [&](const core::Box& box, long k) {
-          exec.update_box(box, tb + k, tid);
-        };
-        for (Index p = zlo; p < p_end; ++p) {
-          for (int i : mine) {
-            TileCursor cur{p, 0};
-            advance(i, cur, tc, wait, update);
-          }
-        }
-      } else {
-        if (tid == 0) {
-          for (auto& c : cursors) c = TileCursor{zlo, 0};
-          pool->reset(ntiles, owner_tid);
-        }
-        barrier.arrive_and_wait(&sup.abort(), rec);
-        pool->run(
-            tid,
-            [&](int i, int wtid, bool stolen) {
-              TileCursor& cur = cursors[static_cast<std::size_t>(i)];
-              core::Executor& ex = sup.executor(wtid);
-              bool advanced = false;
-              const auto update = [&](const core::Box& box, long k) {
-                const Index before = ex.updates_done();
-                ex.update_box(box, tb + k, wtid);
-                if (stolen) pool->add_stolen_updates(wtid, ex.updates_done() - before);
-                advanced = true;
-              };
-              while (cur.p < p_end) {
-                if (!advance(i, cur, tc, probe, update))
-                  return advanced ? sched::StepResult::Yield
-                                  : sched::StepResult::Blocked;
-                advanced = true;
-              }
-              return sched::StepResult::Done;
-            },
-            &sup.abort(), rec);
-      }
-      // Chunk boundary: everyone synchronises, then tid 0 resets counters.
-      barrier.arrive_and_wait(&sup.abort(), rec);
-      if (tb + tc < config.timesteps) {
-        if (tid == 0)
-          for (auto& c : progress) c.reset();
-        barrier.arrive_and_wait(&sup.abort(), rec);
-      }
+      sup.run_tasks(tid, advance, next_chunk);
     }
   });
   const double seconds = timer.seconds();

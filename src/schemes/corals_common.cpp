@@ -45,9 +45,9 @@ struct Band {
 ///
 /// Synchronisation granularity is (base, time step).  A tile runs its
 /// (base, step) pairs in one fixed order — bases in recursion order, each
-/// from its first step to its last — under the static loop and the steal
-/// cursor alike, so one counter, the number of pairs done, tells every
-/// consumer which pairs are complete.  Whole-base flags would deadlock for
+/// from its first step to its last — under every schedule, so one
+/// counter, the number of pairs done, tells every consumer which pairs
+/// are complete.  Whole-base flags would deadlock for
 /// narrow thread tiles (a single base can span the entire tile width,
 /// closing a wait cycle around the periodic ring); per-step progress
 /// always waits on a strictly earlier time, so waits ground out at the
@@ -63,6 +63,16 @@ struct TileState {
   /// runs the tile first and read only by whoever runs the tile.
   CoralsNeedTable needs;
   long needs_height = 0;
+  /// Where the tile's run stands this layer: the next base, its next
+  /// step, and the (base, step) pairs done.  Single-writer like `done`:
+  /// the task lives in one deque or one executing thread at a time.
+  std::size_t next_base = 0;
+  Index next_t = 0;
+  std::size_t pairs = 0;
+  /// Where the last step's tile-span chain ended (-1: start afresh) and
+  /// the counter snapshot taken there.
+  std::int64_t chain_ns = -1;
+  trace::CounterSet chain_counters;
 };
 
 /// Interval of the thread parallelogram of `tile` in dimension `d` at
@@ -333,31 +343,6 @@ void build_needs(const std::vector<TileState>& states, TileState& mine, int my_t
   mine.needs_height = mine.height;
 }
 
-/// Waits until every need of the p-th (base, step) pair of `table` is
-/// met.  Spin-wait spans carry the needed step count as their target and
-/// the producing tile as their owner.
-void wait_needs(const std::vector<TileState>& states, const CoralsNeedTable& table,
-                std::size_t p, const threading::AbortToken& abort,
-                trace::ThreadRecorder* rec) {
-  for (std::size_t i = table.begin[p]; i < table.begin[p + 1]; ++i) {
-    const CoralsNeed& need = table.needs[i];
-    states[static_cast<std::size_t>(need.tile)].done.wait_for(need.steps, &abort, rec,
-                                                              need.tile);
-  }
-}
-
-/// Non-blocking variant of wait_needs: probes the same counters, so a
-/// stealing scheduler can test readiness without wedging a thief.
-bool needs_met(const std::vector<TileState>& states, const CoralsNeedTable& table,
-               std::size_t p) {
-  for (std::size_t i = table.begin[p]; i < table.begin[p + 1]; ++i) {
-    const CoralsNeed& need = table.needs[i];
-    if (states[static_cast<std::size_t>(need.tile)].done.current() < need.steps)
-      return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 CoralsLayout plan_corals(const Coord& shape, int threads, int s,
@@ -467,34 +452,21 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
   const core::BaseSizes base_sizes = corals_base_sizes(params);
 
   std::vector<TileState> states(static_cast<std::size_t>(n));
-  threading::Barrier barrier(n);
   // Bases of tile 0 in the first layer, which has the full height
   // min(tau, timesteps); the last layer may be shorter.
   std::size_t full_layer_bases = 0;
 
-  // Stealing state: a (base, time) cursor per tile.  A task advances
-  // through its (base, step) pairs in the same order the static path uses,
-  // probing its needs non-blockingly and re-enqueueing itself when a
-  // producer is behind.
-  const bool stealing = config.schedule != sched::Schedule::Static;
-  struct TileCursor {
-    std::size_t j = 0;
-    Index t = 0;
-    std::size_t pair = 0;  ///< (base, step) pairs done
-  };
-  std::vector<TileCursor> cursors(static_cast<std::size_t>(n));
-  sched::TaskPool* pool = stealing ? sup.pool() : nullptr;
+  // The run records its own per-step tile spans (they include the
+  // box/clip geometry and need lookups between kernel calls, which are
+  // significant for cache-sized bases); silence the executors' inner
+  // spans so the time is not counted twice.
+  for (int tid = 0; tid < n; ++tid) sup.executor(tid).set_trace(nullptr);
+  sup.set_tasks(n, owner_of);
+  threading::Barrier build_barrier(n);
 
   Timer timer;
   sup.run_workers([&](int tid) {
-    core::Executor& exec = sup.executor(tid);
     trace::ThreadRecorder* rec = sup.recorder(tid);
-    // The static path records its own per-step tile spans below (they
-    // include the box/clip geometry between kernel calls, which is
-    // significant for cache-sized bases); suppress the executor's inner
-    // span so the time is not counted twice.  The stealing path executes
-    // through the pool and keeps the executor's spans instead.
-    if (!stealing) exec.set_trace(nullptr);
     const int my_tile = [&] {
       for (int i = 0; i < n; ++i)
         if (owner_of(i) == tid) return i;
@@ -502,134 +474,116 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
     }();
     TileState& mine = states[static_cast<std::size_t>(my_tile)];
     const core::Box& tile = tiles[static_cast<std::size_t>(my_tile)];
+    long tb = 0, tau_act = 0;
+    std::int32_t layer_index = 0;
 
-    for (long tb = 0; tb < config.timesteps; tb += tau) {
-      const long tau_act = std::min<long>(tau, config.timesteps - tb);
-      const auto layer_index = static_cast<std::int32_t>(tb / tau);
+    // The task step: runs tile i's next base parallelogram, one (base,
+    // step) pair at a time, clipped against the thread parallelogram and
+    // synchronised with the right neighbours (local synchronisation) at
+    // every step whose inputs cross a thread boundary.  A need that does
+    // not hold (stealing probes only) leaves the cursor at that pair.
+    const TaskStep run_base = [&](int i, const TaskContext& ctx) {
+      TileState& ts = states[static_cast<std::size_t>(i)];
+      trace::ThreadRecorder* r = ctx.rec();
+      if (ts.needs_height != tau_act) {
+        // Built by whoever runs the tile first after the build barrier
+        // (it reads the neighbours' geometry); an init leaf like the
+        // geometry build.
+        const trace::ScopedSpan needs_span(r, trace::Phase::Init, {layer_index, -1, -1, i});
+        build_needs(states, ts, i, counts, shape, s);
+      }
+      const SpaceTimeTile& base = ts.bases[ts.next_base];
+      ts.next_t = std::max<Index>(ts.next_t, base.t0);
+      const Index first_t = ts.next_t;
+      // Tile spans chain end-to-start (one clock read per step) so the
+      // inter-step bookkeeping — need lookups, box/clip geometry, counter
+      // advance — is accounted as compute; spin waits nest inside the
+      // step span and their time is excluded from the tile total so the
+      // leaf phases still partition thread time.  After a Progress
+      // verdict the pool steps the task again next (its one tile is all
+      // a CORALS thread owns), so the chain runs on across steps; a
+      // Blocked one ends it.  Chained spans bypass ScopedSpan, so they
+      // sample the per-span counters by hand: a snapshot at every chain
+      // point turns the cumulative counters into per-step deltas that
+      // sum to the totals.
+      const bool sampling = r && r->sampler();
+      if (r && ts.chain_ns < 0) {
+        ts.chain_ns = r->now_ns();
+        if (sampling) r->sample(ts.chain_counters);
+      }
+      const std::int64_t base_start = ts.chain_ns;
+      for (; ts.next_t < base.t1; ++ts.next_t) {
+        const Index t = ts.next_t;
+        const std::int64_t spin_before = r ? r->total_ns(trace::Phase::SpinWait) : 0;
+        for (std::size_t q = ts.needs.begin[ts.pairs]; q < ts.needs.begin[ts.pairs + 1];
+             ++q) {
+          const CoralsNeed& need = ts.needs.needs[q];
+          if (!ctx.ready(states[static_cast<std::size_t>(need.tile)].done, need.steps,
+                         need.tile)) {
+            if (t > first_t) return sched::StepResult::Progress;
+            ts.chain_ns = -1;
+            return sched::StepResult::Blocked;
+          }
+        }
+        const core::Box box = intersect(base.box_at(t), clip_box(ts, rank, t));
+        if (!box.empty()) ctx.exec().update_box(box, tb + t, ctx.tid());
+        ts.done.advance_to(static_cast<long>(++ts.pairs));
+        if (r) {
+          const std::int64_t end = r->now_ns();
+          const trace::SpanArgs args{
+              static_cast<std::int32_t>(box.lo[0]),
+              rank >= 2 ? static_cast<std::int32_t>(box.lo[1]) : -1,
+              rank >= 3 ? static_cast<std::int32_t>(box.lo[2]) : -1, ctx.tid()};
+          const std::int64_t spun = r->total_ns(trace::Phase::SpinWait) - spin_before;
+          if (sampling) {
+            trace::CounterSet now;
+            r->sample(now);
+            const trace::CounterSet delta = now.delta_since(ts.chain_counters);
+            r->record(trace::Phase::Tile, ts.chain_ns, end, args, 0, spun, &delta);
+            ts.chain_counters = now;
+          } else {
+            r->record(trace::Phase::Tile, ts.chain_ns, end, args, 0, spun);
+          }
+          ts.chain_ns = end;
+        }
+      }
+      // A base run in one visit gets its structural span.
+      if (r && first_t == base.t0)
+        r->record(trace::Phase::Parallelogram, base_start, r->now_ns(),
+                  {static_cast<std::int32_t>(ts.next_base), layer_index, -1, i});
+      ++ts.next_base;
+      ts.next_t = 0;
+      return ts.next_base < ts.bases.size() ? sched::StepResult::Progress
+                                            : sched::StepResult::Done;
+    };
+
+    for (; tb < config.timesteps; tb += tau) {
+      tau_act = std::min<long>(tau, config.timesteps - tb);
+      layer_index = static_cast<std::int32_t>(tb / tau);
       sup.set_layer(tb / tau);
       const trace::ScopedSpan layer_span(
           rec, trace::Phase::Layer,
           {layer_index, static_cast<std::int32_t>(tb), static_cast<std::int32_t>(tau_act),
            my_tile});
-
-      // Need table of tile i for this layer height, built by whoever runs
-      // the tile first after the build barrier (it reads the neighbours'
-      // geometry).  Recorded as an init leaf like the geometry build.
-      auto ensure_needs = [&](int i, trace::ThreadRecorder* r) {
-        TileState& ts = states[static_cast<std::size_t>(i)];
-        if (ts.needs_height == tau_act) return;
-        const trace::ScopedSpan needs_span(r, trace::Phase::Init, {layer_index, -1, -1, i});
-        build_needs(states, ts, i, counts, shape, s);
-      };
-
       {
         // Build phase: thread parallelogram (clip) + root + bases, once
-        // per layer height, and the progress counter every layer.
-        // Recorded as an init leaf — for deep layers the recursive base
-        // decomposition is a visible setup cost.
+        // per layer height, and the progress counter and cursor every
+        // layer.  Recorded as an init leaf — for deep layers the
+        // recursive base decomposition is a visible setup cost.
         const trace::ScopedSpan build_span(rec, trace::Phase::Init,
                                            {layer_index, -1, -1, my_tile});
         if (mine.height != tau_act)
           build_geometry(mine, tile, counts, shape, s, tau_act, base_sizes);
         mine.done.reset();
+        mine.next_base = 0;
+        mine.next_t = 0;
+        mine.pairs = 0;
+        mine.chain_ns = -1;
         if (tb == 0 && my_tile == 0) full_layer_bases = mine.bases.size();
       }
-      if (stealing && tid == 0) {
-        for (auto& c : cursors) c = TileCursor{};
-        pool->reset(n, owner_of);
-      }
-      barrier.arrive_and_wait(&sup.abort(), rec);
-
-      if (stealing) {
-        pool->run(
-            tid,
-            [&](int i, int wtid, bool stolen) {
-              TileState& ts = states[static_cast<std::size_t>(i)];
-              TileCursor& cur = cursors[static_cast<std::size_t>(i)];
-              core::Executor& ex = sup.executor(wtid);
-              ensure_needs(i, sup.recorder(wtid));
-              bool advanced = false;
-              while (cur.j < ts.bases.size()) {
-                const SpaceTimeTile& base = ts.bases[cur.j];
-                if (cur.t < base.t0) cur.t = base.t0;
-                while (cur.t < base.t1) {
-                  if (!needs_met(states, ts.needs, cur.pair))
-                    return advanced ? sched::StepResult::Yield
-                                    : sched::StepResult::Blocked;
-                  const core::Box box =
-                      intersect(base.box_at(cur.t), clip_box(ts, rank, cur.t));
-                  if (!box.empty()) {
-                    const Index before = ex.updates_done();
-                    ex.update_box(box, tb + cur.t, wtid);
-                    if (stolen)
-                      pool->add_stolen_updates(wtid, ex.updates_done() - before);
-                  }
-                  ts.done.advance_to(static_cast<long>(++cur.pair));
-                  ++cur.t;
-                  advanced = true;
-                }
-                ++cur.j;
-                cur.t = 0;
-              }
-              return sched::StepResult::Done;
-            },
-            &sup.abort(), rec);
-        barrier.arrive_and_wait(&sup.abort(), rec);
-        continue;
-      }
-
-      ensure_needs(my_tile, rec);
-      // Execution phase.  Tile spans chain end-to-start (one clock read
-      // per step) so the inter-step bookkeeping — need lookups, box/clip
-      // geometry, counter advance — is accounted as compute; spin waits
-      // nest inside the step span and their time is excluded from the
-      // tile total so the leaf phases still partition thread time.
-      std::int64_t t_prev = rec ? rec->now_ns() : 0;
-      // Chained spans bypass ScopedSpan, so they sample the per-span
-      // counters by hand: a snapshot at every chain point turns the
-      // cumulative counters into per-step deltas, preserving the
-      // deltas-sum-to-totals invariant on this path too.
-      const bool sampling = rec && rec->sampler();
-      trace::CounterSet prev_counters;
-      if (sampling) rec->sample(prev_counters);
-      std::size_t pair = 0;
-      for (std::size_t j = 0; j < mine.bases.size(); ++j) {
-        const SpaceTimeTile& base = mine.bases[j];
-        const trace::ScopedSpan base_span(
-            rec, trace::Phase::Parallelogram,
-            {static_cast<std::int32_t>(j), layer_index, -1, my_tile});
-        // Compute the local clip of the base one time step at a time,
-        // synchronising with the right neighbours (local synchronisation)
-        // at every step whose inputs cross a thread boundary.
-        for (Index t = base.t0; t < base.t1; ++t) {
-          const std::int64_t spin_before =
-              rec ? rec->total_ns(trace::Phase::SpinWait) : 0;
-          wait_needs(states, mine.needs, pair, sup.abort(), rec);
-          const core::Box box = intersect(base.box_at(t), clip_box(mine, rank, t));
-          if (!box.empty()) exec.update_box(box, tb + t, tid);
-          mine.done.advance_to(static_cast<long>(++pair));
-          if (rec) {
-            const std::int64_t end = rec->now_ns();
-            const trace::SpanArgs args{
-                static_cast<std::int32_t>(box.lo[0]),
-                rank >= 2 ? static_cast<std::int32_t>(box.lo[1]) : -1,
-                rank >= 3 ? static_cast<std::int32_t>(box.lo[2]) : -1, tid};
-            const std::int64_t spun =
-                rec->total_ns(trace::Phase::SpinWait) - spin_before;
-            if (sampling) {
-              trace::CounterSet now;
-              rec->sample(now);
-              const trace::CounterSet delta = now.delta_since(prev_counters);
-              rec->record(trace::Phase::Tile, t_prev, end, args, 0, spun, &delta);
-              prev_counters = now;
-            } else {
-              rec->record(trace::Phase::Tile, t_prev, end, args, 0, spun);
-            }
-            t_prev = end;
-          }
-        }
-      }
-      barrier.arrive_and_wait(&sup.abort(), rec);
+      // The neighbours read the geometry from here on.
+      build_barrier.arrive_and_wait(&sup.abort(), rec);
+      sup.run_tasks(tid, run_base);
     }
   });
   const double seconds = timer.seconds();

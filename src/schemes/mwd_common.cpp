@@ -242,17 +242,19 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
     sup.serial_init();
   }
 
+  // The static schedule keeps its own loop: lockstep groups run their
+  // shrinking columns first in every window, an order a fixed per-visit
+  // round-robin over columns cannot reproduce.
   const bool stealing = config.schedule != sched::Schedule::Static;
   // Stealing state: one cursor (next step) per column; a column lives in
   // exactly one deque / executing leader at a time, so the cursor and its
   // progress counter stay single-writer.  Tasks are whole columns, owned
   // by the leader thread of the owning group.
   std::vector<long> cursors(static_cast<std::size_t>(2 * nd), 0);
-  const auto owner_of = [&](int c) {
-    return plan.owner_group[static_cast<std::size_t>(c >> 1)] * g;
-  };
-  sched::TaskPool* pool = stealing ? sup.pool() : nullptr;
-  threading::Barrier start_barrier(n);
+  if (stealing)
+    sup.set_tasks(2 * nd, [&](int c) {
+      return plan.owner_group[static_cast<std::size_t>(c >> 1)] * g;
+    });
 
   Timer timer;
   sup.run_workers([&](int tid) {
@@ -336,8 +338,6 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
     // pool and broadcast (column, step) to their members; a column whose
     // growing step finds a neighbour behind goes back to its owner's
     // deque instead of wedging the thief.
-    if (tid == 0) pool->reset(2 * nd, owner_of);
-    start_barrier.arrive_and_wait(&sup.abort(), rec);
     GroupCtrl& my_ctrl = ctrl[static_cast<std::size_t>(grp)];
 
     if (mem != 0) {
@@ -354,40 +354,33 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
       return;
     }
 
-    pool->run(
-        tid,
-        [&](int c, int wtid, bool stolen) {
-          long& t = cursors[static_cast<std::size_t>(c)];
-          bool advanced = false;
-          while (t < T) {
-            if (col_growing(c, t) &&
-                (progress[static_cast<std::size_t>(neighbor(c, 0))].current() < t ||
-                 progress[static_cast<std::size_t>(neighbor(c, 1))].current() < t))
-              return advanced ? sched::StepResult::Yield : sched::StepResult::Blocked;
-            if (g > 1) {
-              my_ctrl.col.store(c, std::memory_order_relaxed);
-              my_ctrl.t.store(t, std::memory_order_relaxed);
-              my_ctrl.seq.advance_to(++my_ctrl.issued);
-            }
-            column_step(c, t, 0, false);
-            if (stolen) {
-              // The whole group computed the column's cross-section this
-              // step; credit the analytic volume (member executors are
-              // not safely readable from here).
-              Index zlo = 0, zhi = 0;
-              col_range(c, t, zlo, zhi);
-              if (zhi > zlo)
-                pool->add_stolen_updates(
-                    wtid, static_cast<std::uint64_t>((zhi - zlo) *
-                                                     (shape.product() / nz)));
-            }
-            progress[static_cast<std::size_t>(c)].advance_to(t + 1);
-            ++t;
-            advanced = true;
-          }
-          return sched::StepResult::Done;
-        },
-        &sup.abort(), rec);
+    sup.drain_tasks(tid, [&](int c, const TaskContext& ctx) {
+      long& t = cursors[static_cast<std::size_t>(c)];
+      const int nl = neighbor(c, 0);
+      const int nr = neighbor(c, 1);
+      if (col_growing(c, t) && (!ctx.ready(progress[static_cast<std::size_t>(nl)], t, nl) ||
+                                !ctx.ready(progress[static_cast<std::size_t>(nr)], t, nr)))
+        return sched::StepResult::Blocked;
+      if (g > 1) {
+        my_ctrl.col.store(c, std::memory_order_relaxed);
+        my_ctrl.t.store(t, std::memory_order_relaxed);
+        my_ctrl.seq.advance_to(++my_ctrl.issued);
+      }
+      column_step(c, t, 0, false);
+      if (ctx.stolen() && g > 1) {
+        // drain_tasks credits the leader's own chunk; the other members
+        // computed the rest of the cross-section on executors that are
+        // not safely readable from here, so credit their analytic volume.
+        Index zlo = 0, zhi = 0;
+        col_range(c, t, zlo, zhi);
+        if (zhi > zlo)
+          sup.pool()->add_stolen_updates(
+              ctx.tid(), static_cast<std::uint64_t>((zhi - zlo) * (shape.product() / nz) -
+                                                    member_box(zlo, zhi, 0).volume()));
+      }
+      progress[static_cast<std::size_t>(c)].advance_to(t + 1);
+      return ++t < T ? sched::StepResult::Progress : sched::StepResult::Done;
+    });
     if (g > 1) {
       my_ctrl.col.store(-1, std::memory_order_relaxed);
       my_ctrl.seq.advance_to(++my_ctrl.issued);

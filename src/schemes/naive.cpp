@@ -4,7 +4,6 @@
 
 #include "schemes/decompose.hpp"
 #include "schemes/run_support.hpp"
-#include "thread/barrier.hpp"
 
 namespace nustencil::schemes {
 
@@ -59,65 +58,32 @@ RunResult NaiveScheme::run(core::Problem& problem, const RunConfig& config) cons
   const core::Box updatable =
       core::updatable_box(problem.shape(), problem.stencil(), config.boundary);
 
-  threading::Barrier barrier(n);
-
-  if (config.schedule == sched::Schedule::Static) {
-    Timer timer;
-    sup.run_workers([&](int tid) {
-      const core::Box mine = intersect(tiles[static_cast<std::size_t>(tid)], updatable);
-      core::Executor& exec = sup.executor(tid);
-      trace::ThreadRecorder* rec = sup.recorder(tid);
-      for (long t = 0; t < config.timesteps; ++t) {
-        sup.set_layer(t);
-        exec.update_box(mine, t, tid);
-        barrier.arrive_and_wait(&sup.abort(), rec);
-      }
-    });
-    const double seconds = timer.seconds();
-
-    RunResult r = sup.finish(name(), seconds);
-    r.details["tiles"] = static_cast<double>(n);
-    return r;
-  }
-
-  // Work-stealing schedule: refine every thread's slab into subtiles so
-  // thieves can pick up fractions of an oversized slab, keeping the
+  // One task per thread slab.  Stealing refines every slab into subtiles
+  // so thieves can pick up fractions of an oversized slab, keeping the
   // owner on its own pages for the un-stolen majority.
-  sched::TaskPool& pool = *sup.pool();
+  const int parts = config.schedule == sched::Schedule::Static ? 1 : 8;
   std::vector<core::Box> tasks;
   std::vector<int> task_owner;
   for (int tid = 0; tid < n; ++tid) {
     const core::Box mine = intersect(tiles[static_cast<std::size_t>(tid)], updatable);
-    for (const core::Box& b : split_for_stealing(mine, 8)) {
+    for (const core::Box& b : split_for_stealing(mine, parts)) {
       tasks.push_back(b);
       task_owner.push_back(tid);
     }
   }
   const int ntasks = static_cast<int>(tasks.size());
-  const auto owner_of = [&](int i) {
-    return task_owner[static_cast<std::size_t>(i)];
-  };
+  sup.set_tasks(ntasks, [&](int i) { return task_owner[static_cast<std::size_t>(i)]; });
 
   Timer timer;
   sup.run_workers([&](int tid) {
-    trace::ThreadRecorder* rec = sup.recorder(tid);
-    for (long t = 0; t < config.timesteps; ++t) {
+    long t = 0;
+    const TaskStep sweep = [&](int task, const TaskContext& ctx) {
+      ctx.exec().update_box(tasks[static_cast<std::size_t>(task)], t, ctx.tid());
+      return sched::StepResult::Done;
+    };
+    for (; t < config.timesteps; ++t) {
       sup.set_layer(t);
-      if (tid == 0) pool.reset(ntasks, owner_of);
-      barrier.arrive_and_wait(&sup.abort(), rec);
-      pool.run(
-          tid,
-          [&](int task, int wtid, bool stolen) {
-            core::Executor& exec = sup.executor(wtid);
-            const Index before = exec.updates_done();
-            exec.update_box(tasks[static_cast<std::size_t>(task)], t, wtid);
-            if (stolen) pool.add_stolen_updates(wtid, exec.updates_done() - before);
-            return sched::StepResult::Done;
-          },
-          &sup.abort(), rec);
-      // Fences the reset of the next step: every worker must have left
-      // run() before tid 0 rebuilds the deques.
-      barrier.arrive_and_wait(&sup.abort(), rec);
+      sup.run_tasks(tid, sweep);
     }
   });
   const double seconds = timer.seconds();

@@ -1,6 +1,7 @@
 #include "schemes/run_support.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "common/error.hpp"
 #include "hwc/validate.hpp"
@@ -84,11 +85,11 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
   // Placed with the same machine/pin-policy node map the traffic
   // instrumentation uses, so victim ordering is NUMA-aware even when
   // instrumentation is off.
-  if (config.schedule != sched::Schedule::Static)
-    pool_ = std::make_unique<sched::TaskPool>(
-        config.num_threads,
-        sched::thread_nodes(*machine_, config.pin_policy, config.num_threads),
-        config.schedule);
+  pool_ = std::make_unique<sched::TaskPool>(
+      config.num_threads,
+      sched::thread_nodes(*machine_, config.pin_policy, config.num_threads),
+      config.schedule);
+  task_barrier_ = std::make_unique<threading::Barrier>(config.num_threads);
 
   // Bind the live telemetry sampler last, when every source it reads
   // exists.
@@ -96,7 +97,9 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
     telemetry::RunSources sources;
     sources.timesteps = config.timesteps;
     sources.counters = &*counters_;
-    sources.pool = pool_.get();
+    // A static pool has nothing to steal: no steal series.
+    sources.pool =
+        config.schedule == sched::Schedule::Static ? nullptr : pool_.get();
     sources.trace = trace_;
     sources.abort = &abort_;
     if (hw_ && hw_->active()) {
@@ -124,20 +127,70 @@ void RunSupport::sample(int tid, trace::CounterSet& out) const {
 }
 
 void RunSupport::run_workers(const std::function<void(int)>& body) {
-  team_->run([&](int tid) {
-    // Counters stay enabled for the whole parallel region (one ioctl
-    // pair per region, not per span); the span sampler reads cumulative
-    // values at span boundaries in between.
-    if (hw_) hw_->attach(tid);
-    try {
-      body(tid);
-    } catch (...) {
-      abort_.trigger();
+  // Written once, by the worker whose failure triggered the token; the
+  // team's join orders it before the read below.
+  std::exception_ptr cause;
+  try {
+    team_->run([&](int tid) {
+      // Counters stay enabled for the whole parallel region (one ioctl
+      // pair per region, not per span); the span sampler reads cumulative
+      // values at span boundaries in between.
+      if (hw_) hw_->attach(tid);
+      try {
+        body(tid);
+      } catch (...) {
+        if (abort_.trigger()) cause = std::current_exception();
+        if (hw_) hw_->detach(tid);
+        throw;
+      }
       if (hw_) hw_->detach(tid);
-      throw;
-    }
-    if (hw_) hw_->detach(tid);
+    });
+  } catch (...) {
+    // Peers woken by the token may have reached the team first with the
+    // generic abort error.
+    if (cause) std::rethrow_exception(cause);
+    throw;
+  }
+}
+
+void RunSupport::set_tasks(int ntasks, const std::function<int(int)>& owner_of) {
+  pool_->reset(ntasks, owner_of);
+}
+
+void RunSupport::run_tasks(int tid, const TaskStep& step,
+                           const std::function<void()>& prepare) {
+  drain_tasks(tid, step);
+  task_barrier_->arrive_and_wait(&abort_, recorder(tid), [&] {
+    if (prepare) prepare();
+    pool_->rearm();
   });
+}
+
+void RunSupport::drain_tasks(int tid, const TaskStep& step) {
+  // One reference in the pool's callback keeps it inside std::function's
+  // small buffer: no allocation per phase.
+  struct Visit {
+    TaskContext ctx;
+    const TaskStep& step;
+    sched::TaskPool& pool;
+  } v{{}, step, *pool_};
+  v.ctx.tid_ = tid;
+  v.ctx.blocking_ = config_->schedule == sched::Schedule::Static;
+  v.ctx.exec_ = &executor(tid);
+  v.ctx.rec_ = recorder(tid);
+  v.ctx.abort_ = &abort_;
+  pool_->run(
+      tid,
+      [&v](int task, int, bool stolen) {
+        v.ctx.stolen_ = stolen;
+        const Index before = v.ctx.exec_->updates_done();
+        const sched::StepResult r = v.step(task, v.ctx);
+        if (stolen)
+          v.pool.add_stolen_updates(
+              v.ctx.tid_, static_cast<std::uint64_t>(v.ctx.exec_->updates_done() - before));
+        return r;
+      },
+      &abort_, v.ctx.rec_);
 }
 
 int RunSupport::node_of_thread(int tid) const {
@@ -235,8 +288,8 @@ RunResult RunSupport::finish(const std::string& scheme_name, double seconds) {
       reg.add_buckets("kernel/tile_updates", k.tile_buckets);
     }
   }
-  if (pool_) {
-    r.sched = pool_->stats();
+  r.sched = pool_->stats();
+  if (r.sched.enabled) {
     r.details["steal_attempts"] = static_cast<double>(r.sched.total_attempts());
     r.details["steals"] = static_cast<double>(r.sched.total_steals());
     r.details["steal_fails"] = static_cast<double>(r.sched.total_fails());

@@ -1,6 +1,7 @@
 // Shared scaffolding for scheme implementations: instrumentation setup,
-// the worker team, per-thread executors, boundary initialisation, and
-// result assembly.
+// the worker team, per-thread executors, the task phases every scheduled
+// scheme runs its tiles through, boundary initialisation, and result
+// assembly.
 #pragma once
 
 #include <memory>
@@ -17,9 +18,46 @@
 #include "sched/pool.hpp"
 #include "schemes/scheme.hpp"
 #include "thread/abort.hpp"
+#include "thread/barrier.hpp"
+#include "thread/spinflag.hpp"
 #include "thread/team.hpp"
 
 namespace nustencil::schemes {
+
+/// What one task step runs with: the executing worker, its executor and
+/// span recorder, and the dependency test.  A step writes its tile work
+/// once against this context, for every schedule.
+class TaskContext {
+ public:
+  int tid() const { return tid_; }
+  /// The task sits on another worker's deque (only under stealing).
+  bool stolen() const { return stolen_; }
+  core::Executor& exec() const { return *exec_; }
+  trace::ThreadRecorder* rec() const { return rec_; }
+
+  /// Whether `counter` has reached `need`.  Under the static schedule
+  /// this waits (a spin-wait span naming `owner`) and returns true; under
+  /// stealing it only probes, and a step that sees false returns
+  /// Progress or Blocked so the pool can run something else.
+  bool ready(const threading::ProgressCounter& counter, long need,
+             std::int32_t owner) const {
+    if (!blocking_) return counter.current() >= need;
+    counter.wait_for(need, abort_, rec_, owner);
+    return true;
+  }
+
+ private:
+  friend class RunSupport;
+  int tid_ = 0;
+  bool stolen_ = false;
+  bool blocking_ = true;
+  core::Executor* exec_ = nullptr;
+  trace::ThreadRecorder* rec_ = nullptr;
+  const threading::AbortToken* abort_ = nullptr;
+};
+
+/// Advances task `task` by one unit; see sched::StepResult.
+using TaskStep = std::function<sched::StepResult(int task, const TaskContext& ctx)>;
 
 /// The machine used for instrumentation when RunConfig::machine is null.
 const topology::MachineSpec& default_machine();
@@ -44,9 +82,28 @@ class RunSupport : private trace::CounterSampler {
   const threading::AbortToken& abort() const { return abort_; }
 
   /// Runs body(tid) on the team; a throwing worker triggers the abort
-  /// token so every other worker unwinds from its spin-waits, then the
-  /// first exception is rethrown here.
+  /// token so every other worker unwinds from its spin-waits.  The root
+  /// cause — the exception of the worker that triggered the token — is
+  /// rethrown here, never a peer's "another worker failed first".
   void run_workers(const std::function<void(int)>& body);
+
+  /// Sets the run's tasks: `ntasks` of them, task i on owner_of(i)'s
+  /// deque in ascending order.  Call before the workers start; every
+  /// phase runs all of them.
+  void set_tasks(int ntasks, const std::function<int(int)>& owner_of);
+
+  /// One phase of the run's tasks, called by every worker: drain_tasks,
+  /// then a barrier whose releasing arrival runs `prepare` (when set: the
+  /// place to reset per-phase state the tasks share) and re-arms the pool
+  /// for the next phase.  A worker's idle time at the end of a phase is
+  /// barrier wait.
+  void run_tasks(int tid, const TaskStep& step,
+                 const std::function<void()>& prepare = {});
+
+  /// Drains the armed pool on worker `tid` (see sched::TaskPool::run).
+  /// Updates a thief computes on its own executor are credited to it as
+  /// stolen updates.
+  void drain_tasks(int tid, const TaskStep& step);
 
   /// Per-thread executor (one per worker; never shared between threads).
   core::Executor& executor(int tid) { return *executors_[static_cast<std::size_t>(tid)]; }
@@ -65,8 +122,8 @@ class RunSupport : private trace::CounterSampler {
   /// placement of the instrumented machine; 0 when not instrumenting.
   int node_of_thread(int tid) const;
 
-  /// Work-stealing task pool of this run, or nullptr under the static
-  /// schedule.  finish() folds its stats into the result.
+  /// Task pool of this run (static or stealing).  finish() folds its
+  /// stats into the result.
   sched::TaskPool* pool() { return pool_.get(); }
 
   /// Serial allocation/initialisation by "thread 0": fills the whole
@@ -101,6 +158,7 @@ class RunSupport : private trace::CounterSampler {
   std::vector<std::unique_ptr<core::Executor>> executors_;
   std::unique_ptr<threading::Team> team_;
   std::unique_ptr<sched::TaskPool> pool_;
+  std::unique_ptr<threading::Barrier> task_barrier_;  ///< fences task phases
   threading::AbortToken abort_;
 };
 

@@ -48,10 +48,11 @@ struct RunConfig {
   /// Pin worker threads to host cores (harmless no-op on small hosts).
   bool pin_threads = false;
 
-  /// Tile scheduling policy.  Static keeps the owner-computes loops of
-  /// the paper bit-identical to the pre-scheduler code path; Steal adds
-  /// NUMA-distance-ordered work stealing over owner-first deques;
-  /// StealLocal restricts victims to the thief's own node (sched/).
+  /// Tile scheduling policy, the mode of the run's task pool.  Static
+  /// runs the paper's owner-computes order (each thread round-robins its
+  /// own tiles, waits block); Steal adds NUMA-distance-ordered work
+  /// stealing over owner-first deques; StealLocal restricts victims to
+  /// the thief's own node (sched/).
   sched::Schedule schedule = sched::Schedule::Static;
 
   /// Thread-group size of the MWD/nuMWD diamond family: how many threads
@@ -141,7 +142,7 @@ struct RunResult {
   std::map<std::string, double> details;  ///< scheme-specific parameters
 
   /// Work-stealing statistics; `sched.enabled` stays false under the
-  /// static schedule (nothing can be stolen without a pool).
+  /// static schedule (a pool without thieves steals nothing).
   sched::SchedStats sched;
 
   /// Per-thread, per-phase wall-time totals (compute, barrier wait, spin

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "schemes/run_support.hpp"
-#include "thread/barrier.hpp"
 
 namespace nustencil::schemes {
 
@@ -56,93 +55,49 @@ RunResult TrapezoidScheme::run(core::Problem& problem, const RunConfig& config) 
   domain.lo = Coord::filled(rank, 0);
   domain.hi = problem.shape();
 
-  // Under a stealing schedule each trapezoid becomes one task; the
-  // owner map keeps the static round-robin (task i on thread i % n), so
-  // an un-stolen run executes the same trapezoids on the same threads.
-  // Phase A trapezoids are mutually independent, as are phase B ones
-  // (they only read phase A results, fenced by the barrier), so tasks
-  // never block.
-  sched::TaskPool* pool = sup.pool();
-  const auto round_robin = [n](int i) { return i % n; };
+  // Each trapezoid is one task, task i on thread i % n (the static
+  // round-robin; an un-stolen run executes the same trapezoids on the same
+  // threads).  Phase A trapezoids are mutually independent, as are phase
+  // B ones (they only read phase A results, fenced by the barrier that
+  // ends phase A), so tasks never wait.
+  sup.set_tasks(k, [n](int i) { return i % n; });
 
-  threading::Barrier barrier(n);
   Timer timer;
   sup.run_workers([&](int tid) {
-    core::Executor& exec = sup.executor(tid);
     trace::ThreadRecorder* rec = sup.recorder(tid);
-    for (long tb = 0; tb < config.timesteps; tb += h) {
-      const long hb = std::min<long>(h, config.timesteps - tb);
+    long tb = 0, hb = 0;
+    // Phase A: shrinking trapezoids [zi + s*dt, zi+1 - s*dt).
+    const TaskStep shrinking = [&](int i, const TaskContext& ctx) {
+      const Index lo = nd * i / k, hi = nd * (i + 1) / k;
+      for (long dt = 0; dt < hb; ++dt) {
+        core::Box box = domain;
+        box.lo[d] = lo + s * dt;
+        box.hi[d] = hi - s * dt;
+        if (!box.empty()) ctx.exec().update_box(box, tb + dt, ctx.tid());
+      }
+      return sched::StepResult::Done;
+    };
+    // Phase B: expanding trapezoids [bi - s*dt, bi + s*dt) around each
+    // tile boundary bi (the ring boundary included).
+    const TaskStep expanding = [&](int i, const TaskContext& ctx) {
+      const Index b = nd * (i + 1) / k;  // boundary between tile i and i+1
+      for (long dt = 1; dt < hb; ++dt) {
+        core::Box box = domain;
+        box.lo[d] = b - s * dt;
+        box.hi[d] = b + s * dt;
+        ctx.exec().update_box(box, tb + dt, ctx.tid());
+      }
+      return sched::StepResult::Done;
+    };
+    for (; tb < config.timesteps; tb += h) {
+      hb = std::min<long>(h, config.timesteps - tb);
       sup.set_layer(tb / h);
       const trace::ScopedSpan layer_span(
           rec, trace::Phase::Layer,
           {static_cast<std::int32_t>(tb / h), static_cast<std::int32_t>(tb),
            static_cast<std::int32_t>(hb)});
-      if (!pool) {
-        // Phase A: shrinking trapezoids [zi + s*dt, zi+1 - s*dt).
-        for (int i = tid; i < k; i += n) {
-          const Index lo = nd * i / k, hi = nd * (i + 1) / k;
-          for (long dt = 0; dt < hb; ++dt) {
-            core::Box box = domain;
-            box.lo[d] = lo + s * dt;
-            box.hi[d] = hi - s * dt;
-            if (!box.empty()) exec.update_box(box, tb + dt, tid);
-          }
-        }
-        barrier.arrive_and_wait(&sup.abort(), rec);
-        // Phase B: expanding trapezoids [bi - s*dt, bi + s*dt) around each
-        // tile boundary bi (the ring boundary included).
-        for (int i = tid; i < k; i += n) {
-          const Index b = nd * (i + 1) / k;  // boundary between tile i and i+1
-          for (long dt = 1; dt < hb; ++dt) {
-            core::Box box = domain;
-            box.lo[d] = b - s * dt;
-            box.hi[d] = b + s * dt;
-            exec.update_box(box, tb + dt, tid);
-          }
-        }
-        barrier.arrive_and_wait(&sup.abort(), rec);
-        continue;
-      }
-      // Stealing: reset -> barrier -> drain, once per phase; the barrier
-      // after each drain fences the next reset.
-      if (tid == 0) pool->reset(k, round_robin);
-      barrier.arrive_and_wait(&sup.abort(), rec);
-      pool->run(
-          tid,
-          [&](int i, int wtid, bool stolen) {
-            core::Executor& ex = sup.executor(wtid);
-            const Index before = ex.updates_done();
-            const Index lo = nd * i / k, hi = nd * (i + 1) / k;
-            for (long dt = 0; dt < hb; ++dt) {
-              core::Box box = domain;
-              box.lo[d] = lo + s * dt;
-              box.hi[d] = hi - s * dt;
-              if (!box.empty()) ex.update_box(box, tb + dt, wtid);
-            }
-            if (stolen) pool->add_stolen_updates(wtid, ex.updates_done() - before);
-            return sched::StepResult::Done;
-          },
-          &sup.abort(), rec);
-      barrier.arrive_and_wait(&sup.abort(), rec);
-      if (tid == 0) pool->reset(k, round_robin);
-      barrier.arrive_and_wait(&sup.abort(), rec);
-      pool->run(
-          tid,
-          [&](int i, int wtid, bool stolen) {
-            core::Executor& ex = sup.executor(wtid);
-            const Index before = ex.updates_done();
-            const Index b = nd * (i + 1) / k;  // boundary between tile i and i+1
-            for (long dt = 1; dt < hb; ++dt) {
-              core::Box box = domain;
-              box.lo[d] = b - s * dt;
-              box.hi[d] = b + s * dt;
-              ex.update_box(box, tb + dt, wtid);
-            }
-            if (stolen) pool->add_stolen_updates(wtid, ex.updates_done() - before);
-            return sched::StepResult::Done;
-          },
-          &sup.abort(), rec);
-      barrier.arrive_and_wait(&sup.abort(), rec);
+      sup.run_tasks(tid, shrinking);
+      sup.run_tasks(tid, expanding);
     }
   });
   const double seconds = timer.seconds();

@@ -15,7 +15,8 @@ namespace nustencil::threading {
 
 class AbortToken {
  public:
-  void trigger() { triggered_.store(true, std::memory_order_release); }
+  /// Triggers the token; true for the one call that triggered it first.
+  bool trigger() { return !triggered_.exchange(true, std::memory_order_acq_rel); }
 
   bool triggered() const { return triggered_.load(std::memory_order_acquire); }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <atomic>
+#include <functional>
 #include <thread>
 
 #include "common/error.hpp"
@@ -30,11 +31,14 @@ class Barrier {
   /// in teardown and must not be reused).  When `rec` is given, every
   /// participant that actually waits records a barrier-wait span with its
   /// spin-iteration count (the releasing arrival records nothing); a null
-  /// recorder costs one branch.
+  /// recorder costs one branch.  `on_release`, when set, runs on the
+  /// releasing arrival while every other participant is still waiting.
   void arrive_and_wait(const AbortToken* abort = nullptr,
-                       trace::ThreadRecorder* rec = nullptr) {
+                       trace::ThreadRecorder* rec = nullptr,
+                       const std::function<void()>& on_release = {}) {
     const bool my_sense = !sense_.load(std::memory_order_relaxed);
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == participants_) {
+      if (on_release) on_release();
       arrived_.store(0, std::memory_order_relaxed);
       sense_.store(my_sense, std::memory_order_release);
     } else {

@@ -1,14 +1,15 @@
 // Seeded randomised sweep: random shapes, orders, thread counts, step
-// counts, schedules and schemes, each run once dependency-checked and
-// once unchecked (the whole-row kernel path every default run takes),
-// both compared against the reference.  Catches interaction bugs the
-// hand-picked configurations miss; the seed is fixed so failures
-// reproduce.
+// counts, schedules, kernels, MWD group sizes and schemes, each run once
+// dependency-checked and once unchecked (the whole-row kernel path every
+// default run takes), both compared against the reference.  Catches
+// interaction bugs the hand-picked configurations miss; the seed is fixed
+// so failures reproduce.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <iostream>
 #include <random>
+#include <vector>
 
 #include "sched/schedule.hpp"
 #include "schemes/naive.hpp"
@@ -22,14 +23,21 @@ TEST(Fuzz, RandomConfigurationsMatchReference) {
   std::mt19937 rng(20120521);  // the paper's conference date
   const auto& names = schemes::scheme_names();
 
-  for (int trial = 0; trial < 60; ++trial) {
+  const core::KernelPolicy kernels[] = {core::KernelPolicy::Auto, core::KernelPolicy::Scalar,
+                                        core::KernelPolicy::SSE2, core::KernelPolicy::AVX2};
+  int short_rows = 0, mwd_groups = 0;
+  const int trials = 200;
+  for (int trial = 0; trial < trials; ++trial) {
     const std::string name = names[rng() % names.size()];
     const int order = name == "nuCORALS" || name == "NaiveSSE"
                           ? 1 + static_cast<int>(rng() % 3)
                           : 1 + static_cast<int>(rng() % 2);
     std::uniform_int_distribution<Index> extent(4 * order + 1, 26);
     Coord shape{extent(rng), extent(rng), extent(rng)};
+    // Rows around the whole-row kernel threshold (core::kWholeRowMinNx).
+    if (rng() % 3 == 0) shape[0] = 7 + static_cast<Index>(rng() % 7);
     schemes::RunConfig cfg;
+    cfg.kernel = kernels[rng() % 4];
     cfg.num_threads = 1 + static_cast<int>(rng() % 6);
     cfg.timesteps = 1 + static_cast<long>(rng() % 9);
     cfg.check_dependencies = true;
@@ -51,17 +59,29 @@ TEST(Fuzz, RandomConfigurationsMatchReference) {
                                         : core::StencilSpec::stable_star(3, order);
     // PLuTo's diamonds have no owner-first deques to steal from.
     if (name != "PLuTo" && rng() % 2 == 0) cfg.schedule = sched::Schedule::Steal;
+    if (name == "MWD" || name == "nuMWD") {
+      std::vector<int> divisors;
+      for (int g = 1; g <= cfg.num_threads; ++g)
+        if (cfg.num_threads % g == 0) divisors.push_back(g);
+      cfg.group_size = divisors[rng() % divisors.size()];
+      mwd_groups += cfg.group_size > 1;
+    }
+    short_rows += shape[0] <= 13;
     SCOPED_TRACE(name + " " + std::to_string(shape[0]) + "x" +
                  std::to_string(shape[1]) + "x" + std::to_string(shape[2]) + " s=" +
                  std::to_string(order) + " n=" + std::to_string(cfg.num_threads) +
                  " T=" + std::to_string(cfg.timesteps) +
                  (banded ? " banded" : "") + " " + sched::schedule_name(cfg.schedule) +
+                 " kernel=" + core::to_string(cfg.kernel) +
+                 " group=" + std::to_string(cfg.group_size) +
                  " trial=" + std::to_string(trial));
     const auto scheme = schemes::make_scheme(name);
     test::expect_matches_reference(*scheme, shape, st, cfg);
     cfg.check_dependencies = false;
     test::expect_matches_reference(*scheme, shape, st, cfg);
   }
+  EXPECT_GT(short_rows, trials / 5);
+  EXPECT_GT(mwd_groups, trials / 40);
 }
 
 TEST(Fuzz, CoralsGeometryMatchesReference) {

@@ -1,7 +1,8 @@
-// Work-stealing scheduler: TaskPool unit tests (victim ranking, owner-first
-// order, far-end stealing, re-enqueue of blocked/yielded tasks) and the two
-// scheme-level guarantees of --schedule=steal — bit-identical results and
-// dependency safety under forced stealing.
+// Task pool: TaskPool unit tests (victim ranking, owner-first order,
+// far-end stealing, greedy stepping and re-enqueue of blocked tasks, the
+// thief-free static round-robin) and the two scheme-level guarantees of
+// --schedule=steal — bit-identical results and dependency safety under
+// forced stealing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -97,7 +98,8 @@ TEST(TaskPool, BlockedAndYieldedTasksReenqueueAtOwner) {
   TaskPool pool(2, {0, 0}, Schedule::Steal);
   pool.reset(3, [](int) { return 0; });
   std::vector<int> order;
-  bool blocked_once = false, yielded_once = false;
+  int calls0 = 0;
+  bool blocked_once = false;
   pool.run(1,
            [&](int task, int, bool) {
              order.push_back(task);
@@ -105,18 +107,48 @@ TEST(TaskPool, BlockedAndYieldedTasksReenqueueAtOwner) {
                blocked_once = true;
                return StepResult::Blocked;
              }
-             if (task == 0 && !yielded_once) {
-               yielded_once = true;
-               return StepResult::Yield;
-             }
+             // Task 0 makes progress, then blocks (it yields), then ends.
+             if (task == 0 && ++calls0 < 3)
+               return calls0 == 1 ? StepResult::Progress : StepResult::Blocked;
              return StepResult::Done;
            },
            nullptr, nullptr);
   // Task 2 is stolen from the back, blocks, returns to the owner's back
-  // and is stolen again; task 0 yields once and likewise comes back.
-  EXPECT_EQ(order, (std::vector<int>{2, 2, 1, 0, 0}));
+  // and is stolen again; task 0 is stepped again at once after its
+  // progress, then blocks, comes back and finishes.
+  EXPECT_EQ(order, (std::vector<int>{2, 2, 1, 0, 0, 0}));
   EXPECT_TRUE(blocked_once);
-  EXPECT_TRUE(yielded_once);
+  EXPECT_EQ(calls0, 3);
+}
+
+TEST(TaskPool, StaticHasNoThievesAndNoStats) {
+  const TaskPool pool(3, {0, 0, 0}, Schedule::Static);
+  for (int tid = 0; tid < 3; ++tid) EXPECT_TRUE(pool.victim_order(tid).empty());
+  EXPECT_FALSE(pool.stats().enabled);
+  EXPECT_TRUE(pool.stats().threads.empty());
+}
+
+TEST(TaskPool, StaticRoundRobinsOneUnitPerVisit) {
+  TaskPool pool(2, {0, 0}, Schedule::Static);
+  pool.reset(4, [](int task) { return task == 3 ? 1 : 0; });
+  std::vector<int> units(4, 0);
+  std::vector<int> order;
+  const auto step = [&](int task, int, bool stolen) {
+    EXPECT_FALSE(stolen);
+    order.push_back(task);
+    // Every task is three units long.
+    return ++units[static_cast<std::size_t>(task)] < 3 ? StepResult::Progress
+                                                       : StepResult::Done;
+  };
+  // Worker 0 cycles through its own tasks one unit per visit and leaves
+  // once its deque is empty, never touching worker 1's task.
+  pool.run(0, step, nullptr, nullptr);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 0, 1, 2, 0, 1, 2}));
+  order.clear();
+  pool.run(1, step, nullptr, nullptr);
+  EXPECT_EQ(order, (std::vector<int>{3, 3, 3}));
+  // Every task retired, so the pool can be armed again.
+  EXPECT_NO_THROW(pool.reset(1, [](int) { return 0; }));
 }
 
 TEST(TaskPool, TwoWorkersRetireEverythingOnce) {
@@ -181,7 +213,8 @@ TEST_P(ScheduleDeterminism, StealMatchesStaticBitForBit) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ScheduleDeterminism,
                          testing::Values("NaiveSSE", "CATS", "nuCATS",
-                                         "CORALS", "nuCORALS", "Pochoir"),
+                                         "CORALS", "nuCORALS", "Pochoir", "MWD",
+                                         "nuMWD"),
                          [](const auto& info) { return info.param; });
 
 class ScheduleDependencySafety : public testing::TestWithParam<std::string> {};
@@ -200,7 +233,8 @@ TEST_P(ScheduleDependencySafety, NoTileRunsBeforeItsPredecessors) {
 
 INSTANTIATE_TEST_SUITE_P(AllSchemes, ScheduleDependencySafety,
                          testing::Values("NaiveSSE", "CATS", "nuCATS",
-                                         "CORALS", "nuCORALS", "Pochoir"),
+                                         "CORALS", "nuCORALS", "Pochoir", "MWD",
+                                         "nuMWD"),
                          [](const auto& info) { return info.param; });
 
 }  // namespace
