@@ -58,20 +58,6 @@ double ArgParser::validate_positive_seconds(const char* flag, double seconds) {
   return seconds;
 }
 
-double ArgParser::validate_positive_ms(const char* flag, double ms) {
-  NUSTENCIL_CHECK(std::isfinite(ms) && ms > 0.0,
-                  std::string(flag) +
-                      " must be a positive number of milliseconds, got " +
-                      std::to_string(ms));
-  return ms;
-}
-
-long ArgParser::validate_non_negative(const char* flag, long value) {
-  NUSTENCIL_CHECK(value >= 0, std::string(flag) + " must be >= 0, got " +
-                                  std::to_string(value));
-  return value;
-}
-
 bool ArgParser::parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];

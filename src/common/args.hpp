@@ -53,16 +53,6 @@ class ArgParser {
   /// finite.
   static double validate_positive_seconds(const char* flag, double seconds);
 
-  /// Validates a positive-milliseconds option (e.g.
-  /// --telemetry-interval-ms): throws Error (with the flag and the
-  /// offending value) unless ms > 0 and finite.
-  static double validate_positive_ms(const char* flag, double ms);
-
-  /// Validates a non-negative count option (e.g.
-  /// --watchdog-stall-intervals, where 0 means off): throws Error (with
-  /// the flag and the offending value) unless value >= 0.
-  static long validate_non_negative(const char* flag, long value);
-
   /// Validates a --group-size value against the worker-thread count:
   /// throws Error (with the offending values in the message) unless
   /// 1 <= group <= num_threads and group divides num_threads.  Returns

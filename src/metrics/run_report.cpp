@@ -330,30 +330,6 @@ void write_stats(JsonWriter& w, const std::optional<StatsSection>& s) {
   w.end_object();
 }
 
-void write_timeseries(JsonWriter& w, const std::optional<TimeseriesSection>& t) {
-  w.begin_object();
-  w.kv("enabled", t.has_value() && t->enabled);
-  if (t && t->enabled) {
-    w.kv("interval_ms", t->interval_ms);
-    w.kv("samples", t->samples);
-    w.kv("stall_events", t->stall_events);
-    w.key("t_ms").begin_array();
-    for (double v : t->t_ms) w.value(v);
-    w.end_array();
-    w.key("series").begin_array();
-    for (const TimeseriesSection::Series& s : t->series) {
-      w.begin_object();
-      w.kv("name", s.name);
-      w.key("values").begin_array();
-      for (double v : s.values) w.value(v);
-      w.end_array();
-      w.end_object();
-    }
-    w.end_array();
-  }
-  w.end_object();
-}
-
 }  // namespace
 
 void write_run_report(const RunReport& report, std::ostream& os) {
@@ -385,8 +361,6 @@ void write_run_report(const RunReport& report, std::ostream& os) {
   write_model(w, report.model);
   w.key("stats");
   write_stats(w, report.stats);
-  w.key("timeseries");
-  write_timeseries(w, report.timeseries);
 
   const Snapshot snap = report.registry ? report.registry->snapshot() : Snapshot{};
   w.key("counters").begin_object();

@@ -40,25 +40,6 @@ struct ModelSection {
   std::vector<double> ll1band0c;
 };
 
-/// Downsampled live-telemetry rings (schema v6 "timeseries" section).
-/// Plain data so metrics stays independent of src/telemetry: the sampler
-/// produces this struct, the report writer and dashboard consume it.
-/// Every series is aligned with the shared `t_ms` axis (one value per
-/// retained sample row, exact decimation — never interpolated).
-struct TimeseriesSection {
-  bool enabled = false;
-  double interval_ms = 0.0;      ///< configured sampling interval
-  std::uint64_t samples = 0;     ///< ticks taken over the run (>= t_ms.size())
-  std::uint64_t stall_events = 0;
-  std::vector<double> t_ms;      ///< sample times, ms since run start
-
-  struct Series {
-    std::string name;            ///< e.g. "thread0/mups", "run/locality"
-    std::vector<double> values;  ///< aligned with t_ms
-  };
-  std::vector<Series> series;
-};
-
 /// Everything write_run_report serialises.  Pointer members are optional
 /// sections (omitted as empty objects when null) and are not owned.
 struct RunReport {
@@ -100,7 +81,6 @@ struct RunReport {
   const hwc::HwRunStats* hw = nullptr;  ///< null / disabled without --hw-counters
   std::optional<ModelSection> model;
   std::optional<StatsSection> stats;  ///< set when the run had --reps > 1
-  std::optional<TimeseriesSection> timeseries;  ///< set when telemetry sampled
   const Registry* registry = nullptr;  ///< counters/histograms
 };
 

@@ -20,8 +20,8 @@ const std::vector<std::string>& run_report_top_level_keys() {
   static const std::vector<std::string> keys = {
       "schema_version", "generator", "provenance", "config",     "machine",
       "result",         "traffic",   "cache",      "phases",     "sched",
-      "prof",           "hw",        "model",      "stats",      "timeseries",
-      "counters",       "histograms"};
+      "prof",           "hw",        "model",      "stats",      "counters",
+      "histograms"};
   return keys;
 }
 

@@ -30,9 +30,11 @@ namespace nustencil::metrics {
 /// v7: removed the top-level "gauges" section (copies of the result,
 /// traffic, phases, cache and hw sections) and the "sched/*" keys of
 /// "counters" (the "sched" section carries them).
+/// v8: removed the top-level "timeseries" section (the live-telemetry
+/// sampler that filled it is gone).
 /// Readers (nustencil_report, metrics/diff) stay forward-tolerant: any
 /// schema >= 1 parses, absent sections are skipped.
-inline constexpr int kRunReportSchemaVersion = 7;
+inline constexpr int kRunReportSchemaVersion = 8;
 
 /// The fixed leading CSV columns of the nustencil CLI summary table
 /// (before the detail_* and phase columns).

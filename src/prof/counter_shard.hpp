@@ -6,10 +6,10 @@
 // Executor::update_box and still inside its Tile span, from its own
 // single-writer sources.  Writes are relaxed stores with no
 // read-modify-write (plain moves on x86); any thread reads with relaxed
-// loads.  Three observers share the rows: per-span attribution (the
-// run's trace::CounterSampler), the --progress heartbeat and the
-// telemetry sampler.  A run builds a shard only when one of them is
-// active; otherwise the executor's publish is one null-pointer branch.
+// loads.  Two observers share the rows: per-span attribution (the
+// run's trace::CounterSampler) and the --progress heartbeat.  A run
+// builds a shard only when one of them is active; otherwise the
+// executor's publish is one null-pointer branch.
 #pragma once
 
 #include <algorithm>

@@ -1,5 +1,6 @@
 #include "prof/progress.hpp"
 
+#include <atomic>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -8,6 +9,11 @@
 #include "common/error.hpp"
 
 namespace nustencil::prof {
+namespace {
+
+std::atomic<std::uint64_t> g_threads_started{0};
+
+}  // namespace
 
 ProgressMeter::ProgressMeter(double interval_s, std::ostream& os,
                              std::string label, std::uint64_t total_updates)
@@ -16,6 +22,51 @@ ProgressMeter::ProgressMeter(double interval_s, std::ostream& os,
       label_(std::move(label)),
       total_updates_(total_updates) {
   NUSTENCIL_CHECK(interval_s > 0.0, "ProgressMeter: interval must be positive");
+}
+
+ProgressMeter::~ProgressMeter() { stop(/*final_line=*/false); }
+
+void ProgressMeter::start(const CounterShard& counters) {
+  stop(/*final_line=*/false);
+  counters_ = &counters;
+  {
+    std::lock_guard<std::mutex> lk(mutex_);
+    stopping_ = false;
+  }
+  g_threads_started.fetch_add(1, std::memory_order_relaxed);
+  thread_ = std::thread([this] { loop(); });
+}
+
+void ProgressMeter::loop() {
+  using clock = std::chrono::steady_clock;
+  const auto every = std::chrono::duration_cast<clock::duration>(
+      std::chrono::duration<double>(interval_s_));
+  auto next = clock::now() + every;
+  std::unique_lock<std::mutex> lk(mutex_);
+  while (!cv_.wait_until(lk, next, [this] { return stopping_; })) {
+    lk.unlock();
+    emit(*counters_);
+    lk.lock();
+    const auto now = clock::now();
+    do next += every;
+    while (next <= now);
+  }
+}
+
+void ProgressMeter::stop(bool final_line) {
+  if (!counters_) return;
+  {
+    std::lock_guard<std::mutex> lk(mutex_);
+    stopping_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
+  if (final_line) emit(*counters_, /*final=*/true);
+  counters_ = nullptr;
+}
+
+std::uint64_t ProgressMeter::threads_started() {
+  return g_threads_started.load(std::memory_order_relaxed);
 }
 
 std::string ProgressMeter::render_line(const CounterShard& counters) {

@@ -172,9 +172,7 @@ void TaskPool::run(int tid, const Step& step, const threading::AbortToken* abort
         ++my.steal_fails;
         continue;
       }
-      // Single writer: a load and a store, no read-modify-write.
-      me.steals.store(me.steals.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_relaxed);
+      ++my.steals;
       counts_[static_cast<std::size_t>(v)].tasks_lost.fetch_add(
           1, std::memory_order_relaxed);
       backoff = 1;
@@ -203,17 +201,10 @@ SchedStats TaskPool::stats() const {
   s.threads.reserve(counts_.size());
   for (const PerThread& t : counts_) {
     SchedStats::Thread out = t.counts;
-    out.steals = t.steals.load(std::memory_order_relaxed);
     out.stolen_tasks = t.tasks_lost.load(std::memory_order_relaxed);
     s.threads.push_back(out);
   }
   return s;
-}
-
-std::uint64_t TaskPool::steals_so_far() const {
-  std::uint64_t n = 0;
-  for (const PerThread& t : counts_) n += t.steals.load(std::memory_order_relaxed);
-  return n;
 }
 
 }  // namespace nustencil::sched

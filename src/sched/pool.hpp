@@ -104,10 +104,6 @@ class TaskPool {
   /// Disabled (and empty) under Schedule::Static: nothing can be stolen.
   SchedStats stats() const;
 
-  /// Successful steals so far, summed over the workers.  Safe to call
-  /// from any thread while they run (the telemetry sampler does).
-  std::uint64_t steals_so_far() const;
-
  private:
   /// One spinlocked deque per worker (stealing schedules), each on its
   /// own cache line.  Tile granularity is coarse (a task is a whole tile
@@ -125,12 +121,9 @@ class TaskPool {
   };
 
   struct alignas(kCacheLineBytes) PerThread {
-    /// Written by the owning thread only; stats() fills in `steals` and
-    /// `stolen_tasks` from the two atomics below.
+    /// Written by the owning thread only; stats() fills in
+    /// `stolen_tasks` from the atomic below.
     SchedStats::Thread counts;
-    /// Successful steals: single-writer (the owner), but read live by
-    /// steals_so_far(), so a relaxed atomic.
-    std::atomic<std::uint64_t> steals{0};
     /// Tasks lost to thieves: credited to the *victim's* slot by the
     /// stealing thread, so it takes an atomic add.
     std::atomic<std::uint64_t> tasks_lost{0};

@@ -6,7 +6,7 @@
 #include "common/error.hpp"
 #include "hwc/validate.hpp"
 #include "metrics/registry.hpp"
-#include "telemetry/sampler.hpp"
+#include "prof/progress.hpp"
 
 namespace nustencil::schemes {
 
@@ -52,10 +52,10 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
   // Per-span sampling is wanted for explicit profiling and whenever
   // hardware counters measure into a trace (measured deltas ride the
   // same sampler path as the simulated ones).  The live counter shard
-  // exists only when it has a reader: span sampling or telemetry.
+  // exists only when it has a reader: span sampling or the heartbeat.
   const bool span_sampling =
       trace_ && (config.profile_spans || (hw_ && hw_->active()));
-  if (span_sampling || config.telemetry) {
+  if (span_sampling || config.progress) {
     const int cache_levels =
         config.cache_sim
             ? static_cast<int>(config.cache_sim->core_traffic(0).size())
@@ -91,32 +91,15 @@ RunSupport::RunSupport(core::Problem& problem, const RunConfig& config)
       config.schedule);
   task_barrier_ = std::make_unique<threading::Barrier>(config.num_threads);
 
-  // Bind the live telemetry sampler last, when every source it reads
-  // exists.
-  if (config.telemetry) {
-    telemetry::RunSources sources;
-    sources.timesteps = config.timesteps;
-    sources.counters = &*counters_;
-    // A static pool has nothing to steal: no steal series.
-    sources.pool =
-        config.schedule == sched::Schedule::Static ? nullptr : pool_.get();
-    sources.trace = trace_;
-    sources.abort = &abort_;
-    if (hw_ && hw_->active()) {
-      sources.hw = [this](int tid, trace::CounterSet& out) {
-        hw_->sample(tid, out);
-      };
-      const hwc::HwRunStats hw_stats = hw_->stats();
-      sources.hw_status = hw_stats.status;
-      sources.hw_reason = hw_stats.reason;
-    }
-    config.telemetry->begin_run(sources);
-  }
+  // Started last: a throw earlier in this constructor skips the
+  // destructor that would stop the thread.
+  if (config.progress) config.progress->start(*counters_);
 }
 
 RunSupport::~RunSupport() {
-  // The sampler must stop reading before the shards it points into die.
-  if (config_->telemetry) config_->telemetry->detach_run();
+  // The heartbeat must stop reading before the shard it points into dies
+  // (a no-op after finish()).
+  if (config_->progress) config_->progress->stop(/*final_line=*/false);
   if (trace_ && trace_->sampler() == this) trace_->set_sampler(nullptr);
 }
 
@@ -242,10 +225,8 @@ RunResult RunSupport::finish(const std::string& scheme_name, double seconds) {
   r.timesteps = config_->timesteps;
   r.seconds = seconds;
   for (const auto& e : executors_) r.updates += e->updates_done();
-  // Stop live telemetry first: the sampler takes its closing sample and
-  // emits the run_end event while every shard is still warm.
-  if (config_->telemetry)
-    config_->telemetry->end_run(seconds, static_cast<std::uint64_t>(r.updates));
+  // The workers have joined: the closing heartbeat shows the run's totals.
+  if (config_->progress) config_->progress->stop();
   if (recorder_) r.traffic = recorder_->collect();
   if (trace_) r.phases = trace_->breakdown();
   if (trace_ && config_->profile_spans)

@@ -23,8 +23,8 @@
 #include "topology/machine.hpp"
 #include "trace/trace.hpp"
 
-namespace nustencil::telemetry {
-class Sampler;
+namespace nustencil::prof {
+class ProgressMeter;
 }
 
 namespace nustencil::schemes {
@@ -121,13 +121,12 @@ struct RunConfig {
   /// null uses hwc::real_backend().
   hwc::SyscallBackend* hw_backend = nullptr;
 
-  /// Optional live telemetry sampler (src/telemetry/), which also drives
-  /// an attached --progress heartbeat: when set, the run binds the
-  /// sampler to its live counter shard, task pool, trace and abort token
-  /// at construction and releases it when the run finishes.  The caller
-  /// owns the sampler; null (the default) constructs nothing, and the
-  /// executors' per-tile publish stays one null-pointer branch.
-  telemetry::Sampler* telemetry = nullptr;
+  /// Optional --progress heartbeat: when set, the run starts the meter's
+  /// thread on its live counter shard at construction and stops it, with
+  /// the closing line, when the run finishes.  The caller owns the
+  /// meter; null (the default) constructs no shard and no thread, and
+  /// the executors' per-tile publish stays one null-pointer branch.
+  prof::ProgressMeter* progress = nullptr;
 
   unsigned seed = 42;
 };

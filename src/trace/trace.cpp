@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -147,14 +148,25 @@ ArgNames phase_arg_names(Phase p) {
   return {nullptr, nullptr, nullptr};
 }
 
+/// Nanoseconds as microseconds (the unit the trace-event format expects)
+/// with 3 fixed decimals, exact to the nanosecond at any trace length.
+void write_us(std::ostream& os, std::int64_t ns) {
+  const long long mag = ns < 0 ? -static_cast<long long>(ns) : ns;
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%s%lld.%03lld", ns < 0 ? "-" : "", mag / 1000,
+                mag % 1000);
+  os << buf;
+}
+
 void write_event_json(std::ostream& os, int tid, const Event& e,
                       int flops_per_update) {
-  // Timestamps in microseconds (the unit the trace-event format expects).
   os << "{\"name\":\"" << phase_name(e.phase) << "\",\"cat\":\""
      << phase_category(e.phase) << "\",\"ph\":\"X\",\"pid\":0,\"tid\":" << tid
-     << ",\"ts\":" << static_cast<double>(e.start_ns) * 1e-3
-     << ",\"dur\":" << static_cast<double>(e.end_ns - e.start_ns) * 1e-3
-     << ",\"args\":{";
+     << ",\"ts\":";
+  write_us(os, e.start_ns);
+  os << ",\"dur\":";
+  write_us(os, e.end_ns - e.start_ns);
+  os << ",\"args\":{";
   bool first = true;
   auto arg = [&](const char* name, long long value) {
     if (!name) return;
@@ -211,18 +223,19 @@ void write_event_json(std::ostream& os, int tid, const Event& e,
 void write_counter_samples_json(std::ostream& os, int tid, const Event& e) {
   const CounterSet& c = e.counters;
   if (c.total_bytes() == 0) return;
-  const double ts_us = static_cast<double>(e.start_ns) * 1e-3;
   const double dur_s = static_cast<double>(e.end_ns - e.start_ns) * 1e-9;
   os << ",\n{\"name\":\"locality % w" << tid
-     << "\",\"ph\":\"C\",\"pid\":0,\"tid\":" << tid << ",\"ts\":" << ts_us
-     << ",\"args\":{\"locality\":" << c.locality() * 100.0 << "}}";
+     << "\",\"ph\":\"C\",\"pid\":0,\"tid\":" << tid << ",\"ts\":";
+  write_us(os, e.start_ns);
+  os << ",\"args\":{\"locality\":" << c.locality() * 100.0 << "}}";
   const double remote_mbs =
       dur_s > 0.0
           ? static_cast<double>(c.at(SpanCounter::RemoteBytes)) / dur_s / 1e6
           : 0.0;
   os << ",\n{\"name\":\"remote MB/s w" << tid
-     << "\",\"ph\":\"C\",\"pid\":0,\"tid\":" << tid << ",\"ts\":" << ts_us
-     << ",\"args\":{\"rate\":" << remote_mbs << "}}";
+     << "\",\"ph\":\"C\",\"pid\":0,\"tid\":" << tid << ",\"ts\":";
+  write_us(os, e.start_ns);
+  os << ",\"args\":{\"rate\":" << remote_mbs << "}}";
 }
 
 }  // namespace

@@ -362,10 +362,14 @@ struct PhaseBreakdown {
     }
     /// Time the thread was doing useful work (init + compute).
     double busy_s() const { return init_s() + compute_s(); }
-    /// Total wall time covered by leaf spans.
-    double accounted_s() const {
-      return busy_s() + barrier_wait_s() + spin_wait_s();
+    /// Leaf time a run's wall clock can cover: compute + barrier + spin.
+    /// Init is left out because the first-touch pass runs before a
+    /// scheme starts its timer.
+    double timed_s() const {
+      return compute_s() + barrier_wait_s() + spin_wait_s();
     }
+    /// Total wall time covered by leaf spans.
+    double accounted_s() const { return init_s() + timed_s(); }
   };
 
   bool enabled = false;

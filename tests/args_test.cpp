@@ -7,7 +7,6 @@
 #include "core/kernels.hpp"
 #include "hwc/events.hpp"
 #include "schemes/scheme.hpp"
-#include "telemetry/sampler.hpp"
 
 namespace nustencil {
 namespace {
@@ -314,133 +313,6 @@ TEST(ArgParser, BadHwEventListsValidValues) {
                               "cache-misses", "stalled-cycles", "task-clock",
                               "page-faults"})
       EXPECT_NE(what.find(valid), std::string::npos) << valid;
-  }
-}
-
-/// Mirrors the CLI's telemetry options exactly: string/long options, then
-/// telemetry::parse_* and the validate_* helpers, like nustencil_cli.cpp.
-ArgParser make_telemetry_parser() {
-  ArgParser p("prog", "x");
-  p.add_option("telemetry", "live telemetry", "off");
-  p.add_option("telemetry-interval-ms", "sampling cadence", "100");
-  p.add_option("telemetry-openmetrics", "exposition path", "");
-  p.add_option("telemetry-log", "event log path", "");
-  p.add_option("watchdog-stall-intervals", "stall threshold", "0");
-  p.add_option("watchdog", "stall response", "warn");
-  return p;
-}
-
-TEST(ArgParser, TelemetryFlagsDefaultOff) {
-  ArgParser p = make_telemetry_parser();
-  ASSERT_TRUE(parse(p, {}));
-  EXPECT_FALSE(telemetry::parse_telemetry_enabled(p.get("telemetry")));
-  EXPECT_DOUBLE_EQ(ArgParser::validate_positive_ms(
-                       "--telemetry-interval-ms",
-                       p.get_double("telemetry-interval-ms")),
-                   100.0);
-  EXPECT_EQ(ArgParser::validate_non_negative(
-                "--watchdog-stall-intervals",
-                p.get_long("watchdog-stall-intervals")),
-            0);
-  EXPECT_EQ(telemetry::parse_watchdog_action(p.get("watchdog")),
-            telemetry::WatchdogAction::Warn);
-}
-
-TEST(ArgParser, TelemetryEnableIsCaseInsensitive) {
-  for (const char* spelling : {"on", "On", "ON"}) {
-    ArgParser p = make_telemetry_parser();
-    ASSERT_TRUE(parse(p, {"--telemetry", spelling}));
-    EXPECT_TRUE(telemetry::parse_telemetry_enabled(p.get("telemetry")))
-        << spelling;
-  }
-  for (const char* spelling : {"off", "OFF", "oFf"}) {
-    ArgParser p = make_telemetry_parser();
-    ASSERT_TRUE(parse(p, {"--telemetry", spelling}));
-    EXPECT_FALSE(telemetry::parse_telemetry_enabled(p.get("telemetry")))
-        << spelling;
-  }
-}
-
-TEST(ArgParser, BadTelemetryValueListsValidValues) {
-  ArgParser p = make_telemetry_parser();
-  ASSERT_TRUE(parse(p, {"--telemetry", "yes"}));
-  try {
-    telemetry::parse_telemetry_enabled(p.get("telemetry"));
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_EQ(what.find('\n'), std::string::npos);  // one-line error
-    EXPECT_NE(what.find("'yes'"), std::string::npos);
-    EXPECT_NE(what.find("on"), std::string::npos);
-    EXPECT_NE(what.find("off"), std::string::npos);
-  }
-}
-
-TEST(ArgParser, WatchdogActionIsCaseInsensitive) {
-  for (const char* spelling : {"warn", "WARN", "Warn"}) {
-    ArgParser p = make_telemetry_parser();
-    ASSERT_TRUE(parse(p, {"--watchdog", spelling}));
-    EXPECT_EQ(telemetry::parse_watchdog_action(p.get("watchdog")),
-              telemetry::WatchdogAction::Warn)
-        << spelling;
-  }
-  for (const char* spelling : {"abort", "Abort", "ABORT"}) {
-    ArgParser p = make_telemetry_parser();
-    ASSERT_TRUE(parse(p, {"--watchdog", spelling}));
-    EXPECT_EQ(telemetry::parse_watchdog_action(p.get("watchdog")),
-              telemetry::WatchdogAction::Abort)
-        << spelling;
-  }
-}
-
-TEST(ArgParser, BadWatchdogActionListsValidValues) {
-  ArgParser p = make_telemetry_parser();
-  ASSERT_TRUE(parse(p, {"--watchdog=kill"}));
-  try {
-    telemetry::parse_watchdog_action(p.get("watchdog"));
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_EQ(what.find('\n'), std::string::npos);  // one-line error
-    EXPECT_NE(what.find("'kill'"), std::string::npos);
-    EXPECT_NE(what.find("warn"), std::string::npos);
-    EXPECT_NE(what.find("abort"), std::string::npos);
-  }
-}
-
-TEST(ArgParser, ValidatePositiveMsRejectsZeroNegativeAndNonFinite) {
-  EXPECT_DOUBLE_EQ(
-      ArgParser::validate_positive_ms("--telemetry-interval-ms", 0.5), 0.5);
-  EXPECT_THROW(ArgParser::validate_positive_ms("--telemetry-interval-ms", 0.0),
-               Error);
-  EXPECT_THROW(ArgParser::validate_positive_ms("--telemetry-interval-ms", -10),
-               Error);
-  EXPECT_THROW(ArgParser::validate_positive_ms(
-                   "--telemetry-interval-ms",
-                   std::numeric_limits<double>::quiet_NaN()),
-               Error);
-  try {
-    ArgParser::validate_positive_ms("--telemetry-interval-ms", -10);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("--telemetry-interval-ms"), std::string::npos);
-    EXPECT_NE(what.find("milliseconds"), std::string::npos);
-  }
-}
-
-TEST(ArgParser, ValidateNonNegativeRejectsNegatives) {
-  EXPECT_EQ(ArgParser::validate_non_negative("--watchdog-stall-intervals", 0),
-            0);
-  EXPECT_EQ(ArgParser::validate_non_negative("--watchdog-stall-intervals", 5),
-            5);
-  try {
-    ArgParser::validate_non_negative("--watchdog-stall-intervals", -1);
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("--watchdog-stall-intervals"), std::string::npos);
-    EXPECT_NE(what.find(">= 0"), std::string::npos);
   }
 }
 

@@ -1,10 +1,11 @@
 // Per-span performance attribution: the exactness invariant (per-span
 // counter deltas sum to the run-wide instrumentation totals), the
 // flamegraph export (parse-back + determinism), the straggler verdicts
-// and the progress heartbeat.
+// and the --progress heartbeat thread.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iomanip>
 #include <map>
 #include <sstream>
 #include <string>
@@ -17,7 +18,11 @@
 #include "prof/counter_shard.hpp"
 #include "prof/flamegraph.hpp"
 #include "prof/progress.hpp"
+#include "schemes/nucats.hpp"
+#include "schemes/numwd.hpp"
+#include "schemes/run_support.hpp"
 #include "schemes/scheme.hpp"
+#include "test_util.hpp"
 #include "topology/machine.hpp"
 #include "trace/trace.hpp"
 
@@ -394,10 +399,82 @@ TEST(ProfProgress, FinalBeatReportsEvenOnShortRuns) {
   prof::ProgressMeter meter(60.0, os, "short", 100);  // interval >> the test
   prof::CounterShard counters(1);
   publish(counters, 0, 100, 10, 0);
-  meter.emit(counters, /*final=*/true);  // the sampler's end_run beat
+  meter.emit(counters, /*final=*/true);  // the closing beat of stop()
   const std::string out = os.str();
   EXPECT_NE(out.find("(final)"), std::string::npos) << out;
   EXPECT_NE(out.find("100.0% done"), std::string::npos) << out;
+}
+
+TEST(ProfProgress, StopEmitsTheFinalLineFromTheStartedShard) {
+  std::ostringstream beats;
+  prof::ProgressMeter meter(60.0, beats, "rig", /*total_updates=*/400);
+  prof::CounterShard counters(2);
+  const std::uint64_t before = prof::ProgressMeter::threads_started();
+  meter.start(counters);
+  EXPECT_EQ(prof::ProgressMeter::threads_started(), before + 1);
+  publish(counters, 0, 100, 300, 100);
+  publish(counters, 1, 100, 100, 0);
+  counters.set_layer(2);
+  meter.stop();
+  // locality = 400 local / 500 owned, completion = 200 / 400.
+  EXPECT_EQ(beats.str().find("progress [rig]: layer 2 | "), 0u) << beats.str();
+  EXPECT_NE(beats.str().find("locality 80.0% | 50.0% done (final)\n"),
+            std::string::npos)
+      << beats.str();
+  meter.stop();  // idempotent: no second final line
+  EXPECT_EQ(beats.str().find("(final)"), beats.str().rfind("(final)"));
+}
+
+TEST(ProfProgress, RealRunFinalLineReportsTheRunTotals) {
+  // Live instrumented workers (nuMWD, one two-thread group, traffic and
+  // cache simulation, a trace) under a 1 ms heartbeat: once they join,
+  // the closing line must show the run's own totals.
+  const Coord shape{24, 24, 24};
+  const long steps = 8;
+  const auto total = static_cast<std::uint64_t>(shape.product() * steps);
+  std::ostringstream beats;
+  prof::ProgressMeter meter(0.001, beats, "nuMWD t2", total);
+  cachesim::SharedHierarchy cache(schemes::default_machine(), 2);
+  trace::Trace trace;
+  schemes::RunConfig rc;
+  rc.num_threads = 2;
+  rc.timesteps = steps;
+  rc.group_size = 2;
+  rc.instrument = true;
+  rc.cache_sim = &cache;
+  rc.trace = &trace;
+  rc.progress = &meter;
+  const std::uint64_t before = prof::ProgressMeter::threads_started();
+  const schemes::RunResult result = test::expect_matches_reference(
+      schemes::NuMwdScheme{}, shape, core::StencilSpec::paper_3d7p(), rc);
+  EXPECT_EQ(prof::ProgressMeter::threads_started(), before + 1);
+  ASSERT_EQ(static_cast<std::uint64_t>(result.updates), total);
+
+  const std::string out = beats.str();
+  ASSERT_FALSE(out.empty());
+  ASSERT_EQ(out.back(), '\n');
+  const std::size_t start = out.rfind('\n', out.size() - 2);
+  const std::string last = out.substr(start == std::string::npos ? 0 : start + 1);
+  EXPECT_EQ(out.find("(final)"), out.rfind("(final)")) << out;
+  std::ostringstream locality;
+  locality << std::fixed << std::setprecision(1)
+           << result.traffic.locality() * 100.0;
+  EXPECT_NE(last.find("progress [nuMWD t2]: layer "), std::string::npos) << last;
+  EXPECT_NE(last.find("locality " + locality.str() + "% | 100.0% done (final)\n"),
+            std::string::npos)
+      << last;
+}
+
+TEST(ProfProgress, RunWithoutAMeterStartsNoThread) {
+  const std::uint64_t before = prof::ProgressMeter::threads_started();
+  schemes::RunConfig rc;
+  rc.num_threads = 2;
+  rc.timesteps = 4;
+  rc.boundary[2] = core::BoundaryKind::Dirichlet;
+  test::expect_matches_reference(schemes::NuCatsScheme{}, Coord{16, 12, 14},
+                                 core::StencilSpec::paper_3d7p(), rc);
+  // No meter: no heartbeat thread (and no counter shard to read).
+  EXPECT_EQ(prof::ProgressMeter::threads_started(), before);
 }
 
 TEST(ProfCounterShard, RowsExposePublishedStateToEveryReader) {

@@ -36,8 +36,7 @@ TEST(Schema, RunReportTopLevelKeysAreGolden) {
       "schema_version", "generator", "provenance", "config",
       "machine",        "result",    "traffic",    "cache",
       "phases",         "sched",     "prof",       "hw",
-      "model",          "stats",     "timeseries", "counters",
-      "histograms"};
+      "model",          "stats",     "counters",   "histograms"};
   EXPECT_EQ(run_report_top_level_keys(), golden);
 }
 
@@ -49,7 +48,8 @@ TEST(Schema, VersionIsPinned) {
   // v5: top-level "hw" section (measured hardware counters).
   // v6: top-level "timeseries" section (live telemetry rings).
   // v7: no "gauges" section; no "sched/*" keys in "counters".
-  EXPECT_EQ(kRunReportSchemaVersion, 7);
+  // v8: no "timeseries" section.
+  EXPECT_EQ(kRunReportSchemaVersion, 8);
 }
 
 TEST(Schema, EmittedDocumentMatchesDeclaredKeys) {

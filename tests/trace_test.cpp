@@ -260,6 +260,34 @@ TEST(PhaseBreakdown, ImbalanceIsMaxOverMeanBusy) {
   EXPECT_DOUBLE_EQ(empty.imbalance(), 1.0);
 }
 
+TEST(PhaseBreakdown, TimedWindowLeavesOutInit) {
+  // The first-touch init runs before a scheme's timer starts, so the
+  // share of the wall clock that --phase-metrics reports must not count it.
+  PhaseBreakdown::Thread t;
+  t.seconds[static_cast<std::size_t>(Phase::Init)] = 0.5;
+  t.seconds[static_cast<std::size_t>(Phase::Tile)] = 1.0;
+  t.seconds[static_cast<std::size_t>(Phase::BarrierWait)] = 0.25;
+  t.seconds[static_cast<std::size_t>(Phase::SpinWait)] = 0.125;
+  EXPECT_DOUBLE_EQ(t.timed_s(), 1.375);
+  EXPECT_DOUBLE_EQ(t.accounted_s(), 1.875);
+}
+
+TEST(ChromeJson, TimestampsAreExactToTheNanosecond) {
+  // Past 1 s of trace, six significant digits would round to 10 us.
+  Trace trace(8);
+  trace.begin_run(1);
+  trace.thread(0)->record(Phase::Tile, 1'552'193'456, 1'552'194'457);
+  std::ostringstream os;
+  trace.write_chrome_json(os);
+  const Json root = JsonParser(os.str()).parse();
+  const Json* tile = nullptr;
+  for (const Json& e : root.at("traceEvents").items)
+    if (e.at("ph").text == "X") tile = &e;
+  ASSERT_NE(tile, nullptr);
+  EXPECT_EQ(tile->at("ts").number, 1552193.456);
+  EXPECT_EQ(tile->at("dur").number, 1.001);
+}
+
 // ---------------------------------------------------------------------
 // A real traced run.
 // ---------------------------------------------------------------------

@@ -25,7 +25,6 @@
 #include "prof/flamegraph.hpp"
 #include "prof/progress.hpp"
 #include "schemes/explain.hpp"
-#include "telemetry/sampler.hpp"
 #include "topology/machine_file.hpp"
 #include "common/table.hpp"
 #include "core/executor.hpp"
@@ -164,7 +163,9 @@ metrics::ModelSection build_model_section(const schemes::Scheme& scheme,
   return ms;
 }
 
-/// Per-thread phase table for --phase-metrics.
+/// Per-thread phase table for --phase-metrics.  The accounted columns
+/// cover the timed window only (PhaseBreakdown::Thread::timed_s), so the
+/// percentage is a share of the wall clock it is divided by.
 void print_phase_metrics(const schemes::RunResult& result, double seconds) {
   Table table("phase metrics: " + result.scheme + ", " +
               std::to_string(result.threads) + " thread(s), wall " +
@@ -175,8 +176,8 @@ void print_phase_metrics(const schemes::RunResult& result, double seconds) {
     const auto& t = result.phases.threads[tid];
     table.add_row(std::to_string(tid),
                   {t.init_s(), t.compute_s(), t.barrier_wait_s(), t.spin_wait_s(),
-                   t.accounted_s(),
-                   seconds > 0 ? 100.0 * t.accounted_s() / seconds : std::nan("")});
+                   t.timed_s(),
+                   seconds > 0 ? 100.0 * t.timed_s() / seconds : std::nan("")});
   }
   table.print(std::cout);
   std::cout << "load imbalance (max/mean busy): " << result.phases.imbalance()
@@ -232,34 +233,6 @@ int main(int argc, char** argv) try {
                   "print a live heartbeat (layer, updates/s, locality %) to "
                   "stderr every SECONDS seconds",
                   "");
-  args.add_option("telemetry",
-                  "live telemetry: on samples the run's progress, traffic, "
-                  "cache and scheduler shards into in-memory time-series "
-                  "rings from a background thread; off (the default) "
-                  "constructs nothing",
-                  "off");
-  args.add_option("telemetry-interval-ms",
-                  "sampling interval of the telemetry thread, in milliseconds",
-                  "100");
-  args.add_option("telemetry-openmetrics",
-                  "atomically rewrite an OpenMetrics text file at this path "
-                  "on every telemetry sample (node_exporter textfile "
-                  "collector compatible; requires --telemetry=on)",
-                  "");
-  args.add_option("telemetry-log",
-                  "append one JSON object per telemetry event (samples, run "
-                  "start/end, layer transitions, steal bursts, stalls) to "
-                  "this file (requires --telemetry=on)",
-                  "");
-  args.add_option("watchdog-stall-intervals",
-                  "flag a worker as stalled after this many telemetry "
-                  "intervals without progress and dump a live diagnosis "
-                  "(0 = watchdog off; requires --telemetry=on)",
-                  "0");
-  args.add_option("watchdog",
-                  "stall response: warn (diagnose and keep running) or abort "
-                  "(also stop the run with a nonzero exit, for CI)",
-                  "warn");
   args.add_option("report",
                   "write a schema-versioned JSON run report to this file "
                   "(enables instrumentation, phase metrics and — unless "
@@ -382,28 +355,6 @@ int main(int argc, char** argv) try {
           : ArgParser::validate_positive_seconds("--progress",
                                                  args.get_double("progress"));
 
-  const bool telemetry_on = telemetry::parse_telemetry_enabled(args.get("telemetry"));
-  const double telemetry_interval_s =
-      ArgParser::validate_positive_ms("--telemetry-interval-ms",
-                                      args.get_double("telemetry-interval-ms")) *
-      1e-3;
-  const std::string openmetrics_path = args.get("telemetry-openmetrics");
-  const std::string telemetry_log_path = args.get("telemetry-log");
-  const int watchdog_intervals = static_cast<int>(ArgParser::validate_non_negative(
-      "--watchdog-stall-intervals", args.get_long("watchdog-stall-intervals")));
-  const telemetry::WatchdogAction watchdog_action =
-      telemetry::parse_watchdog_action(args.get("watchdog"));
-  if (!telemetry_on) {
-    NUSTENCIL_CHECK(openmetrics_path.empty(),
-                    "--telemetry-openmetrics requires --telemetry=on");
-    NUSTENCIL_CHECK(telemetry_log_path.empty(),
-                    "--telemetry-log requires --telemetry=on");
-    NUSTENCIL_CHECK(watchdog_intervals == 0,
-                    "--watchdog-stall-intervals requires --telemetry=on");
-    NUSTENCIL_CHECK(watchdog_action == telemetry::WatchdogAction::Warn,
-                    "--watchdog=abort requires --telemetry=on");
-  }
-
   if (args.get_flag("explain")) {
     std::cout << schemes::describe_plan(
                      args.get("scheme"), shape, stencil, *machine,
@@ -417,11 +368,6 @@ int main(int argc, char** argv) try {
                                                args.get_flag("phase-metrics"),
                                                trace_buffer)
               << hwc::describe_hw(hw_mode, hw_events, hwc::real_backend())
-              << telemetry::describe_telemetry(telemetry_on, telemetry_interval_s,
-                                               openmetrics_path,
-                                               telemetry_log_path,
-                                               watchdog_intervals,
-                                               watchdog_action)
               << metrics::describe_report(report_path, want_cache_sim);
     return 0;
   }
@@ -495,7 +441,7 @@ int main(int argc, char** argv) try {
         warm.trace = nullptr;
         warm.metrics = nullptr;
         warm.cache_sim = nullptr;
-        warm.telemetry = nullptr;  // timing reps: no sampler thread either
+        warm.progress = nullptr;  // timing reps: no heartbeat either
         warm.profile_spans = false;
         warm.hw_mode = hwc::Mode::Off;  // timing reps: no counter syscalls
         warm.collect_phase_metrics = true;
@@ -505,49 +451,19 @@ int main(int argc, char** argv) try {
       }
     }
 
-    // One periodic-snapshot path for both features: the telemetry
-    // sampler owns the only background thread, and the --progress
-    // heartbeat rides it (attach_heartbeat).  --progress without
-    // telemetry runs the sampler in heartbeat-only mode — no rings, no
-    // exports.  Neither flag: no meter, no sampler, no thread.
-    const std::string run_label =
-        args.get("scheme") + " t" + std::to_string(threads);
+    // --progress: the meter's heartbeat thread is the run's only live
+    // reader.  Without the flag: no meter, no thread.
     std::optional<prof::ProgressMeter> progress;
-    std::optional<telemetry::Sampler> sampler;
-    if (telemetry_on || progress_interval > 0.0) {
-      telemetry::Config tcfg;
-      tcfg.sampling = telemetry_on;
-      tcfg.interval_s = telemetry_interval_s;
-      tcfg.label = run_label;
-      if (!openmetrics_path.empty())
-        tcfg.openmetrics_path = per_run_path(openmetrics_path, threads, sweeping);
-      if (!telemetry_log_path.empty())
-        tcfg.log_path = per_run_path(telemetry_log_path, threads, sweeping);
-      tcfg.watchdog_stall_intervals = watchdog_intervals;
-      tcfg.watchdog_action = watchdog_action;
-      sampler.emplace(tcfg);
-      if (progress_interval > 0.0) {
-        progress.emplace(progress_interval, std::cerr, run_label,
-                         static_cast<std::uint64_t>(shape.product()) *
-                             static_cast<std::uint64_t>(cfg.timesteps));
-        sampler->attach_heartbeat(&*progress);
-      }
-      cfg.telemetry = &*sampler;
+    if (progress_interval > 0.0) {
+      progress.emplace(progress_interval, std::cerr,
+                       args.get("scheme") + " t" + std::to_string(threads),
+                       static_cast<std::uint64_t>(shape.product()) *
+                           static_cast<std::uint64_t>(cfg.timesteps));
+      cfg.progress = &*progress;
     }
 
     core::Problem problem(shape, stencil);
     const schemes::RunResult result = scheme->run(problem, cfg);
-    if (telemetry_on && sampler) {
-      std::cout << "telemetry: " << sampler->samples_taken() << " sample(s) at "
-                << telemetry_interval_s * 1e3 << " ms";
-      if (sampler->stall_events() > 0)
-        std::cout << ", " << sampler->stall_events() << " stall event(s)";
-      if (!sampler->config().openmetrics_path.empty())
-        std::cout << " | openmetrics " << sampler->config().openmetrics_path;
-      if (!sampler->config().log_path.empty())
-        std::cout << " | log " << sampler->config().log_path;
-      std::cout << '\n';
-    }
     if (result.hw.enabled) {
       if (result.hw.any_available()) {
         std::cout << "hw counters (" << result.hw.backend << "):";
@@ -641,7 +557,6 @@ int main(int argc, char** argv) try {
         rep.stats = std::move(stats);
       }
       rep.model = build_model_section(*scheme, *machine, shape, stencil, result);
-      if (telemetry_on && sampler) rep.timeseries = sampler->report_section();
       rep.registry = &*registry;
       const std::string path = per_run_path(report_path, threads, sweeping);
       metrics::write_run_report_file(rep, path);

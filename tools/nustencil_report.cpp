@@ -97,57 +97,6 @@ std::string locality_panel(const JsonValue& doc) {
   return report::render_svg(c);
 }
 
-std::string timeseries_panel(const JsonValue& doc) {
-  const JsonValue& ts = doc.at("timeseries");
-  const JsonValue* enabled = ts.find("enabled");
-  if (!enabled || !enabled->boolean_value())
-    return "<p>No live telemetry (run with <code>--telemetry=on</code>).</p>\n";
-  const JsonValue& t_ms = ts.at("t_ms");
-  if (!t_ms.is_array() || t_ms.array.size() < 2)
-    return "<p>Telemetry rings hold fewer than two samples.</p>\n";
-
-  std::ostringstream os;
-  os << "<p>" << report::fmt_num(ts.at("samples").num()) << " sample(s) at "
-     << report::fmt_num(ts.at("interval_ms").num()) << " ms";
-  if (const double stalls = ts.at("stall_events").num(); stalls > 0)
-    os << ", <b>" << report::fmt_num(stalls) << " watchdog stall event(s)</b>";
-  os << " (downsampled to " << t_ms.array.size() << " point(s)).</p>\n";
-
-  // One chart per per-thread series family; the run/* aggregates ride
-  // the same axis in the JSON but a per-thread fan is the useful view.
-  const auto chart = [&](const char* title, const char* y_label,
-                         const std::string& suffix) {
-    report::ChartSpec c;
-    c.title = title;
-    c.x_label = "run time (ms)";
-    c.y_label = y_label;
-    c.height = 300;
-    for (const JsonValue& v : t_ms.array) {
-      std::ostringstream tick;
-      tick.precision(4);
-      tick << v.num();
-      c.x_ticks.push_back(tick.str());
-    }
-    for (const JsonValue& s : ts.at("series").array) {
-      const std::string name = s.at("name").str();
-      if (name.rfind("thread", 0) != 0) continue;
-      if (name.size() < suffix.size() ||
-          name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0)
-        continue;
-      report::Series out;
-      out.label = name.substr(0, name.size() - suffix.size());
-      for (const JsonValue& v : s.at("values").array)
-        out.values.push_back(v.num());
-      c.series.push_back(std::move(out));
-    }
-    if (c.series.empty()) return std::string();
-    return report::render_svg(c);
-  };
-  os << chart("per-thread throughput over the run", "M updates/s", "/mups");
-  os << chart("per-thread locality over the run", "locality %", "/locality");
-  return os.str();
-}
-
 std::string phases_panel(const JsonValue& doc) {
   const JsonValue& phases = doc.at("phases");
   const JsonValue* enabled = phases.find("enabled");
@@ -531,8 +480,6 @@ std::string render_dashboard(const JsonValue& doc) {
   os << "<h2>NUMA traffic</h2>\n" << panel_or(doc, heatmap_panel, "traffic");
   os << "<h2>Locality timeline</h2>\n"
      << panel_or(doc, locality_panel, "locality");
-  os << "<h2>Live telemetry</h2>\n"
-     << panel_or(doc, timeseries_panel, "timeseries");
   os << "<h2>Phases</h2>\n" << panel_or(doc, phases_panel, "phases");
   os << "<h2>Roofline</h2>\n" << panel_or(doc, roofline_panel, "model");
   os << "<h2>Cache hierarchy</h2>\n" << panel_or(doc, cache_table, "cache");
