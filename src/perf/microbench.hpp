@@ -12,7 +12,8 @@ namespace nustencil::perf {
 double measure_peak_dp_gflops(double seconds_budget = 0.1);
 
 /// STREAM COPY bandwidth over a working set of `bytes`, in GB/s
-/// (read + write counted, as STREAM does).
+/// (read + write counted, as STREAM does), from the fastest of several
+/// timed repetitions of back-to-back copy passes.
 double measure_copy_bandwidth_gbs(std::size_t bytes, double seconds_budget = 0.1);
 
 /// Convenience: copy bandwidth with a memory-sized working set.

@@ -126,6 +126,11 @@ MwdPlan plan_mwd(const Coord& shape, const core::StencilSpec& stencil,
   return plan;
 }
 
+long mwd_windows(long tau, long timesteps) {
+  if (timesteps <= 0) return 0;
+  return std::max<long>(1, (timesteps - 1 + tau - 1) / tau);
+}
+
 RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
                        const MwdParams& params) {
   const int rank = problem.shape().rank();
@@ -183,15 +188,18 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
   };
 
   // Member chunk of a column box: split y among gy members, x among gx
-  // (multi-dimensional intra-tile parallelization).  For rank 1 there is
-  // no cross-section; surplus members idle (empty box) but still barrier.
+  // (multi-dimensional intra-tile parallelization).  Without an x to
+  // split (rank 1 and 2) the members past the first gy have no chunk;
+  // they idle (empty box) but still barrier.
   const auto member_box = [&](Index zlo, Index zhi, int mem) {
     core::Box b;
     b.lo = Coord::filled(rank, 0);
     b.hi = shape;
     b.lo[zd] = zlo;
     b.hi[zd] = zhi;
-    if (plan.dim_y >= 0) {
+    if (plan.dim_x < 0 && mem >= plan.gy) {
+      b.hi[zd] = b.lo[zd];
+    } else if (plan.dim_y >= 0) {
       const Index ny = shape[plan.dim_y];
       const int my = mem % plan.gy;
       b.lo[plan.dim_y] = ny * my / plan.gy;
@@ -202,8 +210,6 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
         b.lo[plan.dim_x] = nx * mx / plan.gx;
         b.hi[plan.dim_x] = nx * (mx + 1) / plan.gx;
       }
-    } else if (mem > 0) {
-      b.hi[zd] = b.lo[zd];
     }
     return b;
   };
@@ -242,9 +248,10 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
     sup.serial_init();
   }
 
-  // The static schedule keeps its own loop: lockstep groups run their
-  // shrinking columns first in every window, an order a fixed per-visit
-  // round-robin over columns cannot reproduce.
+  // The static schedule keeps its own loop: lockstep groups walk each
+  // window as a ring wavefront whose direction (which family grows) flips
+  // every window, an order a fixed per-visit round-robin over columns
+  // cannot express.
   const bool stealing = config.schedule != sched::Schedule::Static;
   // Stealing state: one cursor (next step) per column; a column lives in
   // exactly one deque / executing leader at a time, so the cursor and its
@@ -293,43 +300,62 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
         if (plan.owner_group[static_cast<std::size_t>(j)] == grp) mine.push_back(j);
       if (mine.empty() || T <= 0) return;
 
-      // A column's window of consecutive steps, wrapped in a
-      // parallelogram span (the executor records the counter-carrying
-      // tile leaves itself).
-      const auto run_column = [&](int c, long t0, long t1, long window) {
-        const trace::ScopedSpan col_span(
-            rec, trace::Phase::Parallelogram,
-            {c, static_cast<std::int32_t>(window), -1, grp});
-        for (long t = t0; t <= t1; ++t) column_step(c, t, mem, true);
-      };
-
-      // Step 0: the I columns sweep their full gaps, the V columns are
-      // empty no-ops that still publish (wait_for(0) is trivially
-      // satisfied, so no step-0 special casing exists elsewhere).
-      sup.set_layer(0);
-      {
-        const trace::ScopedSpan layer_span(rec, trace::Phase::Layer, {0, 0, 1, grp});
+      // The group's column order within a window whose growing family is
+      // V (vgrow) or I: a ring wavefront.  The shrinking columns run in
+      // ring order; each growing column runs right after the second of
+      // its two shrinking neighbours when the group owns both (it then
+      // never waits, and its neighbours' levels are still in cache), and
+      // otherwise at the window's end, where it waits on another group.
+      // Shrinking steps never wait, so every deferred wait is met.
+      // Only own columns are ever done, so a growing column whose two
+      // neighbours are done is the group's own.
+      const auto window_order = [&](bool vgrow) {
+        std::vector<char> done(static_cast<std::size_t>(2 * nd), 0);
+        std::vector<int> order;
+        const auto emit = [&](int c) {
+          done[static_cast<std::size_t>(c)] = 1;
+          order.push_back(c);
+        };
         for (const int j : mine) {
-          run_column(2 * j, 0, 0, 0);
-          run_column(2 * j + 1, 0, 0, 0);
+          const int shrinking = vgrow ? 2 * j + 1 : 2 * j;
+          emit(shrinking);
+          for (int side = 0; side < 2; ++side) {
+            const int c = neighbor(shrinking, side);
+            const int nl = neighbor(c, 0), nr = neighbor(c, 1);
+            if (!done[static_cast<std::size_t>(c)] && done[static_cast<std::size_t>(nl)] &&
+                done[static_cast<std::size_t>(nr)])
+              emit(c);
+          }
         }
-      }
+        for (const int j : mine) {
+          const int growing = vgrow ? 2 * j : 2 * j + 1;
+          if (!done[static_cast<std::size_t>(growing)]) emit(growing);
+        }
+        return order;
+      };
+      const std::vector<int> orders[2] = {window_order(false), window_order(true)};
+
       // Windows of tau steps: one family grows (diamonds opening) while
-      // the other shrinks.  Shrinking columns run first — they never
-      // wait, so every group always has a full window of immediately
-      // runnable work before it starts waiting on neighbours.
-      for (long w = 0;; ++w) {
-        const long t0 = w * tau + 1;
-        if (t0 >= T) break;
+      // the other shrinks.  Window 0 also takes step 0, in which the I
+      // columns sweep their full gaps (a growing step whose wait_for(0)
+      // is trivially met) and the V columns are empty.  Each column's
+      // steps of a window are wrapped in a parallelogram span (the
+      // executor records the counter-carrying tile leaves itself).
+      const long windows = mwd_windows(tau, T);
+      for (long w = 0; w < windows; ++w) {
+        const long t0 = w == 0 ? 0 : w * tau + 1;
         const long t1 = std::min((w + 1) * tau, T - 1);
-        sup.set_layer(w + 1);
+        sup.set_layer(w);
         const trace::ScopedSpan layer_span(
             rec, trace::Phase::Layer,
-            {static_cast<std::int32_t>(w + 1), static_cast<std::int32_t>(t0),
+            {static_cast<std::int32_t>(w), static_cast<std::int32_t>(t0),
              static_cast<std::int32_t>(t1 - t0 + 1), grp});
-        const bool vgrow = w % 2 == 0;
-        for (const int j : mine) run_column(vgrow ? 2 * j + 1 : 2 * j, t0, t1, w + 1);
-        for (const int j : mine) run_column(vgrow ? 2 * j : 2 * j + 1, t0, t1, w + 1);
+        for (const int c : orders[w % 2 == 0]) {
+          const trace::ScopedSpan col_span(
+              rec, trace::Phase::Parallelogram,
+              {c, static_cast<std::int32_t>(w), -1, grp});
+          for (long t = t0; t <= t1; ++t) column_step(c, t, mem, true);
+        }
       }
       return;
     }

@@ -4,6 +4,7 @@
 #include "numa/traffic.hpp"
 #include "schemes/explain.hpp"
 #include "schemes/scheme.hpp"
+#include "trace/trace.hpp"
 
 namespace nustencil {
 namespace {
@@ -94,6 +95,34 @@ TEST(Explain, NuCatsTileCountMatchesRun) {
     EXPECT_EQ(static_cast<double>(explained), run.details.at("tiles"))
         << sched::schedule_name(schedule);
   }
+}
+
+TEST(Explain, MwdWindowsMatchTheRun) {
+  // 2 groups of 2 on a 16-cell ring: tau 4, so 13 steps run as windows
+  // 0-4, 5-8 and 9-12, one layer span each on every worker.
+  const Coord shape{40, 36, 16};
+  const std::string text = schemes::describe_plan(
+      "nuMWD", shape, core::StencilSpec::paper_3d7p(), kXeon, 4, 13,
+      sched::Schedule::Static, /*group_size=*/2);
+  EXPECT_NE(text.find("static windows          : 3 (window 0 = steps 0-4, then 4 step(s) each)"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("static window order     : ring wavefront, each growing column right "
+                      "after its two shrinking neighbours"),
+            std::string::npos)
+      << text;
+
+  trace::Trace trace;
+  schemes::RunConfig cfg;
+  cfg.num_threads = 4;
+  cfg.timesteps = 13;
+  cfg.group_size = 2;
+  cfg.trace = &trace;
+  core::Problem problem(shape, core::StencilSpec::paper_3d7p());
+  const auto run = schemes::make_scheme("nuMWD")->run(problem, cfg);
+  EXPECT_EQ(run.details.at("tau"), 4.0);
+  for (int tid = 0; tid < 4; ++tid)
+    EXPECT_EQ(trace.thread(tid)->span_count(trace::Phase::Layer), 3u) << "tid " << tid;
 }
 
 TEST(PinPolicy, CompactFillsSocketsFirst) {

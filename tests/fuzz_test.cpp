@@ -12,7 +12,10 @@
 #include <vector>
 
 #include "sched/schedule.hpp"
+#include "schemes/mwd.hpp"
 #include "schemes/naive.hpp"
+#include "schemes/numwd.hpp"
+#include "schemes/run_support.hpp"
 #include "schemes/scheme.hpp"
 #include "test_util.hpp"
 
@@ -180,6 +183,62 @@ TEST(Fuzz, CatsGeometryMatchesReference) {
   }
   EXPECT_GT(multi_chunk, trials / 5);
   EXPECT_GT(z_split, trials / 10);
+}
+
+TEST(Fuzz, MwdGeometryMatchesReference) {
+  // Random ranks, orders, thread counts, group sizes, diamond heights,
+  // ownership layouts and schedules for the wavefront diamonds: the
+  // static ring-wavefront window order, its deferred range-boundary
+  // columns and the column-stealing leaders must reproduce the reference
+  // bitwise.  Short rings leave some groups without a column, and the
+  // step counts span three or more windows in many trials.
+  std::mt19937 rng(14103060);
+  int multi_window = 0, idle_groups = 0;
+  const int trials = 2000;
+  for (int trial = 0; trial < trials; ++trial) {
+    const int rank = 1 + static_cast<int>(rng() % 3);
+    const int order = 1 + static_cast<int>(rng() % 3);
+    std::uniform_int_distribution<Index> cross(2 * order + 1, rank == 3 ? 9 : 16);
+    std::uniform_int_distribution<Index> ring(2 * order + 1, 8 * order);
+    Coord shape = Coord::filled(rank, 0);
+    for (int d = 0; d + 1 < rank; ++d) shape[d] = cross(rng);
+    shape[rank - 1] = ring(rng);
+
+    schemes::RunConfig cfg;
+    cfg.num_threads = 1 + static_cast<int>(rng() % 6);
+    std::vector<int> divisors;
+    for (int g = 1; g <= cfg.num_threads; ++g)
+      if (cfg.num_threads % g == 0) divisors.push_back(g);
+    cfg.group_size = divisors[rng() % divisors.size()];
+    cfg.timesteps = 1 + static_cast<long>(rng() % 16);
+    cfg.seed = static_cast<unsigned>(rng());
+    cfg.check_dependencies = true;
+    if (rng() % 2 == 0) cfg.schedule = sched::Schedule::Steal;
+    const bool numa_aware = rng() % 2 == 0;
+    const long tau_override =
+        static_cast<long>(rng() % static_cast<unsigned>(shape[rank - 1] / (2 * order) + 1));
+
+    const core::StencilSpec st = core::StencilSpec::stable_star(rank, order);
+    const schemes::MwdPlan plan =
+        schemes::plan_mwd(shape, st, schemes::default_machine(), cfg.num_threads,
+                          cfg.timesteps, numa_aware, cfg.group_size, tau_override);
+    multi_window += schemes::mwd_windows(plan.tau, cfg.timesteps) >= 3;
+    idle_groups += plan.columns < plan.groups;
+    SCOPED_TRACE(::testing::Message()
+                 << (numa_aware ? "nuMWD " : "MWD ") << shape << " s=" << order
+                 << " n=" << cfg.num_threads << " group=" << cfg.group_size
+                 << " T=" << cfg.timesteps << " tau=" << tau_override << " "
+                 << sched::schedule_name(cfg.schedule) << " trial=" << trial);
+    const schemes::MwdScheme mwd(tau_override);
+    const schemes::NuMwdScheme numwd(tau_override);
+    const schemes::Scheme& scheme = numa_aware ? static_cast<const schemes::Scheme&>(numwd)
+                                               : mwd;
+    test::expect_matches_reference(scheme, shape, st, cfg);
+    cfg.check_dependencies = false;
+    test::expect_matches_reference(scheme, shape, st, cfg);
+  }
+  EXPECT_GT(multi_window, trials / 2);
+  EXPECT_GT(idle_groups, trials / 8);
 }
 
 TEST(Fuzz, RandomBoxSplitsEqualWholeSweep) {

@@ -4,11 +4,16 @@
 // sizes, and the full schedule x group-size matrix.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
+#include <vector>
+
 #include "schemes/mwd.hpp"
 #include "schemes/mwd_common.hpp"
 #include "schemes/numwd.hpp"
 #include "schemes/run_support.hpp"
 #include "test_util.hpp"
+#include "trace/trace.hpp"
 
 namespace nustencil {
 namespace {
@@ -100,6 +105,23 @@ TEST(NuMwdScheme, TwoDimensional) {
                                  mwd_config(3, 6));
 }
 
+TEST(NuMwdScheme, TwoDimensionalGroupWiderThanTheCrossSection) {
+  // Rank 2 has only y to split: a group wider than the y cuts it can make
+  // (5 threads on 4 rows, 4 on 3) leaves members without a chunk, and
+  // they must idle rather than recompute a neighbour member's rows.
+  for (const auto schedule : {sched::Schedule::Static, sched::Schedule::Steal}) {
+    for (const auto& [ny, threads] : {std::pair<Index, int>{4, 5}, {3, 4}}) {
+      SCOPED_TRACE("schedule=" + std::string(sched::schedule_name(schedule)) +
+                   " ny=" + std::to_string(ny) + " threads=" + std::to_string(threads));
+      RunConfig cfg = mwd_config(threads, 8);
+      cfg.schedule = schedule;
+      cfg.group_size = threads;
+      test::expect_matches_reference(NuMwdScheme(), Coord{ny, 12},
+                                     core::StencilSpec::stable_star(2, 1), cfg);
+    }
+  }
+}
+
 TEST(NuMwdScheme, OneDimensional) {
   // Rank 1 has no cross-section to split: surplus group members idle but
   // still participate in the per-step barriers.
@@ -114,6 +136,71 @@ TEST(NuMwdScheme, TauOverride) {
     NuMwdScheme scheme(tau);
     test::expect_matches_reference(scheme, Coord{14, 12, 12}, core::StencilSpec::paper_3d7p(),
                                    mwd_config(2, 6));
+  }
+}
+
+/// Parallelogram spans of one thread's traced static run, in run order:
+/// window -> the columns it ran (even c = V_{c/2}, odd c = I_{c/2}).
+std::map<int, std::vector<int>> columns_by_window(const trace::Trace& trace, int tid) {
+  std::map<int, std::vector<int>> order;
+  for (const trace::Event& e : trace.thread(tid)->events())
+    if (e.phase == trace::Phase::Parallelogram) order[e.args.b].push_back(e.args.a);
+  return order;
+}
+
+TEST(NuMwdScheme, StaticWindowsRunAsRingWavefront) {
+  // tau 2 on a 24-cell ring: 6 V/I pairs, and 7 steps make 3 windows
+  // (steps 0-2, 3-4, 5-6).  V grows in the even windows, I in the odd.
+  const Coord shape{8, 6, 24};
+  const long steps = 7;
+  const auto span_count = [](const trace::Trace& trace, int tid, trace::Phase p) {
+    return trace.thread(tid)->span_count(p);
+  };
+  {
+    // One group of 2 owns the whole ring: every growing column runs right
+    // after the second of its shrinking neighbours; V_0 (beside I_5) and
+    // I_5 (beside V_0) close the ring.  Step 0 has no layer of its own.
+    trace::Trace trace;
+    RunConfig cfg = mwd_config(2, steps);
+    cfg.group_size = 2;
+    cfg.trace = &trace;
+    const auto result = test::expect_matches_reference(
+        NuMwdScheme(2), shape, core::StencilSpec::paper_3d7p(), cfg);
+    ASSERT_EQ(result.details.at("columns"), 6.0);
+    ASSERT_EQ(schemes::mwd_windows(2, steps), 3);
+    const std::vector<int> v_grows{1, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 0};
+    const std::vector<int> i_grows{0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 11};
+    for (int tid = 0; tid < 2; ++tid) {
+      EXPECT_EQ(span_count(trace, tid, trace::Phase::Layer), 3u);
+      const auto order = columns_by_window(trace, tid);
+      ASSERT_EQ(order.size(), 3u);
+      EXPECT_EQ(order.at(0), v_grows);
+      EXPECT_EQ(order.at(1), i_grows);
+      EXPECT_EQ(order.at(2), v_grows);
+    }
+  }
+  {
+    // Two groups of 1, pairs 0-2 and 3-5: only the growing column beside
+    // the other group's range waits for the window's end — the range's
+    // first V when V grows, its last I when I grows.
+    trace::Trace trace;
+    RunConfig cfg = mwd_config(2, steps);
+    cfg.group_size = 1;
+    cfg.trace = &trace;
+    test::expect_matches_reference(NuMwdScheme(2), shape, core::StencilSpec::paper_3d7p(),
+                                   cfg);
+    const std::vector<std::pair<std::vector<int>, std::vector<int>>> expected{
+        {{1, 3, 2, 5, 4, 0}, {0, 2, 1, 4, 3, 5}},
+        {{7, 9, 8, 11, 10, 6}, {6, 8, 7, 10, 9, 11}}};
+    for (int grp = 0; grp < 2; ++grp) {
+      SCOPED_TRACE("group " + std::to_string(grp));
+      EXPECT_EQ(span_count(trace, grp, trace::Phase::Layer), 3u);
+      const auto order = columns_by_window(trace, grp);
+      ASSERT_EQ(order.size(), 3u);
+      EXPECT_EQ(order.at(0), expected[static_cast<std::size_t>(grp)].first);
+      EXPECT_EQ(order.at(1), expected[static_cast<std::size_t>(grp)].second);
+      EXPECT_EQ(order.at(2), expected[static_cast<std::size_t>(grp)].first);
+    }
   }
 }
 
