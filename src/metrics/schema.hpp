@@ -32,8 +32,8 @@ namespace nustencil::metrics {
 /// "counters" (the "sched" section carries them).
 /// v8: removed the top-level "timeseries" section (the live-telemetry
 /// sampler that filled it is gone).
-/// Readers (nustencil_report, metrics/diff) stay forward-tolerant: any
-/// schema >= 1 parses, absent sections are skipped.
+/// The reader (nustencil_report) stays forward-tolerant: any schema >= 1
+/// parses, absent sections are skipped.
 inline constexpr int kRunReportSchemaVersion = 8;
 
 /// The fixed leading CSV columns of the nustencil CLI summary table

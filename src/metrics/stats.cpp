@@ -25,19 +25,9 @@ RepSummary summarize_reps(const std::vector<double>& values) {
   return s;
 }
 
-bool intervals_overlap(const RepSummary& a, const RepSummary& b) {
-  return a.ci_lo <= b.ci_hi && b.ci_lo <= a.ci_hi;
-}
-
 void StatsSection::add(const std::string& name,
                        const std::vector<double>& values) {
   metrics.emplace_back(name, summarize_reps(values));
-}
-
-const RepSummary* StatsSection::find(const std::string& name) const {
-  for (const auto& [key, summary] : metrics)
-    if (key == name) return &summary;
-  return nullptr;
 }
 
 }  // namespace nustencil::metrics

@@ -1,9 +1,8 @@
 // Multi-rep statistical summaries for run reports: when the CLI runs a
 // configuration --reps=N times it folds the noisy (time-derived) metrics
 // into robust summaries — median, MAD, and a bootstrap-free confidence
-// interval — that land in the report's "stats" section.  The diff engine
-// (metrics/diff.hpp) then classifies a delta as significant or noise by
-// interval overlap instead of gating wall-clock floats exactly.
+// interval — that land in the report's "stats" section, so one run's
+// wall clock carries its own spread.
 #pragma once
 
 #include <string>
@@ -35,22 +34,14 @@ inline constexpr double kCiZ = 1.96;
 /// Summarises `values` (empty input -> all-zero summary with n = 0).
 RepSummary summarize_reps(const std::vector<double>& values);
 
-/// True when the two confidence intervals share any point.  Zero-width
-/// intervals at the same value overlap; disjoint intervals are the
-/// significance signal the diff engine uses.
-bool intervals_overlap(const RepSummary& a, const RepSummary& b);
-
 /// The run report's "stats" section: one RepSummary per noisy metric,
-/// keyed by the diff engine's metric names ("result/seconds",
-/// "phase/compute_s", ...), in emission order.
+/// keyed by section/field names ("result/seconds", "phase/compute_s",
+/// ...), in emission order.
 struct StatsSection {
   int reps = 0;
   std::vector<std::pair<std::string, RepSummary>> metrics;
 
   void add(const std::string& name, const std::vector<double>& values);
-
-  /// Summary by metric name, or nullptr when absent.
-  const RepSummary* find(const std::string& name) const;
 };
 
 }  // namespace nustencil::metrics

@@ -183,7 +183,7 @@ std::string render_heatmap_svg(const HeatmapSpec& spec) {
   double vmax = 0.0;
   for (double v : spec.values)
     if (std::isfinite(v))
-      vmax = std::max(vmax, spec.diverging ? std::fabs(v) : v);
+      vmax = std::max(vmax, v);
 
   std::ostringstream os;
   svg_begin(os, w, h);
@@ -192,33 +192,21 @@ std::string render_heatmap_svg(const HeatmapSpec& spec) {
   for (std::size_t r = 0; r < rows; ++r) {
     for (std::size_t c = 0; c < cols; ++c) {
       const double v = spec.values[r * cols + c];
-      // Default: white-to-blue ramp.  Diverging: white at zero, red for
-      // positive, blue for negative.  NaN cells stay light grey.
+      // White-to-blue ramp; NaN cells stay light grey.
       std::string fill = "#eeeeee";
       if (std::isfinite(v) && vmax > 0.0) {
+        const double t = v / vmax;
+        const int red = static_cast<int>(std::lround(255 - 224 * t));
+        const int green = static_cast<int>(std::lround(255 - 136 * t));
         char buf[8];
-        if (spec.diverging) {
-          const double t = std::min(1.0, std::fabs(v) / vmax);
-          const int fade = static_cast<int>(std::lround(255 - 200 * t));
-          if (v >= 0.0)
-            std::snprintf(buf, sizeof buf, "#ff%02x%02x", fade, fade);
-          else
-            std::snprintf(buf, sizeof buf, "#%02x%02xff", fade, fade);
-        } else {
-          const double t = v / vmax;
-          const int red = static_cast<int>(std::lround(255 - 224 * t));
-          const int green = static_cast<int>(std::lround(255 - 136 * t));
-          std::snprintf(buf, sizeof buf, "#%02x%02xff", red, green);
-        }
+        std::snprintf(buf, sizeof buf, "#%02x%02xff", red, green);
         fill = buf;
       }
       const double x = ml + cs * static_cast<double>(c);
       const double y = mt + cs * static_cast<double>(r);
       svg_rect(os, x, y, cs - 1, cs - 1, fill);
       if (std::isfinite(v)) {
-        const bool dark =
-            vmax > 0.0 &&
-            (spec.diverging ? std::fabs(v) : v) / vmax > 0.6;
+        const bool dark = vmax > 0.0 && v / vmax > 0.6;
         os << "<text x='" << x + cs / 2 << "' y='" << y + cs / 2 + 4
            << "' text-anchor='middle' font-family='sans-serif' font-size='11'"
            << (dark ? " fill='white'" : "") << '>'
@@ -364,85 +352,6 @@ std::string render_scatter_svg(const ScatterSpec& spec) {
   for (std::size_t k = 0; k < spec.class_labels.size(); ++k)
     legend_entry(os, ml + pw + 14, mt + 14 + static_cast<double>(k) * 18,
                  palette_color(k), spec.class_labels[k], /*line=*/false);
-  svg_end(os);
-  return os.str();
-}
-
-std::string render_waterfall_svg(const WaterfallSpec& spec) {
-  NUSTENCIL_CHECK(!spec.labels.empty(),
-                  "render_waterfall_svg: need at least one delta");
-  NUSTENCIL_CHECK(spec.labels.size() == spec.deltas.size(),
-                  "render_waterfall_svg: labels/deltas length mismatch");
-
-  const auto delta_of = [&](std::size_t i) {
-    const double v = spec.deltas[i];
-    return std::isfinite(v) ? v : 0.0;
-  };
-
-  // Cumulative range, zero included; the total bar spans [0, net].
-  double cum = 0.0, ymin = 0.0, ymax = 0.0;
-  for (std::size_t i = 0; i < spec.deltas.size(); ++i) {
-    cum += delta_of(i);
-    ymin = std::min(ymin, cum);
-    ymax = std::max(ymax, cum);
-  }
-  const double net = cum;
-  if (ymax - ymin <= 0.0) ymax = ymin + 1.0;
-  const double ystep = nice_step(ymax - ymin, 6);
-  ymax = std::ceil(ymax / ystep) * ystep;
-  ymin = std::floor(ymin / ystep) * ystep;
-
-  const double w = spec.width, h = spec.height;
-  const double ml = 70, mr = 180, mt = 50, mb = 55;
-  const double pw = w - ml - mr, ph = h - mt - mb;
-  const std::size_t n = spec.labels.size() + 1;  // + total bar
-  const auto ypos = [&](double v) {
-    return mt + ph * (1.0 - (v - ymin) / (ymax - ymin));
-  };
-
-  const char* kUp = "#d62728";     // increases (slower)
-  const char* kDown = "#2ca02c";   // decreases (faster)
-  const char* kTotal = "#1f77b4";  // net
-
-  std::ostringstream os;
-  svg_begin(os, w, h);
-  svg_title(os, ml + pw / 2, spec.title);
-
-  for (double v = ymin; v <= ymax + 1e-9; v += ystep) {
-    const double y = ypos(v);
-    svg_line(os, ml, y, ml + pw, y, "#dddddd");
-    svg_text(os, ml - 8, y + 4, "end", 11, fmt_num(v));
-  }
-  svg_line(os, ml, ypos(0.0), ml + pw, ypos(0.0), "#888888");
-
-  const double slot = pw / static_cast<double>(n);
-  const double bar = slot * 0.64;
-  double base = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const bool total = i == spec.labels.size();
-    const double v = total ? net : delta_of(i);
-    const double lo = total ? std::min(0.0, net) : std::min(base, base + v);
-    const double hi = total ? std::max(0.0, net) : std::max(base, base + v);
-    const double x = ml + slot * (static_cast<double>(i) + 0.5);
-    // Keep zero-delta bars visible as a hairline.
-    const double hpx = std::max(1.0, ypos(lo) - ypos(hi));
-    svg_rect(os, x - bar / 2, ypos(hi), bar, hpx,
-             total ? kTotal : (v >= 0.0 ? kUp : kDown));
-    svg_text(os, x, ypos(hi) - 5, "middle", 10,
-             (v >= 0.0 ? "+" : "") + fmt_num(v));
-    svg_text(os, x, mt + ph + 20, "middle", 11,
-             total ? spec.total_label : spec.labels[i]);
-    if (!total) base += v;
-  }
-
-  svg_line(os, ml, mt, ml, mt + ph, "black");
-  svg_line(os, ml, mt + ph, ml + pw, mt + ph, "black");
-  axis_labels(os, ml, pw, h, mt, ph, spec.x_label, spec.y_label);
-
-  legend_entry(os, ml + pw + 14, mt + 14, kUp, "increase", /*line=*/false);
-  legend_entry(os, ml + pw + 14, mt + 32, kDown, "decrease", /*line=*/false);
-  legend_entry(os, ml + pw + 14, mt + 50, kTotal, spec.total_label,
-               /*line=*/false);
   svg_end(os);
   return os.str();
 }

@@ -73,9 +73,6 @@ struct HeatmapSpec {
   std::vector<double> values;        ///< row-major, y_ticks.size() x x_ticks.size()
   std::string unit;                  ///< printed after the in-cell value
   int cell_size = 64;
-  /// Diverging mode (delta matrices): white at zero, red ramp for
-  /// positive cells, blue ramp for negative, scaled to max |value|.
-  bool diverging = false;
 };
 
 /// Renders the heatmap as a standalone SVG document.
@@ -120,23 +117,5 @@ struct ScatterSpec {
 
 /// Renders the scatter plot as a standalone SVG document.
 std::string render_scatter_svg(const ScatterSpec& spec);
-
-/// A waterfall of signed deltas (e.g. per-phase time changes between two
-/// runs): each bar floats from the running total of the bars before it,
-/// increases red, decreases green, plus a final net-total bar.  The y
-/// axis spans the cumulative range including zero.
-struct WaterfallSpec {
-  std::string title;
-  std::string x_label;
-  std::string y_label;
-  std::vector<std::string> labels;  ///< one per delta
-  std::vector<double> deltas;       ///< signed; NaN = 0
-  std::string total_label = "total";
-  int width = 760;
-  int height = 480;
-};
-
-/// Renders the waterfall as a standalone SVG document.
-std::string render_waterfall_svg(const WaterfallSpec& spec);
 
 }  // namespace nustencil::report

@@ -1,5 +1,5 @@
-// Seeded randomised sweep: random shapes, orders, thread counts, step
-// counts, schedules, kernels, MWD group sizes and schemes, each run once
+// Seeded randomised sweep: random ranks, shapes, orders, thread counts,
+// step counts, schedules, kernels, MWD group sizes and schemes, each run once
 // dependency-checked and once unchecked (the whole-row kernel path every
 // default run takes), both compared against the reference.  Catches
 // interaction bugs the hand-picked configurations miss; the seed is fixed
@@ -28,15 +28,18 @@ TEST(Fuzz, RandomConfigurationsMatchReference) {
 
   const core::KernelPolicy kernels[] = {core::KernelPolicy::Auto, core::KernelPolicy::Scalar,
                                         core::KernelPolicy::SSE2, core::KernelPolicy::AVX2};
-  int short_rows = 0, mwd_groups = 0;
-  const int trials = 200;
+  int short_rows = 0, mwd_groups = 0, low_rank = 0;
+  const int trials = 300;
   for (int trial = 0; trial < trials; ++trial) {
     const std::string name = names[rng() % names.size()];
+    // CATS/nuCATS are 3D-only by design; every other scheme takes rank 1-3.
+    const int rank = name == "CATS" || name == "nuCATS" ? 3 : 1 + static_cast<int>(rng() % 3);
     const int order = name == "nuCORALS" || name == "NaiveSSE"
                           ? 1 + static_cast<int>(rng() % 3)
                           : 1 + static_cast<int>(rng() % 2);
-    std::uniform_int_distribution<Index> extent(4 * order + 1, 26);
-    Coord shape{extent(rng), extent(rng), extent(rng)};
+    std::uniform_int_distribution<Index> extent(4 * order + 1, rank == 3 ? 26 : 40);
+    Coord shape = Coord::filled(rank, 0);
+    for (int d = 0; d < rank; ++d) shape[d] = extent(rng);
     // Rows around the whole-row kernel threshold (core::kWholeRowMinNx).
     if (rng() % 3 == 0) shape[0] = 7 + static_cast<Index>(rng() % 7);
     schemes::RunConfig cfg;
@@ -49,17 +52,18 @@ TEST(Fuzz, RandomConfigurationsMatchReference) {
       cfg.boundary[2] = core::BoundaryKind::Dirichlet;
     if (name == "PLuTo" || name == "CORALS" || name == "nuCORALS") {
       // Respect the documented preconditions: decomposed tiles must be at
-      // least 2s wide (conservatively assume one dimension takes all the
-      // cuts).
-      const Index min_decomposed = std::min(shape[1], shape[2]);
+      // least 2s wide (x in rank 1, y/z otherwise; conservatively assume
+      // one dimension takes all the cuts).
+      Index min_decomposed = shape[rank - 1];
+      for (int d = 1; d < rank; ++d) min_decomposed = std::min(min_decomposed, shape[d]);
       cfg.num_threads = std::max(
           1, std::min<int>(cfg.num_threads,
                            static_cast<int>(min_decomposed / (2 * order))));
     }
 
     const bool banded = order == 1 && rng() % 4 == 0;
-    const core::StencilSpec st = banded ? core::StencilSpec::banded_star(3, order)
-                                        : core::StencilSpec::stable_star(3, order);
+    const core::StencilSpec st = banded ? core::StencilSpec::banded_star(rank, order)
+                                        : core::StencilSpec::stable_star(rank, order);
     // PLuTo's diamonds have no owner-first deques to steal from.
     if (name != "PLuTo" && rng() % 2 == 0) cfg.schedule = sched::Schedule::Steal;
     if (name == "MWD" || name == "nuMWD") {
@@ -70,14 +74,12 @@ TEST(Fuzz, RandomConfigurationsMatchReference) {
       mwd_groups += cfg.group_size > 1;
     }
     short_rows += shape[0] <= 13;
-    SCOPED_TRACE(name + " " + std::to_string(shape[0]) + "x" +
-                 std::to_string(shape[1]) + "x" + std::to_string(shape[2]) + " s=" +
-                 std::to_string(order) + " n=" + std::to_string(cfg.num_threads) +
-                 " T=" + std::to_string(cfg.timesteps) +
-                 (banded ? " banded" : "") + " " + sched::schedule_name(cfg.schedule) +
-                 " kernel=" + core::to_string(cfg.kernel) +
-                 " group=" + std::to_string(cfg.group_size) +
-                 " trial=" + std::to_string(trial));
+    low_rank += rank < 3;
+    SCOPED_TRACE(::testing::Message()
+                 << name << " " << shape << " s=" << order << " n=" << cfg.num_threads
+                 << " T=" << cfg.timesteps << (banded ? " banded" : "") << " "
+                 << sched::schedule_name(cfg.schedule) << " kernel=" << core::to_string(cfg.kernel)
+                 << " group=" << cfg.group_size << " trial=" << trial);
     const auto scheme = schemes::make_scheme(name);
     test::expect_matches_reference(*scheme, shape, st, cfg);
     cfg.check_dependencies = false;
@@ -85,6 +87,7 @@ TEST(Fuzz, RandomConfigurationsMatchReference) {
   }
   EXPECT_GT(short_rows, trials / 5);
   EXPECT_GT(mwd_groups, trials / 40);
+  EXPECT_GT(low_rank, trials / 3);
 }
 
 TEST(Fuzz, CoralsGeometryMatchesReference) {

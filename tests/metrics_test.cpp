@@ -1,5 +1,6 @@
 // Metrics subsystem: the post-run registry record, JSON writer/parser
-// round trips, and the run-report document parsing back into itself.
+// round trips, the run-report document parsing back into itself, and the
+// --reps summaries of its "stats" section.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -11,6 +12,7 @@
 #include "metrics/registry.hpp"
 #include "metrics/run_report.hpp"
 #include "metrics/schema.hpp"
+#include "metrics/stats.hpp"
 #include "topology/machine.hpp"
 
 namespace nustencil::metrics {
@@ -155,6 +157,33 @@ TEST(RunReportJson, ParsesBackWithAllSections) {
   EXPECT_EQ(doc.at("traffic").at("locality_series").array.size(), 2u);
   EXPECT_DOUBLE_EQ(doc.at("counters").at("kernel/tiles").num(), 7.0);
   EXPECT_EQ(doc.at("histograms").at("kernel/tile_updates").array.size(), 5u);
+}
+
+TEST(Stats, IdenticalRepsCollapseToZeroWidthInterval) {
+  const RepSummary s = summarize_reps({1.5, 1.5, 1.5, 1.5});
+  EXPECT_EQ(s.n, 4);
+  EXPECT_DOUBLE_EQ(s.median, 1.5);
+  EXPECT_DOUBLE_EQ(s.mad, 0.0);
+  EXPECT_DOUBLE_EQ(s.ci_lo, 1.5);
+  EXPECT_DOUBLE_EQ(s.ci_hi, 1.5);
+  EXPECT_DOUBLE_EQ(s.min, 1.5);
+  EXPECT_DOUBLE_EQ(s.max, 1.5);
+}
+
+TEST(Stats, SummaryIsRobustToOneOutlier) {
+  // Median/MAD shrug off the 100x outlier a mean/stddev summary would
+  // be dominated by.
+  const RepSummary s = summarize_reps({1.0, 1.1, 0.9, 1.0, 100.0});
+  EXPECT_DOUBLE_EQ(s.median, 1.0);
+  EXPECT_NEAR(s.mad, 0.1, 1e-12);
+  EXPECT_DOUBLE_EQ(s.max, 100.0);
+  EXPECT_LT(s.ci_hi, 2.0);  // the interval stays near the bulk
+}
+
+TEST(Stats, EmptyInputIsAllZero) {
+  const RepSummary s = summarize_reps({});
+  EXPECT_EQ(s.n, 0);
+  EXPECT_DOUBLE_EQ(s.median, 0.0);
 }
 
 }  // namespace

@@ -212,76 +212,5 @@ TEST(SvgStackedBars, MismatchedSegmentLengthThrows) {
   EXPECT_THROW(render_stacked_bars_svg(b), nustencil::Error);
 }
 
-TEST(SvgHeatmap, DivergingModeSplitsSignsIntoRedAndBlue) {
-  HeatmapSpec hm;
-  hm.title = "delta";
-  hm.x_ticks = {"0", "1"};
-  hm.y_ticks = {"0", "1"};
-  hm.values = {4.0, -4.0, 0.0, 2.0};
-  hm.diverging = true;
-  const std::string svg = render_heatmap_svg(hm);
-  // The max-|value| cells saturate the red/blue ramps symmetrically and
-  // the zero cell stays white.
-  EXPECT_NE(svg.find("#ff3737"), std::string::npos);  // +4 (max positive)
-  EXPECT_NE(svg.find("#3737ff"), std::string::npos);  // -4 (max negative)
-  EXPECT_NE(svg.find("#ffffff"), std::string::npos);  // 0
-}
-
-TEST(SvgHeatmap, DivergingNegativeCellsWouldBreakDefaultRamp) {
-  // The default ramp computes its colour from v/vmax, which would go
-  // negative; diverging mode is the supported path for delta matrices.
-  HeatmapSpec hm;
-  hm.x_ticks = {"0"};
-  hm.y_ticks = {"0"};
-  hm.values = {-1.0};
-  hm.diverging = true;
-  const std::string svg = render_heatmap_svg(hm);
-  EXPECT_NE(svg.find("#3737ff"), std::string::npos);
-  EXPECT_EQ(svg.find("#ff-"), std::string::npos);  // no malformed hex
-}
-
-WaterfallSpec waterfall_demo() {
-  WaterfallSpec wf;
-  wf.title = "phase deltas";
-  wf.x_label = "phase";
-  wf.y_label = "seconds";
-  wf.labels = {"init", "compute", "barrier"};
-  wf.deltas = {0.1, -0.3, 0.05};
-  return wf;
-}
-
-TEST(SvgWaterfall, OneBarPerDeltaPlusTotal) {
-  const std::string svg = render_waterfall_svg(waterfall_demo());
-  // Background + 3 delta bars + 1 total bar + 3 legend swatches.
-  EXPECT_EQ(count(svg, "<rect"), 8u);
-  EXPECT_NE(svg.find("compute"), std::string::npos);
-  EXPECT_NE(svg.find("total"), std::string::npos);
-  // Increases red, decreases green, net total blue.
-  EXPECT_NE(svg.find("#d62728"), std::string::npos);
-  EXPECT_NE(svg.find("#2ca02c"), std::string::npos);
-  EXPECT_NE(svg.find("#1f77b4"), std::string::npos);
-}
-
-TEST(SvgWaterfall, ValueLabelsAreSigned) {
-  const std::string svg = render_waterfall_svg(waterfall_demo());
-  EXPECT_NE(svg.find("+0.1"), std::string::npos);
-  EXPECT_NE(svg.find("-0.3"), std::string::npos);
-}
-
-TEST(SvgWaterfall, NanDeltaRendersAsZeroBar) {
-  WaterfallSpec wf = waterfall_demo();
-  wf.deltas[1] = std::nan("");
-  const std::string svg = render_waterfall_svg(wf);
-  EXPECT_EQ(count(svg, "<rect"), 8u);  // still one bar per label + total
-}
-
-TEST(SvgWaterfall, EmptyOrMismatchedInputsThrow) {
-  WaterfallSpec wf;
-  EXPECT_THROW(render_waterfall_svg(wf), nustencil::Error);
-  wf = waterfall_demo();
-  wf.deltas.pop_back();
-  EXPECT_THROW(render_waterfall_svg(wf), nustencil::Error);
-}
-
 }  // namespace
 }  // namespace nustencil::report

@@ -7,8 +7,7 @@
 //   nustencil --scheme nuCORALS --shape 128x128x128 --steps 100 --threads 8
 //   nustencil --scheme nuCATS --banded --order 2 --verify --instrument
 //   nustencil --sweep-threads 1,2,4,8 --csv results.csv
-//   nustencil --scheme nuCORALS --trace=trace.json --trace-svg=trace.svg \
-//             --phase-metrics
+//   nustencil --scheme nuCORALS --phase-metrics --trace=trace.json --trace-svg=trace.svg
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -242,9 +241,8 @@ int main(int argc, char** argv) try {
   args.add_option("reps",
                   "timing repetitions for a --report run: N-1 lightweight "
                   "runs plus the final instrumented run feed a "
-                  "median/MAD/CI stats section, so report diffs judge "
-                  "time-derived deltas by interval overlap instead of a "
-                  "fixed tolerance",
+                  "median/MAD/CI stats section, so the report carries "
+                  "the spread of its time-derived metrics",
                   "1");
   args.add_option("hw-counters",
                   "measure real per-thread PMU counters via perf_event_open: "

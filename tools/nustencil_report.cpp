@@ -1,21 +1,14 @@
-// nustencil_report — renders nustencil JSON run reports (written by
-// `nustencil --report=out.json`) into self-contained HTML dashboards.
-//
-// Single-run mode renders the traffic heatmap, locality timeline,
-// per-thread phase bars, roofline placement and per-span attribution.
-// Diff mode loads two reports, classifies every metric delta as
-// significant or noise (CI overlap when both runs carry --reps stats),
-// attributes each significant delta to a cause with numeric evidence,
-// prints the compact console verdict table for CI logs, and renders the
-// diff dashboard: config deltas, verdict table, phase-time waterfall,
-// NUMA traffic delta heatmap and side-by-side rooflines.  Reports of any
-// schema version >= 1 are accepted; absent sections are skipped, not
-// errors.
+// nustencil_report — renders a nustencil JSON run report (written by
+// `nustencil --report=out.json`) into a self-contained HTML dashboard:
+// the traffic heatmap, locality timeline, per-thread phase bars, roofline
+// placement and per-span attribution.  Reports of any schema version
+// >= 1 are accepted; absent sections are skipped, not errors.
 //
 //   nustencil_report run.json                    # writes run.html
 //   nustencil_report run.json dash.html
-//   nustencil_report --diff A.json B.json [diff.html]
-//   nustencil_report --diff A.json B.json --no-html   # console verdicts only
+//
+// Comparing runs is not this tool's job: bench/regress gates the exact
+// simulated fields, and bench/perf_ledger --compare gates wall clock.
 #include <algorithm>
 #include <cmath>
 #include <fstream>
@@ -26,7 +19,6 @@
 
 #include "common/args.hpp"
 #include "common/error.hpp"
-#include "metrics/diff.hpp"
 #include "metrics/json.hpp"
 #include "metrics/schema.hpp"
 #include "report/svg_chart.hpp"
@@ -433,7 +425,7 @@ std::string counters_table(const JsonValue& doc) {
 }
 
 // ---------------------------------------------------------------------------
-// Dashboards
+// Dashboard
 
 const char* kStyle =
     "body{font-family:sans-serif;max-width:1080px;margin:24px auto;}\n"
@@ -448,6 +440,8 @@ const char* kStyle =
     "font-size:12px;}\n"
     ".v0{background:#1f77b4;}.v1{background:#d62728;}\n"
     ".v2{background:#2ca02c;}.v3{background:#ff7f0e;}\n"
+    // .cols, .sig and .noise style no panel; they stay so that a report
+    // keeps rendering to the same bytes.
     ".sig{background:#d62728;color:white;padding:1px 6px;"
     "border-radius:3px;font-size:12px;}\n"
     ".noise{background:#999;color:white;padding:1px 6px;"
@@ -455,7 +449,7 @@ const char* kStyle =
     "footer p.prov{color:#777;font-size:12px;border-top:1px solid #ccc;"
     "padding-top:8px;}\n";
 
-int check_schema(const JsonValue& doc, const std::string& path) {
+void check_schema(const JsonValue& doc, const std::string& path) {
   const JsonValue* v = doc.find("schema_version");
   const int version =
       v && v->type == JsonValue::Type::Number ? static_cast<int>(v->num()) : 0;
@@ -467,7 +461,6 @@ int check_schema(const JsonValue& doc, const std::string& path) {
               << ", newer than this tool (v"
               << metrics::kRunReportSchemaVersion
               << "); unknown sections are ignored\n";
-  return version;
 }
 
 std::string render_dashboard(const JsonValue& doc) {
@@ -492,125 +485,11 @@ std::string render_dashboard(const JsonValue& doc) {
   return os.str();
 }
 
-std::string config_delta_table(const metrics::ReportDiff& diff) {
-  if (diff.config.empty())
-    return "<p>No config or provenance deltas: the runs are directly "
-           "comparable.</p>\n";
-  std::ostringstream os;
-  os << "<table>\n<tr><th>key</th><th>A</th><th>B</th></tr>\n";
-  for (const metrics::ConfigDelta& c : diff.config)
-    os << "<tr><th>" << report::svg_escape(c.key) << "</th><td>"
-       << report::svg_escape(c.a) << "</td><td>" << report::svg_escape(c.b)
-       << "</td></tr>\n";
-  os << "</table>\n";
-  return os.str();
-}
-
-std::string verdict_table(const metrics::ReportDiff& diff) {
-  std::ostringstream os;
-  os << "<table>\n<tr><th>metric</th><th>A</th><th>B</th><th>&Delta;</th>"
-        "<th>rel</th><th>kind</th><th>class</th><th>verdict</th>"
-        "<th>evidence</th></tr>\n";
-  std::size_t shown = 0;
-  for (const metrics::MetricDelta& m : diff.metrics) {
-    if (m.cls == metrics::DeltaClass::Equal) continue;
-    ++shown;
-    std::ostringstream rel;
-    rel.precision(1);
-    rel << std::fixed << (m.rel() >= 0 ? "+" : "") << m.rel() * 100.0 << "%";
-    os << "<tr><th>" << report::svg_escape(m.name) << "</th><td>"
-       << report::fmt_num(m.a) << "</td><td>" << report::fmt_num(m.b)
-       << "</td><td>" << report::fmt_num(m.delta()) << "</td><td>"
-       << rel.str() << "</td><td>" << metrics::metric_kind_name(m.kind)
-       << (m.used_stats ? " (CI)" : "") << "</td><td><span class='"
-       << (m.cls == metrics::DeltaClass::Significant ? "sig'>significant"
-                                                     : "noise'>noise")
-       << "</span></td><td>"
-       << (m.has_verdict
-               ? report::svg_escape(prof::delta_cause_name(m.verdict.cause))
-               : std::string("&mdash;"))
-       << "</td><td>"
-       << (m.has_verdict ? report::svg_escape(m.verdict.evidence)
-                         : std::string(""))
-       << "</td></tr>\n";
-  }
-  os << "</table>\n";
-  if (shown == 0)
-    return "<p>Every compared metric is exactly equal.</p>\n";
-  std::ostringstream head;
-  head << "<p>" << diff.significant() << " significant, "
-       << diff.count(metrics::DeltaClass::Noise) << " noise, "
-       << diff.count(metrics::DeltaClass::Equal)
-       << " exactly equal metrics.</p>\n";
-  return head.str() + os.str();
-}
-
-std::string phase_waterfall_panel(const metrics::ReportDiff& diff) {
-  report::WaterfallSpec wf;
-  wf.title = "phase-time deltas (B - A)";
-  wf.x_label = "phase";
-  wf.y_label = "seconds";
-  for (const metrics::MetricDelta& m : diff.metrics) {
-    if (m.name.rfind("phase/", 0) != 0 || m.name == "phase/imbalance") continue;
-    if (!m.a_present || !m.b_present) continue;
-    wf.labels.push_back(m.name.substr(6));
-    wf.deltas.push_back(m.delta());
-  }
-  if (wf.labels.empty())
-    return "<p>No phase breakdown on both sides.</p>\n";
-  return report::render_waterfall_svg(wf);
-}
-
-std::string matrix_delta_panel(const metrics::ReportDiff& diff) {
-  if (diff.nodes == 0)
-    return "<p>No comparable NUMA traffic matrices (missing or different "
-           "node counts).</p>\n";
-  report::HeatmapSpec hm;
-  hm.title = "node-to-node traffic delta (B - A, MiB)";
-  hm.x_label = "owner node";
-  hm.y_label = "consumer node";
-  hm.diverging = true;
-  for (int n = 0; n < diff.nodes; ++n) {
-    hm.x_ticks.push_back(std::to_string(n));
-    hm.y_ticks.push_back(std::to_string(n));
-  }
-  hm.values = diff.matrix_delta_mib;
-  return report::render_heatmap_svg(hm);
-}
-
-std::string render_diff_dashboard(const JsonValue& a, const JsonValue& b,
-                                  const std::string& path_a,
-                                  const std::string& path_b,
-                                  const metrics::ReportDiff& diff) {
-  std::ostringstream os;
-  os << "<!DOCTYPE html>\n<html>\n<head>\n<meta charset='utf-8'>\n"
-        "<title>nustencil run diff</title>\n<style>\n"
-     << kStyle << "</style>\n</head>\n<body>\n";
-  os << "<h1>nustencil run diff</h1>\n<p>A = "
-     << report::svg_escape(path_a) << " (schema v" << diff.schema_a
-     << "), B = " << report::svg_escape(path_b) << " (schema v"
-     << diff.schema_b << ")</p>\n";
-  os << "<h2>Config &amp; provenance deltas</h2>\n" << config_delta_table(diff);
-  os << "<h2>Metric verdicts</h2>\n" << verdict_table(diff);
-  os << "<h2>Phase-time waterfall</h2>\n" << phase_waterfall_panel(diff);
-  os << "<h2>NUMA traffic delta</h2>\n" << matrix_delta_panel(diff);
-  os << "<h2>Rooflines side by side</h2>\n<div class='cols'>\n<div>\n<h3>A</h3>\n"
-     << panel_or(a, roofline_panel, "model") << "</div>\n<div>\n<h3>B</h3>\n"
-     << panel_or(b, roofline_panel, "model") << "</div>\n</div>\n";
-  os << "<div class='cols'>\n<div>\n<h3>Summary A</h3>\n"
-     << panel_or(a, summary_table, "summary") << "</div>\n<div>\n"
-     << "<h3>Summary B</h3>\n" << panel_or(b, summary_table, "summary")
-     << "</div>\n</div>\n";
-  os << provenance_footer(b);
-  os << "</body>\n</html>\n";
-  return os.str();
-}
-
-std::string default_output(const std::string& input, const char* tag = "") {
+std::string default_output(const std::string& input) {
   const std::size_t dot = input.rfind('.');
   if (dot == std::string::npos || input.find('/', dot) != std::string::npos)
-    return input + tag + ".html";
-  return input.substr(0, dot) + tag + ".html";
+    return input + ".html";
+  return input.substr(0, dot) + ".html";
 }
 
 /// Parses a report file; any I/O or syntax problem becomes one clear
@@ -634,38 +513,12 @@ void write_html(const std::string& html, const std::string& path) {
 
 int main(int argc, char** argv) try {
   ArgParser args("nustencil_report",
-                 "render nustencil --report JSON files into self-contained "
-                 "HTML dashboards, or diff two of them");
-  args.add_flag("diff",
-                "compare two reports: nustencil_report --diff A.json B.json "
-                "[out.html]; prints the console verdict table and renders "
-                "the diff dashboard");
-  args.add_flag("no-html", "console output only (diff mode), skip the HTML");
+                 "render a nustencil --report JSON file into a "
+                 "self-contained HTML dashboard");
   if (!args.parse(argc, argv)) return 0;
   const std::vector<std::string>& pos = args.positionals();
-
-  if (args.get_flag("diff")) {
-    NUSTENCIL_CHECK(pos.size() == 2 || pos.size() == 3,
-                    "usage: nustencil_report --diff <A.json> <B.json> "
-                    "[<out.html>]");
-    const JsonValue a = load_report(pos[0]);
-    const JsonValue b = load_report(pos[1]);
-    check_schema(a, pos[0]);
-    check_schema(b, pos[1]);
-    const metrics::ReportDiff diff = metrics::diff_reports(a, b);
-    std::cout << metrics::format_diff_console(diff);
-    if (!args.get_flag("no-html")) {
-      const std::string out =
-          pos.size() == 3 ? pos[2] : default_output(pos[1], "_diff");
-      write_html(render_diff_dashboard(a, b, pos[0], pos[1], diff), out);
-      std::cout << "wrote diff dashboard to " << out << '\n';
-    }
-    return 0;
-  }
-
   NUSTENCIL_CHECK(pos.size() == 1 || pos.size() == 2,
-                  "usage: nustencil_report <report.json> [<out.html>] | "
-                  "--diff <A.json> <B.json> [<out.html>]");
+                  "usage: nustencil_report <report.json> [<out.html>]");
   const std::string in_path = pos[0];
   const std::string out_path =
       pos.size() == 2 ? pos[1] : default_output(in_path);
