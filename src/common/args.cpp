@@ -9,6 +9,16 @@
 
 namespace nustencil {
 
+namespace {
+
+/// A user's command-line mistake: the message alone, without the failed
+/// expression and source location NUSTENCIL_CHECK appends.
+void require(bool ok, const std::string& message) {
+  if (!ok) throw Error(message);
+}
+
+}  // namespace
+
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
 
@@ -26,35 +36,30 @@ void ArgParser::add_flag(const std::string& name, const std::string& help) {
 }
 
 int ArgParser::validate_thread_count(long threads, int machine_cores) {
-  NUSTENCIL_CHECK(threads >= 1, "--threads must be at least 1, got " +
-                                    std::to_string(threads));
-  NUSTENCIL_CHECK(threads <= machine_cores,
-                  "--threads " + std::to_string(threads) + " exceeds the " +
-                      std::to_string(machine_cores) +
-                      " cores of the selected --machine");
+  require(threads >= 1, "--threads must be at least 1, got " + std::to_string(threads));
+  require(threads <= machine_cores, "--threads " + std::to_string(threads) + " exceeds the " +
+                                        std::to_string(machine_cores) +
+                                        " cores of the selected --machine");
   return static_cast<int>(threads);
 }
 
 long ArgParser::validate_positive(const char* flag, long value) {
-  NUSTENCIL_CHECK(value >= 1, std::string(flag) + " must be at least 1, got " +
-                                  std::to_string(value));
+  require(value >= 1, std::string(flag) + " must be at least 1, got " + std::to_string(value));
   return value;
 }
 
 int ArgParser::validate_group_size(long group, int num_threads) {
-  NUSTENCIL_CHECK(group >= 1, "--group-size must be at least 1, got " +
-                                  std::to_string(group));
-  NUSTENCIL_CHECK(group <= num_threads && num_threads % group == 0,
-                  "--group-size " + std::to_string(group) +
-                      " must divide the thread count " +
-                      std::to_string(num_threads));
+  require(group >= 1, "--group-size must be at least 1, got " + std::to_string(group));
+  require(group <= num_threads && num_threads % group == 0,
+          "--group-size " + std::to_string(group) + " must divide the thread count " +
+              std::to_string(num_threads));
   return static_cast<int>(group);
 }
 
 double ArgParser::validate_positive_seconds(const char* flag, double seconds) {
-  NUSTENCIL_CHECK(std::isfinite(seconds) && seconds > 0.0,
-                  std::string(flag) + " must be a positive number of seconds, got " +
-                      std::to_string(seconds));
+  require(std::isfinite(seconds) && seconds > 0.0,
+          std::string(flag) + " must be a positive number of seconds, got " +
+              std::to_string(seconds));
   return seconds;
 }
 
@@ -76,15 +81,15 @@ bool ArgParser::parse(int argc, char** argv) {
       name = name.substr(0, eq);
     }
     const auto it = options_.find(name);
-    NUSTENCIL_CHECK(it != options_.end(), "unknown option --" + name + " (see --help)");
+    require(it != options_.end(), "unknown option --" + name + " (see --help)");
     Option& opt = it->second;
     if (opt.is_flag) {
-      NUSTENCIL_CHECK(!inline_value, "flag --" + name + " takes no value");
+      require(!inline_value, "flag --" + name + " takes no value");
       opt.value = "true";
     } else if (inline_value) {
       opt.value = *inline_value;
     } else {
-      NUSTENCIL_CHECK(i + 1 < argc, "option --" + name + " requires a value");
+      require(i + 1 < argc, "option --" + name + " requires a value");
       opt.value = argv[++i];
     }
   }
@@ -106,8 +111,8 @@ long ArgParser::get_long(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
   const long out = std::strtol(v.c_str(), &end, 10);
-  NUSTENCIL_CHECK(end && *end == '\0' && !v.empty(),
-                  "option --" + name + " expects an integer, got '" + v + "'");
+  require(end && *end == '\0' && !v.empty(),
+          "option --" + name + " expects an integer, got '" + v + "'");
   return out;
 }
 
@@ -115,8 +120,8 @@ double ArgParser::get_double(const std::string& name) const {
   const std::string v = get(name);
   char* end = nullptr;
   const double out = std::strtod(v.c_str(), &end);
-  NUSTENCIL_CHECK(end && *end == '\0' && !v.empty(),
-                  "option --" + name + " expects a number, got '" + v + "'");
+  require(end && *end == '\0' && !v.empty(),
+          "option --" + name + " expects a number, got '" + v + "'");
   return out;
 }
 

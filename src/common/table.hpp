@@ -19,8 +19,6 @@ class Table {
   /// Appends one row: a key plus values, one per data column; NaN prints "-".
   void add_row(std::string key, std::vector<double> values);
 
-  const std::string& title() const { return title_; }
-
   /// Pretty-print with aligned columns.
   void print(std::ostream& os) const;
 

@@ -58,10 +58,8 @@ class PageTable {
   /// Fraction of pages of `region` owned by `node` (0 when empty).
   double owned_fraction(RegionId region, int node) const;
 
-  Index page_bytes() const { return page_bytes_; }
   Index region_bytes(RegionId region) const;
   const std::string& region_name(RegionId region) const;
-  std::size_t num_regions() const { return regions_.size(); }
 
  private:
   struct Region {

@@ -140,8 +140,6 @@ class TrafficRecorder {
     unowned = p.stats.unowned_bytes;
   }
 
-  const VirtualTopology& topology() const { return *topo_; }
-
  private:
   struct alignas(kCacheLineBytes) PerThread {
     TrafficStats stats;

@@ -41,7 +41,6 @@ class CounterShard {
   }
 
   int num_threads() const { return static_cast<int>(rows_.size()); }
-  int cache_levels() const { return cache_levels_; }
 
   /// Stores one slot of thread `tid`'s row.  Call from thread `tid` only.
   void store(int tid, trace::SpanCounter c, std::uint64_t value) {

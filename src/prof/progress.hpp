@@ -50,9 +50,6 @@ class ProgressMeter {
   /// The current heartbeat line (sampled now); exposed for tests.
   std::string render_line(const CounterShard& counters);
 
-  /// Configured heartbeat cadence.
-  double interval_s() const { return interval_s_; }
-
   /// Heartbeat threads ever started, process-wide (a run without a meter
   /// must leave this unchanged).
   static std::uint64_t threads_started();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/error.hpp"
 
@@ -60,7 +61,10 @@ TaskPool::TaskPool(int num_threads, std::vector<int> thread_node, Schedule sched
   }
 }
 
-void TaskPool::reset(int num_tasks, const std::function<int(int)>& owner_of) {
+void TaskPool::reset(int num_tasks, const std::function<int(int)>& owner_of,
+                     int layer_size) {
+  NUSTENCIL_CHECK(layer_size >= 0, "TaskPool::reset: negative layer size");
+  layer_size_ = layer_size;
   owner_.assign(static_cast<std::size_t>(num_tasks), 0);
   for (PerThread& t : counts_) t.own.clear();
   for (int i = 0; i < num_tasks; ++i) {
@@ -82,52 +86,48 @@ void TaskPool::rearm() {
   remaining_.store(static_cast<int>(owner_.size()), std::memory_order_release);
 }
 
-int TaskPool::pop_front(int tid) {
+std::deque<int>::iterator TaskPool::layer_end(std::deque<int>& tasks, int task) const {
+  const auto layer = [&](int t) { return layer_size_ > 0 ? t / layer_size_ : 0; };
+  return std::partition_point(tasks.begin(), tasks.end(),
+                              [&](int t) { return layer(t) <= layer(task); });
+}
+
+int TaskPool::take(int tid, bool far_end) {
   WorkDeque& d = deques_[static_cast<std::size_t>(tid)];
   d.lock();
   int task = -1;
   if (!d.tasks.empty()) {
-    task = d.tasks.front();
-    d.tasks.pop_front();
+    const auto it =
+        far_end ? std::prev(layer_end(d.tasks, d.tasks.front())) : d.tasks.begin();
+    task = *it;
+    d.tasks.erase(it);
   }
   d.unlock();
   return task;
 }
 
-int TaskPool::steal_back(int victim) {
-  WorkDeque& d = deques_[static_cast<std::size_t>(victim)];
-  d.lock();
-  int task = -1;
-  if (!d.tasks.empty()) {
-    task = d.tasks.back();
-    d.tasks.pop_back();
-  }
-  d.unlock();
-  return task;
-}
-
-void TaskPool::push_back(int tid, int task) {
+void TaskPool::requeue(int tid, int task) {
   WorkDeque& d = deques_[static_cast<std::size_t>(tid)];
   d.lock();
-  d.tasks.push_back(task);
+  d.tasks.insert(layer_end(d.tasks, task), task);
   d.unlock();
 }
 
 void TaskPool::run(int tid, const Step& step, const threading::AbortToken* abort,
                    trace::ThreadRecorder* rec) {
   if (schedule_ == Schedule::Static) {
-    // One unit per visit, round-robin over the own tasks; a finished task
-    // leaves the list.
+    // One unit per visit, round-robin over the own tasks: each pass
+    // visits the live tasks in order and keeps the unfinished ones.
     PerThread& me = counts_[static_cast<std::size_t>(tid)];
     std::vector<int>& live = me.live;
     live.assign(me.own.begin(), me.own.end());
-    for (std::size_t i = 0; !live.empty();) {
-      if (abort) abort->check();
-      if (step(live[i], tid, /*stolen=*/false) == StepResult::Done)
-        live.erase(live.begin() + static_cast<std::ptrdiff_t>(i));
-      else
-        ++i;
-      if (i == live.size()) i = 0;
+    while (!live.empty()) {
+      std::size_t kept = 0;
+      for (const int task : live) {
+        if (abort) abort->check();
+        if (step(task, tid, /*stolen=*/false) != StepResult::Done) live[kept++] = task;
+      }
+      live.resize(kept);
     }
     return;
   }
@@ -149,16 +149,16 @@ void TaskPool::run(int tid, const Step& step, const threading::AbortToken* abort
       remaining_.fetch_sub(1, std::memory_order_acq_rel);
     } else {
       // Owner-first invariant: a blocked task returns to its owner's
-      // deque (at the back, so the owner round-robins the rest of its
-      // tiles before re-probing this one).
-      push_back(owner_[static_cast<std::size_t>(task)], task);
+      // deque, behind the rest of its layer, so the owner round-robins
+      // that layer's other tiles before re-probing this one.
+      requeue(owner_[static_cast<std::size_t>(task)], task);
       if (!advanced) std::this_thread::yield();
     }
   };
 
   while (remaining_.load(std::memory_order_acquire) > 0) {
     if (abort) abort->check();
-    const int own = pop_front(tid);
+    const int own = take(tid, /*far_end=*/false);
     if (own >= 0) {
       backoff = 1;
       execute(own, /*stolen=*/false, -1);
@@ -167,7 +167,7 @@ void TaskPool::run(int tid, const Step& step, const threading::AbortToken* abort
     bool stole = false;
     for (const int v : victims) {
       ++my.steal_attempts;
-      const int task = steal_back(v);
+      const int task = take(v, /*far_end=*/true);
       if (task < 0) {
         ++my.steal_fails;
         continue;

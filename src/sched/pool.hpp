@@ -3,8 +3,8 @@
 //
 // Every worker works through its *own* subdomain's tiles first, in
 // ascending order.  A task's step callback advances it by one unit (a
-// whole tile, a sweep position, a base parallelogram, a diamond-column
-// step) and says whether it made progress, finished, or found a
+// whole tile, a sweep position, a base parallelogram, a diamond column's
+// window) and says whether it made progress, finished, or found a
 // dependency unmet.
 //
 //  * Schedule::Static is the pool without thieves.  Each visit advances a
@@ -19,14 +19,17 @@
 //    (same node first, then nearest nodes under |node_a - node_b|), taking
 //    the *far end* of the victim's deque: the victim works the front, so
 //    the back holds the tiles it would reach last — the ones least likely
-//    to be warm in its caches and the cheapest to give away.
+//    to be warm in its caches and the cheapest to give away.  Tasks in
+//    layers keep each deque sorted by layer; the far end is then the back
+//    of the victim's front layer, the rest wait on it.
 //
 // Temporal-blocking dependencies are honoured cooperatively under
 // stealing: a step probes its predecessors' progress counters
 // (thread/spinflag.hpp: non-blocking `current() >= need` tests of the same
 // monotone epochs the static waits block on) and returns Blocked instead
-// of spinning.  A blocked task goes back to the *owner's* deque, so
-// stalled work never pins a thief, and a task lives in exactly one deque
+// of spinning.  A blocked task goes back to the *owner's* deque, behind
+// the rest of its layer, so stalled work never pins a thief and is
+// re-probed before any later layer, and a task lives in exactly one deque
 // (or one executing thread) at a time — which is what keeps its progress
 // counter single-writer and monotone.
 #pragma once
@@ -68,9 +71,10 @@ class TaskPool {
   TaskPool(int num_threads, std::vector<int> thread_node, Schedule schedule);
 
   /// Arms the pool with `num_tasks` tasks, task i on owner_of(i)'s list
-  /// in ascending order.  Single-threaded: callers fence with a barrier
-  /// (every worker must have left run() of the previous phase).
-  void reset(int num_tasks, const std::function<int(int)>& owner_of);
+  /// in ascending order, in layers of `layer_size` ids (0: one layer).
+  /// Single-threaded: callers fence with a barrier (every worker must
+  /// have left run() of the previous phase).
+  void reset(int num_tasks, const std::function<int(int)>& owner_of, int layer_size = 0);
 
   /// Arms the pool again with the tasks of the last reset, on the same
   /// owners (a no-op under Schedule::Static, whose workers re-arm their
@@ -85,9 +89,9 @@ class TaskPool {
   /// empty.  Stealing: steps each task while it makes progress, drains
   /// the own deque front-first, then steals along the victim order, until
   /// every task of the current phase has retired.  A task that stops on
-  /// Blocked goes back to its owner's deque; the pool backs off first
-  /// when the visit made no progress at all.  Re-entrant per phase
-  /// (rearm between phases).
+  /// Blocked goes back to its owner's deque, behind the rest of its
+  /// layer; the pool backs off first when the visit made no progress at
+  /// all.  Re-entrant per phase (rearm between phases).
   void run(int tid, const Step& step, const threading::AbortToken* abort,
            trace::ThreadRecorder* rec);
 
@@ -134,9 +138,11 @@ class TaskPool {
     std::vector<int> live;
   };
 
-  int pop_front(int tid);
-  int steal_back(int victim);
-  void push_back(int tid, int task);
+  /// First position of `tasks` (sorted by layer) past `task`'s layer.
+  std::deque<int>::iterator layer_end(std::deque<int>& tasks, int task) const;
+  /// Front of `tid`'s deque, or a thief's back of its front layer; -1 if empty.
+  int take(int tid, bool far_end);
+  void requeue(int tid, int task);
 
   int num_threads_;
   Schedule schedule_;
@@ -144,6 +150,7 @@ class TaskPool {
   std::vector<std::vector<int>> victims_;
   std::vector<WorkDeque> deques_;
   std::vector<int> owner_;  ///< task -> owning thread
+  int layer_size_ = 0;
   std::vector<PerThread> counts_;
   std::atomic<int> remaining_{0};
 };

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "schemes/run_support.hpp"
-#include "thread/barrier.hpp"
 #include "thread/spinflag.hpp"
 
 namespace nustencil::schemes {
@@ -51,39 +50,43 @@ RunResult DiamondScheme::run(core::Problem& problem, const RunConfig& config) co
   domain.lo = Coord::filled(rank, 0);
   domain.hi = problem.shape();
 
-  // One left-skewed parallelogram tile per thread; counter = completed
-  // layer-relative steps of that tile.
+  // One left-skewed parallelogram tile per thread, one task each per
+  // block layer; counter = completed layer-relative steps of that tile.
   std::vector<threading::ProgressCounter> progress(static_cast<std::size_t>(n));
-  threading::Barrier barrier(n);
+  sup.set_tasks(n, [](int i) { return i; });
 
   Timer timer;
   sup.run_workers([&](int tid) {
-    core::Executor& exec = sup.executor(tid);
-    trace::ThreadRecorder* rec = sup.recorder(tid);
-    const Index lo = nd * tid / n, hi = nd * (tid + 1) / n;
-    const int left = (tid + n - 1) % n;
     for (long tb = 0; tb < config.timesteps; tb += h) {
       const long hb = std::min<long>(h, config.timesteps - tb);
       sup.set_layer(tb / h);
       const trace::ScopedSpan layer_span(
-          rec, trace::Phase::Layer,
+          sup.recorder(tid), trace::Phase::Layer,
           {static_cast<std::int32_t>(tb / h), static_cast<std::int32_t>(tb),
            static_cast<std::int32_t>(hb)});
-      for (long dt = 0; dt < hb; ++dt) {
-        // Left-skewed tile: cells near the left edge read up to 2s into
-        // the left neighbour's results of step dt-1.
-        if (dt > 0 && n > 1)
-          progress[static_cast<std::size_t>(left)].wait_for(dt, &sup.abort(), rec, left);
-        core::Box box = domain;
-        box.lo[d] = lo - s * dt;
-        box.hi[d] = hi - s * dt;
-        exec.update_box(box, tb + dt, tid);
-        progress[static_cast<std::size_t>(tid)].advance_to(dt + 1);
-      }
-      barrier.arrive_and_wait(&sup.abort(), rec);
-      if (tid == 0)
-        for (auto& c : progress) c.reset();
-      barrier.arrive_and_wait(&sup.abort(), rec);
+      // Tile i's whole layer is one task (the static waits block, so it
+      // finishes in its one visit); the counters reset between layers,
+      // while every worker waits in the phase barrier.
+      sup.run_tasks(
+          tid,
+          [&](int i, const TaskContext& ctx) {
+            const Index lo = nd * i / n, hi = nd * (i + 1) / n;
+            const int left = (i + n - 1) % n;
+            for (long dt = 0; dt < hb; ++dt) {
+              // Left-skewed tile: cells near the left edge read up to 2s
+              // into the left neighbour's results of step dt-1.
+              if (dt > 0 && n > 1) ctx.ready(progress[static_cast<std::size_t>(left)], dt, left);
+              core::Box box = domain;
+              box.lo[d] = lo - s * dt;
+              box.hi[d] = hi - s * dt;
+              ctx.exec().update_box(box, tb + dt, ctx.tid());
+              progress[static_cast<std::size_t>(i)].advance_to(dt + 1);
+            }
+            return sched::StepResult::Done;
+          },
+          [&] {
+            for (auto& c : progress) c.reset();
+          });
     }
   });
   const double seconds = timer.seconds();

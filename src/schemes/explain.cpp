@@ -121,10 +121,10 @@ void describe_mwd(std::ostringstream& os, const Coord& shape,
      << "  synchronisation         : group barrier per time level; one "
         "progress counter per column, growing steps wait on both ring "
         "neighbours (no global barriers)\n"
-     << "  static windows          : " << mwd_windows(plan.tau, timesteps)
+     << "  windows                 : " << mwd_windows(plan.tau, timesteps)
      << " (window 0 = steps 0-" << std::clamp(timesteps - 1, 0L, plan.tau) << ", then "
      << plan.tau << " step(s) each)\n"
-     << "  static window order     : ring wavefront, each growing column right "
+     << "  window order            : ring wavefront, each growing column right "
         "after its two shrinking neighbours; one beside another group's "
         "column runs at the window's end\n"
      << "  column ownership        : "

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/aligned.hpp"
@@ -14,10 +16,10 @@ namespace nustencil::schemes {
 
 namespace {
 
-/// Command slot of one thread group under the stealing schedules: the
-/// leader writes (column, step), then publishes via the seq counter; the
-/// per-step group barrier keeps the slot single-writer (members must have
-/// read command k before the leader can finish step k and issue k+1).
+/// Command slot of one thread group: the leader writes (column, step),
+/// then publishes via the seq counter; the per-step group barrier keeps
+/// the slot single-writer (members must have read command k before the
+/// leader can finish step k and issue k+1).
 struct alignas(kCacheLineBytes) GroupCtrl {
   threading::ProgressCounter seq;
   std::atomic<int> col{0};
@@ -248,20 +250,72 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
     sup.serial_init();
   }
 
-  // The static schedule keeps its own loop: lockstep groups walk each
-  // window as a ring wavefront whose direction (which family grows) flips
-  // every window, an order a fixed per-visit round-robin over columns
-  // cannot express.
-  const bool stealing = config.schedule != sched::Schedule::Static;
-  // Stealing state: one cursor (next step) per column; a column lives in
-  // exactly one deque / executing leader at a time, so the cursor and its
-  // progress counter stay single-writer.  Tasks are whole columns, owned
-  // by the leader thread of the owning group.
-  std::vector<long> cursors(static_cast<std::size_t>(2 * nd), 0);
-  if (stealing)
-    sup.set_tasks(2 * nd, [&](int c) {
-      return plan.owner_group[static_cast<std::size_t>(c >> 1)] * g;
-    });
+  // --- tasks ------------------------------------------------------------
+  // Windows of tau steps: one family grows (diamonds opening) while the
+  // other shrinks.  Window 0 also takes step 0, in which the I columns
+  // sweep their full gaps (a growing step whose wait is trivially met)
+  // and the V columns are empty.
+  const auto window_first = [&](long w) { return w == 0 ? 0 : w * tau + 1; };
+  const auto window_last = [&](long w) { return std::min((w + 1) * tau, T - 1); };
+  const auto window_of = [&](long t) { return t == 0 ? 0 : (t - 1) / tau; };
+
+  // A group's column order within a window whose growing family is V
+  // (vgrow) or I: a ring wavefront.  The shrinking columns run in ring
+  // order; each growing column runs right after the second of its two
+  // shrinking neighbours when the group owns both (it then never waits,
+  // and its neighbours' levels are still in cache), and otherwise at the
+  // window's end, where it waits on another group.  Shrinking steps never
+  // wait, so every deferred wait is met.  Only own columns are ever done,
+  // so a growing column whose two neighbours are done is the group's own.
+  const auto window_order = [&](int grp, bool vgrow) {
+    std::vector<char> done(static_cast<std::size_t>(2 * nd), 0);
+    std::vector<int> order;
+    const auto emit = [&](int c) {
+      done[static_cast<std::size_t>(c)] = 1;
+      order.push_back(c);
+    };
+    for (int j = 0; j < nd; ++j) {
+      if (plan.owner_group[static_cast<std::size_t>(j)] != grp) continue;
+      const int shrinking = vgrow ? 2 * j + 1 : 2 * j;
+      emit(shrinking);
+      for (int side = 0; side < 2; ++side) {
+        const int c = neighbor(shrinking, side);
+        const int nl = neighbor(c, 0), nr = neighbor(c, 1);
+        if (!done[static_cast<std::size_t>(c)] && done[static_cast<std::size_t>(nl)] &&
+            done[static_cast<std::size_t>(nr)])
+          emit(c);
+      }
+    }
+    for (int c = 0; c < 2 * nd; ++c)  // the deferred growing columns
+      if (plan.owner_group[static_cast<std::size_t>(c >> 1)] == grp &&
+          !done[static_cast<std::size_t>(c)])
+        emit(c);
+    return order;
+  };
+
+  // One task per (column, window), window by window: task i runs column
+  // by_parity[w even][i mod 2nd] through window w = i / 2nd, each group's
+  // columns in its ring-wavefront order (V grows in the even windows).
+  // The leader of the column's group owns it, so a leader's own list is
+  // its group's whole run in order: under the static schedule it runs
+  // exactly that sequence, one task per visit.  Each window is one pool
+  // layer, so under the steal schedules a blocked task is re-probed
+  // before the owner's later windows and a thief takes from the victim's
+  // current window.
+  std::vector<int> by_parity[2];
+  for (int grp = 0; grp < plan.groups; ++grp)
+    for (const bool vgrow : {false, true})
+      for (const int c : window_order(grp, vgrow)) by_parity[vgrow].push_back(c);
+  const auto task_column = [&](int i) {
+    return by_parity[i / (2 * nd) % 2 == 0][static_cast<std::size_t>(i % (2 * nd))];
+  };
+  const long ntasks = mwd_windows(tau, T) * 2 * nd;
+  NUSTENCIL_CHECK(ntasks <= std::numeric_limits<int>::max(),
+                  "MWD: too many (column, window) tasks; raise tau or cut the steps");
+  sup.set_tasks(
+      static_cast<int>(ntasks),
+      [&](int i) { return plan.owner_group[static_cast<std::size_t>(task_column(i) >> 1)] * g; },
+      2 * nd);
 
   Timer timer;
   sup.run_workers([&](int tid) {
@@ -269,143 +323,87 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
     trace::ThreadRecorder* rec = sup.recorder(tid);
     const int grp = tid / g;
     const int mem = tid % g;
+    GroupCtrl& my_ctrl = ctrl[static_cast<std::size_t>(grp)];
 
-    // One step of column c by one group member: growing steps first wait
-    // for both neighbour counters (shrinking steps read only their own
-    // previous box), then the member computes its chunk, the group
-    // barriers per time level, and the first member publishes completion.
-    // `sync` false skips wait+publish (the stealing leader probed the
-    // counters already and publishes after crediting).
-    const auto column_step = [&](int c, long t, int member, bool sync) {
-      if (sync && col_growing(c, t)) {
-        const int nl = neighbor(c, 0);
-        const int nr = neighbor(c, 1);
-        progress[static_cast<std::size_t>(nl)].wait_for(t, &sup.abort(), rec, nl);
-        progress[static_cast<std::size_t>(nr)].wait_for(t, &sup.abort(), rec, nr);
+    // Structural spans follow the step sequence alone, so a leader and
+    // its members record the same ones: a layer span per window, a
+    // parallelogram span per run of one column's steps inside it.
+    std::optional<trace::ScopedSpan> layer_span, col_span;
+    long open_w = -1;
+    int open_c = -1;
+
+    // One step of column c by one group member: the member computes its
+    // chunk, then the group barriers per time level.
+    const auto column_step = [&](int c, long t) {
+      const auto w = static_cast<std::int32_t>(window_of(t));
+      if (w != open_w) {
+        col_span.reset();
+        open_w = w;
+        open_c = -1;
+        sup.set_layer(w);
+        const auto t0 = static_cast<std::int32_t>(window_first(w));
+        layer_span.emplace(
+            rec, trace::Phase::Layer,
+            trace::SpanArgs{w, t0, static_cast<std::int32_t>(window_last(w)) - t0 + 1, grp});
+      }
+      if (c != open_c) {
+        open_c = c;
+        col_span.emplace(rec, trace::Phase::Parallelogram, trace::SpanArgs{c, w, -1, grp});
       }
       Index zlo = 0, zhi = 0;
       col_range(c, t, zlo, zhi);
-      if (zhi > zlo) {
-        const core::Box b = member_box(zlo, zhi, member);
-        if (!b.empty()) exec.update_box(b, t, tid);
-      }
+      const core::Box b = member_box(zlo, zhi, mem);
+      if (!b.empty()) exec.update_box(b, t, tid);
       if (g > 1) gbar[static_cast<std::size_t>(grp)]->arrive_and_wait(&sup.abort(), rec);
-      if (sync && member == 0)
-        progress[static_cast<std::size_t>(c)].advance_to(t + 1);
     };
 
-    if (!stealing) {
-      std::vector<int> mine;
-      for (int j = 0; j < nd; ++j)
-        if (plan.owner_group[static_cast<std::size_t>(j)] == grp) mine.push_back(j);
-      if (mine.empty() || T <= 0) return;
-
-      // The group's column order within a window whose growing family is
-      // V (vgrow) or I: a ring wavefront.  The shrinking columns run in
-      // ring order; each growing column runs right after the second of
-      // its two shrinking neighbours when the group owns both (it then
-      // never waits, and its neighbours' levels are still in cache), and
-      // otherwise at the window's end, where it waits on another group.
-      // Shrinking steps never wait, so every deferred wait is met.
-      // Only own columns are ever done, so a growing column whose two
-      // neighbours are done is the group's own.
-      const auto window_order = [&](bool vgrow) {
-        std::vector<char> done(static_cast<std::size_t>(2 * nd), 0);
-        std::vector<int> order;
-        const auto emit = [&](int c) {
-          done[static_cast<std::size_t>(c)] = 1;
-          order.push_back(c);
-        };
-        for (const int j : mine) {
-          const int shrinking = vgrow ? 2 * j + 1 : 2 * j;
-          emit(shrinking);
-          for (int side = 0; side < 2; ++side) {
-            const int c = neighbor(shrinking, side);
-            const int nl = neighbor(c, 0), nr = neighbor(c, 1);
-            if (!done[static_cast<std::size_t>(c)] && done[static_cast<std::size_t>(nl)] &&
-                done[static_cast<std::size_t>(nr)])
-              emit(c);
-          }
-        }
-        for (const int j : mine) {
-          const int growing = vgrow ? 2 * j : 2 * j + 1;
-          if (!done[static_cast<std::size_t>(growing)]) emit(growing);
-        }
-        return order;
-      };
-      const std::vector<int> orders[2] = {window_order(false), window_order(true)};
-
-      // Windows of tau steps: one family grows (diamonds opening) while
-      // the other shrinks.  Window 0 also takes step 0, in which the I
-      // columns sweep their full gaps (a growing step whose wait_for(0)
-      // is trivially met) and the V columns are empty.  Each column's
-      // steps of a window are wrapped in a parallelogram span (the
-      // executor records the counter-carrying tile leaves itself).
-      const long windows = mwd_windows(tau, T);
-      for (long w = 0; w < windows; ++w) {
-        const long t0 = w == 0 ? 0 : w * tau + 1;
-        const long t1 = std::min((w + 1) * tau, T - 1);
-        sup.set_layer(w);
-        const trace::ScopedSpan layer_span(
-            rec, trace::Phase::Layer,
-            {static_cast<std::int32_t>(w), static_cast<std::int32_t>(t0),
-             static_cast<std::int32_t>(t1 - t0 + 1), grp});
-        for (const int c : orders[w % 2 == 0]) {
-          const trace::ScopedSpan col_span(
-              rec, trace::Phase::Parallelogram,
-              {c, static_cast<std::int32_t>(w), -1, grp});
-          for (long t = t0; t <= t1; ++t) column_step(c, t, mem, true);
-        }
-      }
-      return;
-    }
-
-    // Stealing schedules: group leaders drain whole columns from the
-    // pool and broadcast (column, step) to their members; a column whose
-    // growing step finds a neighbour behind goes back to its owner's
-    // deque instead of wedging the thief.
-    GroupCtrl& my_ctrl = ctrl[static_cast<std::size_t>(grp)];
-
     if (mem != 0) {
-      // Member service loop: execute the leader's commands until the
+      // Member command loop: execute the leader's commands until the
       // done sentinel.  The per-step barrier keeps the slot in lockstep.
-      long seen = 0;
-      for (;;) {
-        my_ctrl.seq.wait_for(seen + 1, &sup.abort(), rec, grp);
-        ++seen;
+      for (long seen = 1;; ++seen) {
+        my_ctrl.seq.wait_for(seen, &sup.abort(), rec, grp);
         const int c = my_ctrl.col.load(std::memory_order_relaxed);
-        if (c < 0) break;
-        column_step(c, my_ctrl.t.load(std::memory_order_relaxed), mem, false);
+        if (c < 0) return;
+        column_step(c, my_ctrl.t.load(std::memory_order_relaxed));
       }
-      return;
     }
 
-    sup.drain_tasks(tid, [&](int c, const TaskContext& ctx) {
-      long& t = cursors[static_cast<std::size_t>(c)];
-      const int nl = neighbor(c, 0);
-      const int nr = neighbor(c, 1);
-      if (col_growing(c, t) && (!ctx.ready(progress[static_cast<std::size_t>(nl)], t, nl) ||
-                                !ctx.ready(progress[static_cast<std::size_t>(nr)], t, nr)))
-        return sched::StepResult::Blocked;
-      if (g > 1) {
-        my_ctrl.col.store(c, std::memory_order_relaxed);
-        my_ctrl.t.store(t, std::memory_order_relaxed);
-        my_ctrl.seq.advance_to(++my_ctrl.issued);
-      }
-      column_step(c, t, 0, false);
-      if (ctx.stolen() && g > 1) {
-        // drain_tasks credits the leader's own chunk; the other members
-        // computed the rest of the cross-section on executors that are
-        // not safely readable from here, so credit their analytic volume.
-        Index zlo = 0, zhi = 0;
-        col_range(c, t, zlo, zhi);
-        if (zhi > zlo)
+    // Group leaders run the tasks.  A task resumes from its column's
+    // counter once that has reached the window's first step; a growing
+    // step first needs both neighbours past the previous step.  Each step
+    // goes to the members as a (column, step) command; the counter then
+    // publishes it.  A failed probe (steal schedules) hands the task back.
+    sup.drain_tasks(tid, [&](int task, const TaskContext& ctx) {
+      const int c = task_column(task);
+      const long w = task / (2 * nd);
+      threading::ProgressCounter& own = progress[static_cast<std::size_t>(c)];
+      if (!ctx.ready(own, window_first(w), c)) return sched::StepResult::Blocked;
+      const int nl = neighbor(c, 0), nr = neighbor(c, 1);
+      bool advanced = false;
+      for (long t = own.current(); t <= window_last(w); ++t) {
+        if (col_growing(c, t) && (!ctx.ready(progress[static_cast<std::size_t>(nl)], t, nl) ||
+                                  !ctx.ready(progress[static_cast<std::size_t>(nr)], t, nr)))
+          return advanced ? sched::StepResult::Progress : sched::StepResult::Blocked;
+        if (g > 1) {
+          my_ctrl.col.store(c, std::memory_order_relaxed);
+          my_ctrl.t.store(t, std::memory_order_relaxed);
+          my_ctrl.seq.advance_to(++my_ctrl.issued);
+        }
+        column_step(c, t);
+        if (ctx.stolen() && g > 1) {
+          // drain_tasks credits the leader's own chunk; the other members
+          // computed the rest of the cross-section on executors that are
+          // not safely readable from here, so credit their analytic volume.
+          Index zlo = 0, zhi = 0;
+          col_range(c, t, zlo, zhi);
           sup.pool()->add_stolen_updates(
               ctx.tid(), static_cast<std::uint64_t>((zhi - zlo) * (shape.product() / nz) -
                                                     member_box(zlo, zhi, 0).volume()));
+        }
+        own.advance_to(t + 1);
+        advanced = true;
       }
-      progress[static_cast<std::size_t>(c)].advance_to(t + 1);
-      return ++t < T ? sched::StepResult::Progress : sched::StepResult::Done;
+      return sched::StepResult::Done;
     });
     if (g > 1) {
       my_ctrl.col.store(-1, std::memory_order_relaxed);

@@ -35,10 +35,8 @@
 // cooperate inside each column, splitting the y/x cross-section per
 // member and synchronising per time level with a group barrier —
 // multi-dimensional intra-tile parallelization.  Groups pipeline across
-// columns through the progress counters: under the static schedule each
-// group walks a window as a ring wavefront, every growing column right
-// after its two shrinking neighbours; under the stealing schedules the
-// group *leaders* draw whole columns from the NUMA-aware task pool and
+// columns through the progress counters: the group *leaders* run one
+// pool task per (column, window), in a ring-wavefront window order, and
 // broadcast (column, step) commands to their members.
 //
 // MWD assigns column pairs to groups round-robin over a serial (node-0)
@@ -76,9 +74,9 @@ MwdPlan plan_mwd(const Coord& shape, const core::StencilSpec& stencil,
                  const topology::MachineSpec& machine, int threads, long timesteps,
                  bool numa_aware, int group_size, long tau_override = 0);
 
-/// Windows of the static schedule: window 0 runs steps 0..tau (step 0 is
-/// the I columns' full sweep), window w >= 1 runs steps w*tau+1 ..
-/// (w+1)*tau, the last one clipped to the run.
+/// Diamond windows: window 0 runs steps 0..tau (step 0 is the I columns'
+/// full sweep), window w >= 1 runs steps w*tau+1 .. (w+1)*tau, the last
+/// one clipped to the run.
 long mwd_windows(long tau, long timesteps);
 
 struct MwdParams {

@@ -136,8 +136,9 @@ void RunSupport::run_workers(const std::function<void(int)>& body) {
   }
 }
 
-void RunSupport::set_tasks(int ntasks, const std::function<int(int)>& owner_of) {
-  pool_->reset(ntasks, owner_of);
+void RunSupport::set_tasks(int ntasks, const std::function<int(int)>& owner_of,
+                           int layer_size) {
+  pool_->reset(ntasks, owner_of, layer_size);
 }
 
 void RunSupport::run_tasks(int tid, const TaskStep& step,

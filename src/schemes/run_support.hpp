@@ -73,10 +73,7 @@ class RunSupport : private trace::CounterSampler {
   /// so a reused Trace never dereferences a dead run.
   ~RunSupport() override;
 
-  core::Problem& problem() { return *problem_; }
-  const RunConfig& config() const { return *config_; }
   const topology::MachineSpec& machine() const { return *machine_; }
-  threading::Team& team() { return *team_; }
 
   /// Abort token shared by all spin-waits/barriers of this run.
   const threading::AbortToken& abort() const { return abort_; }
@@ -88,9 +85,10 @@ class RunSupport : private trace::CounterSampler {
   void run_workers(const std::function<void(int)>& body);
 
   /// Sets the run's tasks: `ntasks` of them, task i on owner_of(i)'s
-  /// deque in ascending order.  Call before the workers start; every
-  /// phase runs all of them.
-  void set_tasks(int ntasks, const std::function<int(int)>& owner_of);
+  /// deque in ascending order, in layers of `layer_size` (see
+  /// sched::TaskPool::reset).  Call before the workers start; every phase
+  /// runs all of them.
+  void set_tasks(int ntasks, const std::function<int(int)>& owner_of, int layer_size = 0);
 
   /// One phase of the run's tasks, called by every worker: drain_tasks,
   /// then a barrier whose releasing arrival runs `prepare` (when set: the

@@ -54,8 +54,6 @@ class Barrier {
     }
   }
 
-  int participants() const { return participants_; }
-
  private:
   const int participants_;
   std::atomic<int> arrived_{0};

@@ -254,7 +254,6 @@ class ThreadRecorder {
   void sample(CounterSet& out) const { sampler_->sample(tid_, out); }
 
   int tid() const { return tid_; }
-  std::size_t capacity() const { return capacity_; }
 
   /// Events still held by the ring, in chronological (insertion) order.
   std::vector<Event> events() const;

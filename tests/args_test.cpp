@@ -25,6 +25,18 @@ bool parse(ArgParser& p, std::vector<const char*> argv) {
                  const_cast<char**>(argv.data()));
 }
 
+/// Whether `fn` throws an Error whose text reads as a user's mistake: the
+/// message alone, without a failed expression or source location.
+template <typename F>
+bool throws_plain_error(F&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return std::string(e.what()).find("(failed:") == std::string::npos;
+  }
+  return false;
+}
+
 TEST(ArgParser, DefaultsApply) {
   ArgParser p = make();
   EXPECT_TRUE(parse(p, {}));
@@ -52,22 +64,26 @@ TEST(ArgParser, Positionals) {
 TEST(ArgParser, UnknownOptionThrows) {
   ArgParser p = make();
   EXPECT_THROW(parse(p, {"--typo"}), Error);
+  EXPECT_TRUE(throws_plain_error([&] { parse(p, {"--typo"}); }));
 }
 
 TEST(ArgParser, MissingValueThrows) {
   ArgParser p = make();
   EXPECT_THROW(parse(p, {"--name"}), Error);
+  EXPECT_TRUE(throws_plain_error([&] { parse(p, {"--name"}); }));
 }
 
 TEST(ArgParser, FlagWithValueThrows) {
   ArgParser p = make();
   EXPECT_THROW(parse(p, {"--verbose=yes"}), Error);
+  EXPECT_TRUE(throws_plain_error([&] { parse(p, {"--verbose=yes"}); }));
 }
 
 TEST(ArgParser, NonNumericValueThrows) {
   ArgParser p = make();
   ASSERT_TRUE(parse(p, {"--count", "abc"}));
   EXPECT_THROW(p.get_long("count"), Error);
+  EXPECT_TRUE(throws_plain_error([&] { p.get_long("count"); }));
 }
 
 TEST(ArgParser, HelpShortCircuits) {
@@ -106,6 +122,7 @@ TEST(ArgParser, ValidateThreadCountRejectsNonPositive) {
     ArgParser::validate_thread_count(-3, 32);
     FAIL() << "expected Error";
   } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find("(failed:"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("-3"), std::string::npos);
   }
 }
@@ -116,6 +133,7 @@ TEST(ArgParser, ValidateThreadCountRejectsMoreThanMachineCores) {
     ArgParser::validate_thread_count(33, 32);
     FAIL() << "expected Error";
   } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find("(failed:"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("33"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("32"), std::string::npos);
   }
@@ -133,6 +151,7 @@ TEST(ArgParser, ValidatePositiveRejectsZeroAndNegative) {
     ArgParser::validate_positive("--trace-buffer", -5);
     FAIL() << "expected Error";
   } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find("(failed:"), std::string::npos);
     // The message must name the flag and echo the offending value.
     EXPECT_NE(std::string(e.what()).find("--trace-buffer"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("-5"), std::string::npos);
@@ -155,6 +174,7 @@ TEST(ArgParser, ValidateGroupSizeRejectsNonPositive) {
     ArgParser::validate_group_size(-2, 8);
     FAIL() << "expected Error";
   } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find("(failed:"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("--group-size"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("-2"), std::string::npos);
   }
@@ -167,6 +187,7 @@ TEST(ArgParser, ValidateGroupSizeRejectsNonDivisorOfThreads) {
     ArgParser::validate_group_size(3, 8);
     FAIL() << "expected Error";
   } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find("(failed:"), std::string::npos);
     // The message must echo both the group size and the thread count.
     EXPECT_NE(std::string(e.what()).find("3"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("8"), std::string::npos);
@@ -202,6 +223,7 @@ TEST(ArgParser, ValidatePositiveSecondsRejectsZeroNegativeAndNonFinite) {
     ArgParser::validate_positive_seconds("--progress", -1.5);
     FAIL() << "expected Error";
   } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).find("(failed:"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("--progress"), std::string::npos);
     EXPECT_NE(std::string(e.what()).find("-1.5"), std::string::npos);
   }
@@ -214,6 +236,7 @@ TEST(ArgParser, MalformedNumberForSecondsOptionThrows) {
   p.add_option("progress", "heartbeat seconds", "");
   ASSERT_TRUE(parse(p, {"--progress", "2s"}));
   EXPECT_THROW(p.get_double("progress"), Error);
+  EXPECT_TRUE(throws_plain_error([&] { p.get_double("progress"); }));
 }
 
 /// Mirrors the CLI's kernel-engine option exactly: string option, then

@@ -345,7 +345,9 @@ void expect_needs_match_scan(const Coord& shape, int threads, int s,
       }
     }
   }
-  if (threads > 1 && tau_act > 1) EXPECT_GT(total, 0u);
+  if (threads > 1 && tau_act > 1) {
+    EXPECT_GT(total, 0u);
+  }
 }
 
 TEST(CoralsNeeds, MatchBruteForceScan) {

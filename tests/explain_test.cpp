@@ -1,6 +1,8 @@
 // Plan descriptions (--explain) and pinning policies.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "numa/traffic.hpp"
 #include "schemes/explain.hpp"
 #include "schemes/scheme.hpp"
@@ -104,25 +106,42 @@ TEST(Explain, MwdWindowsMatchTheRun) {
   const std::string text = schemes::describe_plan(
       "nuMWD", shape, core::StencilSpec::paper_3d7p(), kXeon, 4, 13,
       sched::Schedule::Static, /*group_size=*/2);
-  EXPECT_NE(text.find("static windows          : 3 (window 0 = steps 0-4, then 4 step(s) each)"),
+  EXPECT_NE(text.find("windows                 : 3 (window 0 = steps 0-4, then 4 step(s) each)"),
             std::string::npos)
       << text;
-  EXPECT_NE(text.find("static window order     : ring wavefront, each growing column right "
+  EXPECT_NE(text.find("window order            : ring wavefront, each growing column right "
                       "after its two shrinking neighbours"),
             std::string::npos)
       << text;
 
-  trace::Trace trace;
-  schemes::RunConfig cfg;
-  cfg.num_threads = 4;
-  cfg.timesteps = 13;
-  cfg.group_size = 2;
-  cfg.trace = &trace;
-  core::Problem problem(shape, core::StencilSpec::paper_3d7p());
-  const auto run = schemes::make_scheme("nuMWD")->run(problem, cfg);
-  EXPECT_EQ(run.details.at("tau"), 4.0);
-  for (int tid = 0; tid < 4; ++tid)
-    EXPECT_EQ(trace.thread(tid)->span_count(trace::Phase::Layer), 3u) << "tid " << tid;
+  for (const auto schedule : {sched::Schedule::Static, sched::Schedule::Steal}) {
+    SCOPED_TRACE(sched::schedule_name(schedule));
+    trace::Trace trace;
+    schemes::RunConfig cfg;
+    cfg.num_threads = 4;
+    cfg.timesteps = 13;
+    cfg.group_size = 2;
+    cfg.schedule = schedule;
+    cfg.trace = &trace;
+    core::Problem problem(shape, core::StencilSpec::paper_3d7p());
+    const auto run = schemes::make_scheme("nuMWD")->run(problem, cfg);
+    EXPECT_EQ(run.details.at("tau"), 4.0);
+    std::set<int> windows;
+    for (int tid = 0; tid < 4; ++tid) {
+      for (const trace::Event& e : trace.thread(tid)->events())
+        if (e.phase == trace::Phase::Layer) windows.insert(e.args.a);
+      const std::uint64_t layers = trace.thread(tid)->span_count(trace::Phase::Layer);
+      if (schedule == sched::Schedule::Static) {
+        EXPECT_EQ(layers, 3u) << "tid " << tid;
+      } else {
+        // A leader that steals another group's task of a different window
+        // opens an extra layer; its member follows its commands.
+        EXPECT_EQ(layers, trace.thread(tid - tid % 2)->span_count(trace::Phase::Layer))
+            << "tid " << tid;
+      }
+    }
+    EXPECT_EQ(windows, (std::set<int>{0, 1, 2}));
+  }
 }
 
 TEST(PinPolicy, CompactFillsSocketsFirst) {

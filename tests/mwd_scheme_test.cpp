@@ -56,8 +56,8 @@ TEST(NuMwdScheme, PrimeSizes) {
 
 TEST(NuMwdScheme, SchedulesAndGroupSizes) {
   // The full matrix on a prime-sized domain: every schedule (leaders
-  // drain whole columns from the pool under the stealing ones) crossed
-  // with group size 1 (no intra-group split), 2 (split cross-sections +
+  // run (column, window) tasks; stealing moves them between groups)
+  // crossed with group size 1 (no intra-group split), 2 (split cross-sections +
   // per-step group barriers) and auto.
   for (const auto schedule : {sched::Schedule::Static, sched::Schedule::Steal,
                               sched::Schedule::StealLocal}) {
@@ -180,6 +180,28 @@ TEST(NuMwdScheme, StaticWindowsRunAsRingWavefront) {
     }
   }
   {
+    // The same group under stealing: its leader owns every task and finds
+    // each one ready, so it runs the static sequence, and its member
+    // records the same spans from the broadcast steps.
+    trace::Trace trace;
+    RunConfig cfg = mwd_config(2, steps);
+    cfg.group_size = 2;
+    cfg.schedule = sched::Schedule::Steal;
+    cfg.trace = &trace;
+    test::expect_matches_reference(NuMwdScheme(2), shape, core::StencilSpec::paper_3d7p(), cfg);
+    const std::vector<int> v_grows{1, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 0};
+    const std::vector<int> i_grows{0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 11};
+    for (int tid = 0; tid < 2; ++tid) {
+      SCOPED_TRACE("steal tid " + std::to_string(tid));
+      EXPECT_EQ(span_count(trace, tid, trace::Phase::Layer), 3u);
+      const auto order = columns_by_window(trace, tid);
+      ASSERT_EQ(order.size(), 3u);
+      EXPECT_EQ(order.at(0), v_grows);
+      EXPECT_EQ(order.at(1), i_grows);
+      EXPECT_EQ(order.at(2), v_grows);
+    }
+  }
+  {
     // Two groups of 1, pairs 0-2 and 3-5: only the growing column beside
     // the other group's range waits for the window's end — the range's
     // first V when V grows, its last I when I grows.
@@ -202,6 +224,28 @@ TEST(NuMwdScheme, StaticWindowsRunAsRingWavefront) {
       EXPECT_EQ(order.at(2), expected[static_cast<std::size_t>(grp)].first);
     }
   }
+}
+
+TEST(NuMwdScheme, IdleGroupStealsOtherGroupsWindows) {
+  // A 6-cell ring cut into unit-tau gaps holds 3 column pairs for 4
+  // groups of 1, so group 0 owns no column: its leader steals from the
+  // start, and a thief takes the victim's current window, so some stolen
+  // (column, window) tasks run steps on the thief — two groups then write
+  // one column's counter in turn.  One run may finish before the thief is
+  // scheduled, so a few are allowed.
+  bool stole = false;
+  for (int run = 0; run < 20 && !stole; ++run) {
+    RunConfig cfg = mwd_config(4, 40);
+    cfg.group_size = 1;
+    cfg.schedule = sched::Schedule::Steal;
+    const auto result = test::expect_matches_reference(
+        NuMwdScheme(), Coord{24, 20, 6}, core::StencilSpec::paper_3d7p(), cfg);
+    ASSERT_EQ(result.details.at("columns"), 3.0);
+    ASSERT_EQ(result.details.at("tau"), 1.0);
+    ASSERT_EQ(result.sched.threads.size(), 4u);
+    stole = result.sched.threads[0].steals > 0 && result.sched.threads[0].stolen_updates > 0;
+  }
+  EXPECT_TRUE(stole);
 }
 
 TEST(NuMwdScheme, UpdateCountExact) {

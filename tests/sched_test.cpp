@@ -1,6 +1,6 @@
 // Task pool: TaskPool unit tests (victim ranking, owner-first order,
-// far-end stealing, greedy stepping and re-enqueue of blocked tasks, the
-// thief-free static round-robin) and the two scheme-level guarantees of
+// far-end stealing, greedy stepping and re-enqueue of blocked tasks,
+// layered task lists, the thief-free static round-robin) and the two scheme-level guarantees of
 // --schedule=steal — bit-identical results and dependency safety under
 // forced stealing.
 #include <gtest/gtest.h>
@@ -119,6 +119,38 @@ TEST(TaskPool, BlockedAndYieldedTasksReenqueueAtOwner) {
   EXPECT_EQ(order, (std::vector<int>{2, 2, 1, 0, 0, 0}));
   EXPECT_TRUE(blocked_once);
   EXPECT_EQ(calls0, 3);
+}
+
+TEST(TaskPool, LayeredTasksRequeueAndStealWithinTheFrontLayer) {
+  // Layers of 2: {0, 1}, {2, 3}, {4, 5}.  A blocked task is re-probed
+  // before any later layer, and a thief takes the back of the front
+  // layer, never a later layer's task that waits on it.
+  TaskPool pool(2, {0, 0}, Schedule::Steal);
+  pool.reset(6, [](int) { return 0; }, 2);
+  std::vector<int> order;
+  bool blocked_once = false;
+  pool.run(0,
+           [&](int task, int, bool) {
+             order.push_back(task);
+             if (task == 0 && !blocked_once) {
+               blocked_once = true;
+               return StepResult::Blocked;
+             }
+             return StepResult::Done;
+           },
+           nullptr, nullptr);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 0, 2, 3, 4, 5}));
+
+  pool.rearm();
+  order.clear();
+  pool.run(1,
+           [&](int task, int, bool stolen) {
+             EXPECT_TRUE(stolen);
+             order.push_back(task);
+             return StepResult::Done;
+           },
+           nullptr, nullptr);
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 3, 2, 5, 4}));
 }
 
 TEST(TaskPool, StaticHasNoThievesAndNoStats) {

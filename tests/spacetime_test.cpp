@@ -180,12 +180,14 @@ TEST(Decomposition, UnskewedDimensionIsNeverCut) {
             // Only inputs inside the root matter (as in the 1D sweep).
             const Index ylo = root.dims[1].lo_at(t - 1), yhi = root.dims[1].hi_at(t - 1);
             for (Index k = -1; k <= 1; ++k) {
-              if (y >= ylo && y < yhi)
+              if (y >= ylo && y < yhi) {
                 EXPECT_TRUE(ready(t - 1, (x + k + nx) % nx, y))
                     << "x input of (" << x << "," << y << "," << t << ") not ready";
-              if (y + k >= ylo && y + k < yhi)
+              }
+              if (y + k >= ylo && y + k < yhi) {
                 EXPECT_TRUE(ready(t - 1, x, y + k))
                     << "y input of (" << x << "," << y << "," << t << ") not ready";
+              }
             }
           }
           ++done[{t, x, y}];

@@ -66,8 +66,8 @@ class JsonParser {
       case '{': return object();
       case '[': return array();
       case '"': return string_value();
-      case 't': return keyword("true", Json{Json::Bool, true});
-      case 'f': return keyword("false", Json{Json::Bool, false});
+      case 't': return keyword("true", Json{Json::Bool, true, 0.0, {}, {}, {}});
+      case 'f': return keyword("false", Json{Json::Bool, false, 0.0, {}, {}, {}});
       case 'n': return keyword("null", Json{});
       default: return number();
     }
