@@ -37,11 +37,11 @@ int main(int argc, char** argv) {
     cfg.instrument = true;
     cfg.machine = &machine;
     schemes::CoralsParams params;
-    params.name = "engine";
-    params.numa_init = true;  // first touch always by the allocating thread
     params.owner_shift = shift;
+    // First touch always by the allocating thread; only the owner moves.
+    const schemes::CoralsScheme scheme(true, params);
     core::Problem problem(Coord{edge, edge, edge}, stencil);
-    const auto run = schemes::run_corals_like(problem, cfg, params);
+    const auto run = scheme.run(problem, cfg);
 
     double total = 0.0;
     for (auto b : run.traffic.bytes_from_node) total += static_cast<double>(b);

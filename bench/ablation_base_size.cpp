@@ -38,11 +38,11 @@ int main(int argc, char** argv) {
     cfg.num_threads = threads;
     cfg.timesteps = steps;
     schemes::CoralsParams params;
-    params.name = "engine";
     params.base_space = c.space;
     params.base_time = c.time;
+    const schemes::CoralsScheme scheme(true, params);
     core::Problem problem(Coord{edge, edge, edge}, stencil);
-    const auto run = schemes::run_corals_like(problem, cfg, params);
+    const auto run = scheme.run(problem, cfg);
     table.add_row(std::to_string(c.space) + "," + std::to_string(c.time),
                   {run.details.at("bases_per_layer"), run.gupdates_per_second()});
   }

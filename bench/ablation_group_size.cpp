@@ -22,8 +22,7 @@
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "metrics/json.hpp"
-#include "schemes/numwd.hpp"
-#include "schemes/scheme.hpp"
+#include "schemes/mwd_common.hpp"
 #include "topology/machine.hpp"
 
 namespace {
@@ -55,7 +54,7 @@ Row run_one(const Coord& shape, long steps, int threads, int group,
   cfg.machine = &machine;
 
   core::Problem problem(shape, core::StencilSpec::paper_3d7p());
-  const schemes::RunResult run = schemes::NuMwdScheme(tau).run(problem, cfg);
+  const schemes::RunResult run = schemes::MwdScheme(true, tau).run(problem, cfg);
 
   Row r;
   r.group_request = group;

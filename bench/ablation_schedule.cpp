@@ -61,11 +61,11 @@ Row run_one(const Case& c, sched::Schedule schedule, int threads,
   cfg.instrument = true;
   cfg.collect_phase_metrics = true;
   cfg.machine = &machine;
-  if (c.scheme == "CATS" || c.scheme == "nuCATS")
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+  const auto scheme = schemes::make_scheme(c.scheme);
+  cfg.boundary = scheme->default_boundary();
 
   core::Problem problem(c.shape, core::StencilSpec::paper_3d7p());
-  const schemes::RunResult run = schemes::make_scheme(c.scheme)->run(problem, cfg);
+  const schemes::RunResult run = scheme->run(problem, cfg);
 
   Row r;
   r.c = c;

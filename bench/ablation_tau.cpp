@@ -16,7 +16,6 @@
 #include "common/table.hpp"
 #include "perf/model.hpp"
 #include "schemes/corals_common.hpp"
-#include "schemes/nucorals.hpp"
 
 int main(int argc, char** argv) {
   using namespace nustencil;
@@ -32,7 +31,7 @@ int main(int argc, char** argv) {
   cfg.timesteps = 12;
   cfg.instrument = true;
   cfg.machine = &machine;
-  const auto base_run = schemes::NuCoralsScheme().run(probe, cfg);
+  const auto base_run = schemes::CoralsScheme(true).run(probe, cfg);
   const long b = static_cast<long>(base_run.details.at("b"));
 
   Table table("tau ablation (nuCORALS, " + std::to_string(edge) + "^3, " +
@@ -44,7 +43,9 @@ int main(int argc, char** argv) {
   taus.erase(std::unique(taus.begin(), taus.end()), taus.end());
   for (const long tau : taus) {
     core::Problem problem(Coord{edge, edge, edge}, stencil);
-    const schemes::NuCoralsScheme scheme(tau);
+    schemes::CoralsParams params;
+    params.tau_override = tau;
+    const schemes::CoralsScheme scheme(true, params);
     const auto run = scheme.run(problem, cfg);
 
     perf::ModelInput in;

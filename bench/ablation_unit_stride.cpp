@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
     cfg.num_threads = threads;
     cfg.timesteps = steps;
     schemes::CoralsParams params;
-    params.name = "engine";
     params.force_counts = v.counts;
+    const schemes::CoralsScheme scheme(true, params);
     core::Problem problem(Coord{edge, edge, edge}, stencil);
-    const auto run = schemes::run_corals_like(problem, cfg, params);
+    const auto run = scheme.run(problem, cfg);
     table.add_row(v.name, {run.gupdates_per_second(), run.details.at("tau")});
   }
   table.print(std::cout);

@@ -23,8 +23,7 @@ void run_scheme(benchmark::State& state, const std::string& name) {
   schemes::RunConfig cfg;
   cfg.num_threads = bench_threads();
   cfg.timesteps = steps;
-  if (name == "CATS" || name == "nuCATS")
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+  cfg.boundary = scheme->default_boundary();
   Index updates = 0;
   for (auto _ : state) {
     core::Problem problem(Coord{edge, edge, edge}, core::StencilSpec::paper_3d7p());
@@ -47,8 +46,7 @@ void run_large_tau(benchmark::State& state, const std::string& name) {
   schemes::RunConfig cfg;
   cfg.num_threads = bench_threads();
   cfg.timesteps = steps;
-  if (name == "CATS" || name == "nuCATS")
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+  cfg.boundary = scheme->default_boundary();
   Index updates = 0;
   for (auto _ : state) {
     core::Problem problem(Coord{64, 64, 96}, core::StencilSpec::paper_3d7p());

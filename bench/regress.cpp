@@ -91,8 +91,7 @@ Case run_case(const std::string& name, Index edge) {
   // both on node 0 and every scheme would measure locality 1.0, leaving
   // the traffic half of the gate vacuous.
   cfg.pin_policy = numa::PinPolicy::Scatter;
-  if (name == "CATS" || name == "nuCATS")
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+  cfg.boundary = scheme->default_boundary();
 
   core::Problem problem(Coord{edge, edge, edge}, stencil);
   const schemes::RunResult run = scheme->run(problem, cfg);

@@ -44,8 +44,7 @@ int main(int argc, char** argv) try {
     cfg.num_threads = threads;
     cfg.timesteps = steps;
     cfg.cache_sim = &sim;
-    if (name == "CATS" || name == "nuCATS")
-      cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+    cfg.boundary = scheme->default_boundary();
     core::Problem problem(Coord{edge, edge, edge}, stencil);
     const auto result = scheme->run(problem, cfg);
 

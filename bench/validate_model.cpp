@@ -126,8 +126,7 @@ int main(int argc, char** argv) try {
   cfg.machine = &machine;
   cfg.profile_spans = true;
   cfg.hw_mode = hwc::Mode::Auto;  // measure what the host offers
-  if (scheme_name == "CATS" || scheme_name == "nuCATS")
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+  cfg.boundary = scheme->default_boundary();
 
   trace::Trace tr;
   cfg.trace = &tr;

@@ -40,8 +40,7 @@ int main(int argc, char** argv) try {
     config.num_threads = threads;
     config.timesteps = steps;
     config.instrument = true;  // measure NUMA affinity under the Xeon topology
-    if (name == "CATS" || name == "nuCATS")
-      config.boundary[2] = core::BoundaryKind::Dirichlet;
+    config.boundary = scheme->default_boundary();
 
     core::Problem problem(Coord{edge, edge, edge}, stencil);
     schemes::RunResult result;

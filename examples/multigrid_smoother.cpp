@@ -65,7 +65,7 @@ int main(int argc, char** argv) try {
     schemes::RunConfig config;
     config.num_threads = threads;
     config.timesteps = nu;  // one smoother block per run, like a V-cycle level
-    if (name == "nuCATS") config.boundary[2] = core::BoundaryKind::Dirichlet;
+    config.boundary = scheme->default_boundary();
 
     // Each visit runs one smoother block of nu sweeps on a fresh level
     // field, as a V-cycle would between restrictions (the inter-level

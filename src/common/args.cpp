@@ -1,5 +1,7 @@
 #include "common/args.hpp"
 
+#include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <cstdlib>
 #include <iostream>
@@ -18,6 +20,14 @@ void require(bool ok, const std::string& message) {
 }
 
 }  // namespace
+
+std::string lowercase(const std::string& s) {
+  std::string lower(s.size(), '\0');
+  std::transform(s.begin(), s.end(), lower.begin(), [](unsigned char c) {
+    return static_cast<char>(std::tolower(c));
+  });
+  return lower;
+}
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}

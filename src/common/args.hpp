@@ -14,6 +14,10 @@
 
 namespace nustencil {
 
+/// ASCII lower-case copy of `s`: the one case fold that makes option
+/// values such as --scheme, --kernel and --schedule case-insensitive.
+std::string lowercase(const std::string& s);
+
 class ArgParser {
  public:
   explicit ArgParser(std::string program, std::string description);

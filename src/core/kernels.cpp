@@ -2,23 +2,14 @@
 // and the one-time dispatch that replaces the old per-row branch chains.
 #include "core/kernels.hpp"
 
-#include <algorithm>
-#include <cctype>
 #include <sstream>
 
+#include "common/args.hpp"
 #include "common/error.hpp"
 #include "core/kernels_detail.hpp"
 #include "core/kernels_impl.hpp"
 
 namespace {
-
-std::string lowercase(const std::string& name) {
-  std::string lower(name.size(), '\0');
-  std::transform(name.begin(), name.end(), lower.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  return lower;
-}
 
 struct VecScalar {
   using reg = double;

@@ -95,8 +95,7 @@ FigureResult run_figure(const FigureSpec& spec, const FigureOptions& options) {
       cfg.timesteps = options.quick ? options.sim_steps : options.paper_steps;
       cfg.instrument = true;
       cfg.machine = &spec.machine;
-      if (name == "CATS" || name == "nuCATS")
-        cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+      cfg.boundary = scheme->default_boundary();
       // Match the page-to-domain granularity of the paper-scale runs.
       const Index paper_edge_now = edge_for(spec, spec.domain, n);
       Index page = 4096 * sim_edge / std::max<Index>(1, paper_edge_now);
@@ -109,7 +108,7 @@ FigureResult run_figure(const FigureSpec& spec, const FigureOptions& options) {
       runs.reserve(static_cast<std::size_t>(options.reps));
       for (int rep = 0; rep < options.reps; ++rep) {
         core::Problem problem(Coord{sim_edge, sim_edge, sim_edge}, stencil);
-        runs.push_back(schemes::make_scheme(name)->run(problem, cfg));
+        runs.push_back(scheme->run(problem, cfg));
       }
       std::vector<std::size_t> order(runs.size());
       for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;

@@ -1,8 +1,8 @@
 #include "hwc/events.hpp"
 
 #include <algorithm>
-#include <cctype>
 
+#include "common/args.hpp"
 #include "common/error.hpp"
 
 namespace nustencil::hwc {
@@ -11,10 +11,8 @@ namespace {
 // Canonical spelling uses '-', matching perf(1); parsing folds case and
 // treats '_' as '-' so --hw-events=Cache_Misses works too.
 std::string canonical(const std::string& s) {
-  std::string out = s;
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return c == '_' ? '-' : static_cast<char>(std::tolower(c));
-  });
+  std::string out = lowercase(s);
+  std::replace(out.begin(), out.end(), '_', '-');
   return out;
 }
 
@@ -100,10 +98,7 @@ const char* mode_name(Mode m) {
 }
 
 Mode parse_mode(const std::string& name) {
-  std::string c = name;
-  std::transform(c.begin(), c.end(), c.begin(), [](unsigned char ch) {
-    return static_cast<char>(std::tolower(ch));
-  });
+  const std::string c = lowercase(name);
   if (c == "off") return Mode::Off;
   if (c == "auto") return Mode::Auto;
   if (c == "on") return Mode::On;

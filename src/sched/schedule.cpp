@@ -1,16 +1,16 @@
 #include "sched/schedule.hpp"
 
+#include "common/args.hpp"
 #include "common/error.hpp"
 
 namespace nustencil::sched {
 
 Schedule parse_schedule(const std::string& name) {
-  if (name == "static") return Schedule::Static;
-  if (name == "steal") return Schedule::Steal;
-  if (name == "steal_local") return Schedule::StealLocal;
-  NUSTENCIL_CHECK(false, "unknown schedule '" + name +
-                             "' (expected static, steal or steal_local)");
-  return Schedule::Static;
+  const std::string lower = lowercase(name);
+  if (lower == "static") return Schedule::Static;
+  if (lower == "steal") return Schedule::Steal;
+  if (lower == "steal_local") return Schedule::StealLocal;
+  throw Error("unknown schedule '" + name + "' (expected static, steal or steal_local)");
 }
 
 const char* schedule_name(Schedule s) {

@@ -23,7 +23,8 @@ enum class Schedule {
   StealLocal,  ///< stealing restricted to victims on the thief's node
 };
 
-/// Parses "static" / "steal" / "steal_local"; throws on anything else.
+/// Parses "static" / "steal" / "steal_local", case-insensitively; throws
+/// Error on anything else.
 Schedule parse_schedule(const std::string& name);
 
 const char* schedule_name(Schedule s);

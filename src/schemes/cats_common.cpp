@@ -124,8 +124,7 @@ CatsPlan plan_cats(const core::Box& updatable, const core::StencilSpec& stencil,
   return plan;
 }
 
-RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,
-                        core::Problem& problem, const RunConfig& config) {
+RunResult CatsScheme::run(core::Problem& problem, const RunConfig& config) const {
   NUSTENCIL_CHECK(problem.shape().rank() == 3, "CATS/nuCATS support 3D domains");
   NUSTENCIL_CHECK(config.boundary[2] == core::BoundaryKind::Dirichlet,
                   "CATS/nuCATS require a Dirichlet boundary in the wavefront "
@@ -136,14 +135,14 @@ RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,
   const core::Box updatable =
       core::updatable_box(problem.shape(), problem.stencil(), config.boundary);
   const CatsPlan plan = plan_cats(updatable, problem.stencil(), sup.machine(), n,
-                                  config.timesteps, numa_aware, config.schedule);
+                                  config.timesteps, numa_aware_, config.schedule);
   const int ntiles = plan.num_tiles();
   const int s = problem.stencil().order();
 
   // Initialisation: nuCATS threads first-touch their own tiles (plus any
   // left-over rows outside the updatable box go to their nearest owner);
   // CATS initialises serially on node 0.
-  if (numa_aware) {
+  if (numa_aware_) {
     sup.run_workers([&](int tid) {
       for (int i = 0; i < ntiles; ++i) {
         if (plan.owner[static_cast<std::size_t>(i)] != tid) continue;
@@ -275,7 +274,7 @@ RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,
   });
   const double seconds = timer.seconds();
 
-  RunResult r = sup.finish(scheme_name, seconds);
+  RunResult r = sup.finish(name(), seconds);
   r.details["chunk"] = static_cast<double>(plan.chunk);
   r.details["tile_width_y"] = static_cast<double>(plan.wy);
   r.details["tiles"] = static_cast<double>(ntiles);
@@ -283,16 +282,12 @@ RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,
   return r;
 }
 
-TrafficEstimate estimate_cats_traffic(const topology::MachineSpec& machine,
-                                      const Coord& shape, const core::StencilSpec& stencil,
-                                      int threads, long timesteps) {
-  core::Box updatable;
-  updatable.lo = Coord::filled(3, 0);
-  updatable.hi = shape;
-  updatable.lo[2] += stencil.order();
-  updatable.hi[2] -= stencil.order();
-  const CatsPlan plan =
-      plan_cats(updatable, stencil, machine, threads, timesteps, /*numa_aware=*/true);
+TrafficEstimate CatsScheme::estimate_traffic(const topology::MachineSpec& machine,
+                                             const Coord& shape,
+                                             const core::StencilSpec& stencil, int threads,
+                                             long timesteps) const {
+  const CatsPlan plan = plan_cats(core::updatable_box(shape, stencil, default_boundary()),
+                                  stencil, machine, threads, timesteps, /*numa_aware=*/true);
 
   const double s = stencil.order();
   const double tc = static_cast<double>(plan.chunk);

@@ -1,4 +1,8 @@
-// Shared machinery of CATS and nuCATS (paper Section II).
+// CATS and nuCATS (paper Section II): one engine, NUMA-aware or not.
+//
+// CATS — cache accurate time skewing [Strzodka, Shaheen, Pajak, Seidel,
+// ICPP'11] — is the cache-aware predecessor of the paper's nuCATS: large
+// space-time tiles with a cache-sized wavefront cross-section.
 //
 // Both schemes divide the domain into tiles along the y dimension (and,
 // when nuCATS needs to double the tile count, additionally halve the
@@ -25,7 +29,10 @@
 // CATS assigns tiles to threads round-robin and initialises data serially
 // (NUMA-ignorant); nuCATS decomposes the domain into per-thread subdomains
 // (parallel first touch) and assigns each tile to the thread owning it,
-// adjusting the tile count to divide the thread count (Section II).
+// adjusting the tile count to divide the thread count (Section II).  When
+// the thread count exceeds the number of cache-sized tiles, the tile count
+// stops shrinking at nthreads/2 and the traversal dimension is halved
+// instead.
 #pragma once
 
 #include <vector>
@@ -65,13 +72,27 @@ CatsPlan plan_cats(const core::Box& updatable, const core::StencilSpec& stencil,
                    const topology::MachineSpec& machine, int threads, long timesteps,
                    bool numa_aware, sched::Schedule schedule = sched::Schedule::Static);
 
-/// Shared run implementation; `numa_aware` controls init and assignment.
-RunResult run_cats_like(const std::string& scheme_name, bool numa_aware,
-                        core::Problem& problem, const RunConfig& config);
+/// nuCATS (`numa_aware`) or CATS: `numa_aware` controls init and
+/// assignment.  Time skewing along a periodic axis has a cyclic
+/// dependence seam, so both run under a Dirichlet z boundary.
+class CatsScheme : public Scheme {
+ public:
+  explicit CatsScheme(bool numa_aware) : numa_aware_(numa_aware) {}
 
-/// Shared analytic traffic estimate for the CATS family.
-TrafficEstimate estimate_cats_traffic(const topology::MachineSpec& machine,
-                                      const Coord& shape, const core::StencilSpec& stencil,
-                                      int threads, long timesteps);
+  std::string name() const override { return numa_aware_ ? "nuCATS" : "CATS"; }
+  bool numa_aware() const override { return numa_aware_; }
+  core::Boundary default_boundary() const override {
+    core::Boundary bc;
+    bc[2] = core::BoundaryKind::Dirichlet;
+    return bc;
+  }
+  RunResult run(core::Problem& problem, const RunConfig& config) const override;
+  TrafficEstimate estimate_traffic(const topology::MachineSpec& machine, const Coord& shape,
+                                   const core::StencilSpec& stencil, int threads,
+                                   long timesteps) const override;
+
+ private:
+  bool numa_aware_;
+};
 
 }  // namespace nustencil::schemes

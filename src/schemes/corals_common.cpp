@@ -417,8 +417,7 @@ std::vector<CoralsNeedTable> corals_needs(const Coord& shape, int threads, int s
   return tables;
 }
 
-RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
-                          const CoralsParams& params) {
+RunResult CoralsScheme::run(core::Problem& problem, const RunConfig& config) const {
   const int rank = problem.shape().rank();
   NUSTENCIL_CHECK(config.boundary.all_periodic(rank),
                   "CORALS/nuCORALS require periodic boundaries (thread "
@@ -428,18 +427,19 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
   const int s = problem.stencil().order();
   const Coord& shape = problem.shape();
 
-  const CoralsLayout layout = plan_corals(shape, n, s, params);
+  const CoralsLayout layout = plan_corals(shape, n, s, params_);
   const Coord& counts = layout.counts;
   const std::vector<core::Box>& tiles = layout.tiles;
 
   // The owner map: tile -> thread.  nuCORALS keeps the allocating thread
-  // (owner_shift 0); the CORALS rendition shifts it to model affinity-blind
-  // assignment.
-  auto owner_of = [&](int tile) { return (tile + params.owner_shift) % n; };
+  // (shift 0); the CORALS rendition shifts it by n/2 to model
+  // affinity-blind assignment.
+  const int owner_shift = params_.owner_shift.value_or(numa_aware_ ? 0 : n / 2);
+  auto owner_of = [&](int tile) { return (tile + owner_shift) % n; };
   // allocator_of: the thread that first-touches tile `i` is always thread
   // i, so the data-to-core affinity holds only when owner_shift == 0.
 
-  if (params.numa_init) {
+  if (numa_aware_) {
     sup.run_workers([&](int tid) {
       sup.executor(tid).first_touch_box(tiles[static_cast<std::size_t>(tid)],
                                         sup.node_of_thread(tid), config.seed);
@@ -449,7 +449,7 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
   }
 
   const long tau = layout.tau;
-  const core::BaseSizes base_sizes = corals_base_sizes(params);
+  const core::BaseSizes base_sizes = corals_base_sizes(params_);
 
   std::vector<TileState> states(static_cast<std::size_t>(n));
   // Bases of tile 0 in the first layer, which has the full height
@@ -588,17 +588,17 @@ RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
   });
   const double seconds = timer.seconds();
 
-  RunResult r = sup.finish(params.name, seconds);
+  RunResult r = sup.finish(name(), seconds);
   r.details["tau"] = static_cast<double>(tau);
   r.details["b"] = static_cast<double>(layout.b);
   r.details["bases_per_layer"] = static_cast<double>(full_layer_bases);
   return r;
 }
 
-TrafficEstimate estimate_corals_traffic(const topology::MachineSpec& machine,
-                                        const Coord& shape,
-                                        const core::StencilSpec& stencil, int threads,
-                                        long timesteps) {
+TrafficEstimate CoralsScheme::estimate_traffic(const topology::MachineSpec& machine,
+                                               const Coord& shape,
+                                               const core::StencilSpec& stencil,
+                                               int threads, long timesteps) const {
   const int s = stencil.order();
   const Coord counts = decompose_counts(shape, threads);
   Index b = 0;

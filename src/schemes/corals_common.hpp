@@ -1,4 +1,15 @@
-// Shared engine of CORALS and nuCORALS (paper Section III).
+// CORALS and nuCORALS (paper Section III): one engine, NUMA-aware or not.
+//
+// CORALS — cache oblivious parallelograms [Strzodka, Shaheen, Pajak,
+// Seidel, ICS'10] — is the cache-oblivious predecessor of nuCORALS.  It
+// is rendered here as the same parallelogram engine made NUMA-ignorant:
+// the data is initialised serially (every page lands on node 0, as the
+// kernel's first-touch policy would place it for a serial allocator), and
+// tiles are assigned to threads without regard for who allocated them (a
+// map shifted by threads/2, modelling CORALS' affinity-blind task
+// parallelism over the recursion).  This preserves exactly the properties
+// Figs. 20-22 compare: identical cache-oblivious locality, no data-to-core
+// affinity.
 //
 // Bidirectional tiling in virtual (unwrapped-periodic) coordinates:
 //
@@ -52,6 +63,7 @@
 #pragma once
 
 #include <array>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -62,14 +74,14 @@
 
 namespace nustencil::schemes {
 
+/// Geometry and assignment overrides of the engine; the defaults are the
+/// paper's.  Ablation benches and tests set them.
 struct CoralsParams {
-  std::string name;
-  /// Parallel first-touch by owners (nuCORALS) vs serial init (CORALS).
-  bool numa_init = true;
-  /// Tile -> thread: owner = (tile + owner_shift) % threads.  nuCORALS
-  /// uses 0 (the allocating thread processes its own tile); CORALS'
-  /// affinity-blind task assignment is modelled with a shifted map.
-  int owner_shift = 0;
+  /// Tile -> thread: owner = (tile + owner_shift) % threads.  Unset, it
+  /// is 0 for nuCORALS (the allocating thread processes its own tile) and
+  /// threads/2 for CORALS (the shifted map).  The assignment ablation sets
+  /// it explicitly.
+  std::optional<int> owner_shift;
   /// Override tau (0 = the paper's default b/(2s)).
   long tau_override = 0;
   /// Override the y/z base parallelogram size and the base height (0 =
@@ -130,13 +142,23 @@ struct CoralsNeedTable {
 std::vector<CoralsNeedTable> corals_needs(const Coord& shape, int threads, int s,
                                           const CoralsParams& params, long tau_act);
 
-RunResult run_corals_like(core::Problem& problem, const RunConfig& config,
-                          const CoralsParams& params);
+/// nuCORALS (`numa_aware`: parallel first touch by the owners) or CORALS
+/// (serial init, shifted map), with the overrides of `params`.
+class CoralsScheme : public Scheme {
+ public:
+  explicit CoralsScheme(bool numa_aware, CoralsParams params = {})
+      : numa_aware_(numa_aware), params_(std::move(params)) {}
 
-/// Shared analytic traffic estimate for the CORALS family.
-TrafficEstimate estimate_corals_traffic(const topology::MachineSpec& machine,
-                                        const Coord& shape,
-                                        const core::StencilSpec& stencil, int threads,
-                                        long timesteps);
+  std::string name() const override { return numa_aware_ ? "nuCORALS" : "CORALS"; }
+  bool numa_aware() const override { return numa_aware_; }
+  RunResult run(core::Problem& problem, const RunConfig& config) const override;
+  TrafficEstimate estimate_traffic(const topology::MachineSpec& machine, const Coord& shape,
+                                   const core::StencilSpec& stencil, int threads,
+                                   long timesteps) const override;
+
+ private:
+  bool numa_aware_;
+  CoralsParams params_;
+};
 
 }  // namespace nustencil::schemes

@@ -35,11 +35,8 @@ void describe_cats(std::ostringstream& os, const Coord& shape,
                    const core::StencilSpec& st, const topology::MachineSpec& m,
                    int threads, long timesteps, bool numa_aware,
                    sched::Schedule schedule) {
-  core::Box updatable;
-  updatable.lo = Coord::filled(3, 0);
-  updatable.hi = shape;
-  updatable.lo[2] += st.order();
-  updatable.hi[2] -= st.order();
+  const core::Box updatable =
+      core::updatable_box(shape, st, CatsScheme(numa_aware).default_boundary());
   const CatsPlan plan =
       plan_cats(updatable, st, m, threads, timesteps, numa_aware, schedule);
   const double wavefront = static_cast<double>(shape[0]) *

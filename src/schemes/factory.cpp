@@ -1,43 +1,58 @@
-#include <algorithm>
-#include <cctype>
 #include <vector>
 
-#include "schemes/cats.hpp"
-#include "schemes/corals.hpp"
+#include "common/args.hpp"
+#include "schemes/cats_common.hpp"
+#include "schemes/corals_common.hpp"
 #include "schemes/diamond.hpp"
-#include "schemes/mwd.hpp"
+#include "schemes/mwd_common.hpp"
 #include "schemes/naive.hpp"
-#include "schemes/nucats.hpp"
-#include "schemes/nucorals.hpp"
-#include "schemes/numwd.hpp"
 #include "schemes/scheme.hpp"
 #include "schemes/trapezoid.hpp"
 
 namespace nustencil::schemes {
 
+namespace {
+
+template <class S, auto... args>
+std::unique_ptr<Scheme> construct() {
+  return std::make_unique<S>(args...);
+}
+
+/// Every scheme of the paper's evaluation: canonical legend name and
+/// constructor, in legend order.
+struct Entry {
+  const char* name;
+  std::unique_ptr<Scheme> (*make)();
+};
+constexpr Entry kSchemes[] = {
+    {"NaiveSSE", construct<NaiveScheme>},
+    {"CATS", construct<CatsScheme, false>},
+    {"nuCATS", construct<CatsScheme, true>},
+    {"CORALS", construct<CoralsScheme, false>},
+    {"nuCORALS", construct<CoralsScheme, true>},
+    {"Pochoir", construct<TrapezoidScheme>},
+    {"PLuTo", construct<DiamondScheme>},
+    {"MWD", construct<MwdScheme, false>},
+    {"nuMWD", construct<MwdScheme, true>},
+};
+
+}  // namespace
+
 std::unique_ptr<Scheme> make_scheme(const std::string& name) {
   // Legend names are matched case-insensitively so command lines may say
   // e.g. --scheme=nucorals; the canonical spellings stay in scheme_names().
-  std::string lower(name.size(), '\0');
-  std::transform(name.begin(), name.end(), lower.begin(), [](unsigned char c) {
-    return static_cast<char>(std::tolower(c));
-  });
-  if (lower == "naivesse") return std::make_unique<NaiveScheme>();
-  if (lower == "cats") return std::make_unique<CatsScheme>();
-  if (lower == "nucats") return std::make_unique<NuCatsScheme>();
-  if (lower == "corals") return std::make_unique<CoralsScheme>();
-  if (lower == "nucorals") return std::make_unique<NuCoralsScheme>();
-  if (lower == "pochoir") return std::make_unique<TrapezoidScheme>();
-  if (lower == "pluto") return std::make_unique<DiamondScheme>();
-  if (lower == "mwd") return std::make_unique<MwdScheme>();
-  if (lower == "numwd") return std::make_unique<NuMwdScheme>();
+  const std::string lower = lowercase(name);
+  for (const Entry& e : kSchemes)
+    if (lowercase(e.name) == lower) return e.make();
   throw Error("make_scheme: unknown scheme '" + name + "'");
 }
 
 const std::vector<std::string>& scheme_names() {
-  static const std::vector<std::string> names = {
-      "NaiveSSE", "CATS",  "nuCATS", "CORALS", "nuCORALS",
-      "Pochoir",  "PLuTo", "MWD",    "nuMWD"};
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const Entry& e : kSchemes) out.emplace_back(e.name);
+    return out;
+  }();
   return names;
 }
 

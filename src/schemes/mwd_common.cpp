@@ -133,8 +133,7 @@ long mwd_windows(long tau, long timesteps) {
   return std::max<long>(1, (timesteps - 1 + tau - 1) / tau);
 }
 
-RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
-                       const MwdParams& params) {
+RunResult MwdScheme::run(core::Problem& problem, const RunConfig& config) const {
   const int rank = problem.shape().rank();
   NUSTENCIL_CHECK(config.boundary.all_periodic(rank),
                   "MWD/nuMWD require periodic boundaries (diamond columns "
@@ -148,7 +147,7 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
 
   const MwdPlan plan =
       plan_mwd(shape, problem.stencil(), sup.machine(), n, config.timesteps,
-               params.numa_init, config.group_size, params.tau_override);
+               numa_aware_, config.group_size, tau_override_);
   const long tau = plan.tau;
   const int nd = plan.columns;
   const int g = plan.group_size;
@@ -227,7 +226,7 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
     gbar.push_back(std::make_unique<threading::Barrier>(g));
 
   // --- initialisation ---------------------------------------------------
-  if (params.numa_init) {
+  if (numa_aware_) {
     // Parallel first touch: every member touches its cross-section chunk
     // of the group's contiguous home range of the ring, so the pages a
     // group's diamonds breathe over live on its own node.  The group
@@ -412,7 +411,7 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
   });
   const double seconds = timer.seconds();
 
-  RunResult r = sup.finish(params.name, seconds);
+  RunResult r = sup.finish(name(), seconds);
   r.details["tau"] = static_cast<double>(tau);
   r.details["columns"] = static_cast<double>(nd);
   r.details["group_size"] = static_cast<double>(g);
@@ -421,9 +420,10 @@ RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
   return r;
 }
 
-TrafficEstimate estimate_mwd_traffic(const topology::MachineSpec& machine,
-                                     const Coord& shape, const core::StencilSpec& stencil,
-                                     int threads, long timesteps) {
+TrafficEstimate MwdScheme::estimate_traffic(const topology::MachineSpec& machine,
+                                            const Coord& shape,
+                                            const core::StencilSpec& stencil, int threads,
+                                            long timesteps) const {
   const int s = stencil.order();
   const MwdPlan plan = plan_mwd(shape, stencil, machine, threads, timesteps,
                                 /*numa_aware=*/true, /*group_size=*/0);

@@ -1,6 +1,6 @@
-// Shared machinery of MWD and nuMWD — multicore wavefront diamond
-// blocking (Malas et al., arXiv:1410.3060) with multi-dimensional
-// intra-tile parallelization (arXiv:1510.04995).
+// MWD and nuMWD — multicore wavefront diamond blocking (Malas et al.,
+// arXiv:1410.3060) with multi-dimensional intra-tile parallelization
+// (arXiv:1510.04995): one engine, NUMA-aware or not.
 //
 // The periodic traversal dimension z is cut at nd evenly spaced points
 // c_j.  Around each cut lives a *diamond column* V_j, between the cuts an
@@ -41,8 +41,10 @@
 //
 // MWD assigns column pairs to groups round-robin over a serial (node-0)
 // initialisation; nuMWD assigns contiguous ranges of the ring and
-// first-touches each group's home range in parallel, so a group's
-// diamonds live on pages its node owns.
+// first-touches each group's home range in parallel (member cross-section
+// chunk x group home range), so a group's diamonds live on pages its node
+// owns, and the stealing schedules trade diamonds between groups
+// NUMA-distance-first.
 #pragma once
 
 #include <string>
@@ -79,20 +81,24 @@ MwdPlan plan_mwd(const Coord& shape, const core::StencilSpec& stencil,
 /// one clipped to the run.
 long mwd_windows(long tau, long timesteps);
 
-struct MwdParams {
-  std::string name = "MWD";
-  bool numa_init = false;  ///< parallel first touch of group home ranges
-  long tau_override = 0;   ///< ablation hook (bench/ablation_group_size)
+/// nuMWD (`numa_aware`: parallel first touch of group home ranges and
+/// contiguous column ownership) or MWD.  `tau_override` != 0 replaces the
+/// cache-derived diamond half-height (bench/ablation_group_size).
+class MwdScheme : public Scheme {
+ public:
+  explicit MwdScheme(bool numa_aware, long tau_override = 0)
+      : numa_aware_(numa_aware), tau_override_(tau_override) {}
+
+  std::string name() const override { return numa_aware_ ? "nuMWD" : "MWD"; }
+  bool numa_aware() const override { return numa_aware_; }
+  RunResult run(core::Problem& problem, const RunConfig& config) const override;
+  TrafficEstimate estimate_traffic(const topology::MachineSpec& machine, const Coord& shape,
+                                   const core::StencilSpec& stencil, int threads,
+                                   long timesteps) const override;
+
+ private:
+  bool numa_aware_;
+  long tau_override_;
 };
-
-/// Shared run implementation; `params.numa_init` controls init and the
-/// column-ownership layout.
-RunResult run_mwd_like(core::Problem& problem, const RunConfig& config,
-                       const MwdParams& params);
-
-/// Shared analytic traffic estimate for the diamond family.
-TrafficEstimate estimate_mwd_traffic(const topology::MachineSpec& machine,
-                                     const Coord& shape, const core::StencilSpec& stencil,
-                                     int threads, long timesteps);
 
 }  // namespace nustencil::schemes

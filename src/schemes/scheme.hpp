@@ -181,6 +181,11 @@ class Scheme {
   /// True when the scheme observes the data-to-core affinity requirement.
   virtual bool numa_aware() const = 0;
 
+  /// The boundary the scheme runs under by default: periodic, except for
+  /// the CATS family's Dirichlet z (see core/boundary.hpp).  Callers that
+  /// do not choose a boundary themselves set RunConfig::boundary to it.
+  virtual core::Boundary default_boundary() const { return core::Boundary::periodic(); }
+
   /// Executes the scheme.  The problem must be freshly constructed and NOT
   /// initialised: every scheme performs its own allocation/initialisation
   /// phase (serial for NUMA-ignorant schemes, parallel first-touch for

@@ -81,9 +81,9 @@ TEST_P(InjectedFailure, RootCauseEndsTheRunPromptly) {
   cfg.collect_phase_metrics = true;
   cfg.hw_mode = hwc::Mode::Auto;
   cfg.hw_backend = &backend;
-  if (name == "CATS" || name == "nuCATS") cfg.boundary[2] = core::BoundaryKind::Dirichlet;
-  core::Problem problem(Coord{24, 20, 18}, core::StencilSpec::paper_3d7p());
   const auto scheme = schemes::make_scheme(name);
+  cfg.boundary = scheme->default_boundary();
+  core::Problem problem(Coord{24, 20, 18}, core::StencilSpec::paper_3d7p());
 
   const auto start = std::chrono::steady_clock::now();
   std::string message;

@@ -3,66 +3,63 @@
 // (timesteps exceeding the wavefront depth) configurations.
 #include <gtest/gtest.h>
 
-#include "schemes/cats.hpp"
 #include "schemes/cats_common.hpp"
-#include "schemes/nucats.hpp"
 #include "test_util.hpp"
 
 namespace nustencil {
 namespace {
 
 using schemes::CatsScheme;
-using schemes::NuCatsScheme;
 using schemes::RunConfig;
 
 RunConfig cats_config(int threads, long steps) {
   RunConfig cfg;
   cfg.num_threads = threads;
   cfg.timesteps = steps;
-  cfg.boundary[2] = core::BoundaryKind::Dirichlet;  // wavefront dimension
+  cfg.boundary = CatsScheme(true).default_boundary();  // Dirichlet z
   return cfg;
 }
 
 TEST(CatsScheme, SingleThread) {
-  CatsScheme scheme;
+  const CatsScheme scheme(false);
   test::expect_matches_reference(scheme, Coord{16, 12, 14}, core::StencilSpec::paper_3d7p(),
                                  cats_config(1, 5));
 }
 
 TEST(CatsScheme, MultiThread) {
-  CatsScheme scheme;
+  const CatsScheme scheme(false);
   test::expect_matches_reference(scheme, Coord{20, 18, 16}, core::StencilSpec::paper_3d7p(),
                                  cats_config(4, 6));
 }
 
 TEST(CatsScheme, DependencyOrder) {
-  CatsScheme scheme;
+  const CatsScheme scheme(false);
   auto cfg = cats_config(4, 5);
   cfg.check_dependencies = true;
   test::expect_matches_reference(scheme, Coord{14, 12, 12}, core::StencilSpec::paper_3d7p(), cfg);
 }
 
 TEST(NuCatsScheme, SingleThread) {
-  NuCatsScheme scheme;
+  const CatsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{16, 12, 14}, core::StencilSpec::paper_3d7p(),
                                  cats_config(1, 5));
 }
 
 TEST(NuCatsScheme, MultiThread) {
-  NuCatsScheme scheme;
+  const CatsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{20, 18, 16}, core::StencilSpec::paper_3d7p(),
                                  cats_config(4, 6));
 }
 
 TEST(NuCatsScheme, DependencyOrder) {
-  NuCatsScheme scheme;
+  const CatsScheme scheme(true);
   auto cfg = cats_config(4, 5);
   cfg.check_dependencies = true;
   test::expect_matches_reference(scheme, Coord{14, 12, 12}, core::StencilSpec::paper_3d7p(), cfg);
 }
 
 TEST(NuCatsScheme, Banded) {
-  NuCatsScheme scheme;
+  const CatsScheme scheme(true);
   auto cfg = cats_config(2, 4);
   cfg.check_dependencies = true;
   test::expect_matches_reference(scheme, Coord{12, 10, 12}, core::StencilSpec::banded_star(3, 1),
@@ -70,7 +67,7 @@ TEST(NuCatsScheme, Banded) {
 }
 
 TEST(NuCatsScheme, HighOrder) {
-  NuCatsScheme scheme;
+  const CatsScheme scheme(true);
   auto cfg = cats_config(2, 3);
   cfg.check_dependencies = true;
   test::expect_matches_reference(scheme, Coord{16, 14, 16}, core::StencilSpec::stable_star(3, 2),
@@ -81,7 +78,7 @@ TEST(NuCatsScheme, HighOrderWithSplitTraversalDimension) {
   // Regression: with z_segments == 2 and order s >= 2, the upper segment
   // reads the lower segment's planes at positions up to p-s-1; the
   // original wait only covered p-2s (found by tests/fuzz_test.cpp).
-  NuCatsScheme scheme;
+  const CatsScheme scheme(true);
   auto cfg = cats_config(4, 8);
   cfg.check_dependencies = true;
   test::expect_matches_reference(scheme, Coord{11, 10, 23},
@@ -93,7 +90,7 @@ TEST(NuCatsScheme, StealWithSplitTraversalDimensionHighOrder) {
   // it.  Before the upper z-segment's first plane, (p - lo)/s is negative
   // and must round down: rounding toward zero (0 for p = lo - 1, s = 2)
   // updated the lower segment's top plane from the upper segment's task.
-  NuCatsScheme scheme;
+  const CatsScheme scheme(true);
   auto cfg = cats_config(8, 13);
   cfg.schedule = sched::Schedule::Steal;
   cfg.check_dependencies = true;
@@ -103,21 +100,21 @@ TEST(NuCatsScheme, StealWithSplitTraversalDimensionHighOrder) {
 }
 
 TEST(NuCatsScheme, ManyThreadsSmallDomain) {
-  NuCatsScheme scheme;
+  const CatsScheme scheme(true);
   auto cfg = cats_config(8, 4);
   cfg.check_dependencies = true;
   test::expect_matches_reference(scheme, Coord{12, 16, 12}, core::StencilSpec::paper_3d7p(), cfg);
 }
 
 TEST(NuCatsScheme, DirichletEverywhere) {
-  NuCatsScheme scheme;
+  const CatsScheme scheme(true);
   auto cfg = cats_config(3, 4);
   cfg.boundary = core::Boundary::dirichlet();
   test::expect_matches_reference(scheme, Coord{14, 13, 12}, core::StencilSpec::paper_3d7p(), cfg);
 }
 
 TEST(NuCatsScheme, InstrumentedLocality) {
-  NuCatsScheme scheme;
+  const CatsScheme scheme(true);
   auto cfg = cats_config(8, 4);
   cfg.instrument = true;
   core::Problem problem(Coord{32, 32, 32}, core::StencilSpec::paper_3d7p());
@@ -127,7 +124,7 @@ TEST(NuCatsScheme, InstrumentedLocality) {
 }
 
 TEST(CatsScheme, InstrumentedLocalityIsPoor) {
-  CatsScheme scheme;
+  const CatsScheme scheme(false);
   auto cfg = cats_config(8, 4);
   cfg.instrument = true;
   core::Problem problem(Coord{32, 32, 32}, core::StencilSpec::paper_3d7p());

@@ -5,15 +5,13 @@
 
 #include <map>
 
-#include "schemes/corals.hpp"
-#include "schemes/nucorals.hpp"
+#include "schemes/corals_common.hpp"
 #include "test_util.hpp"
 
 namespace nustencil {
 namespace {
 
 using schemes::CoralsScheme;
-using schemes::NuCoralsScheme;
 using schemes::RunConfig;
 
 RunConfig corals_config(int threads, long steps, bool check = true) {
@@ -25,68 +23,68 @@ RunConfig corals_config(int threads, long steps, bool check = true) {
 }
 
 TEST(NuCoralsScheme, SingleThread3D) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{16, 12, 14}, core::StencilSpec::paper_3d7p(),
                                  corals_config(1, 5));
 }
 
 TEST(NuCoralsScheme, TwoThreads3D) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{16, 14, 12}, core::StencilSpec::paper_3d7p(),
                                  corals_config(2, 6));
 }
 
 TEST(NuCoralsScheme, FourThreads3D) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{18, 16, 14}, core::StencilSpec::paper_3d7p(),
                                  corals_config(4, 7));
 }
 
 TEST(NuCoralsScheme, EightThreads3D) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{16, 16, 16}, core::StencilSpec::paper_3d7p(),
                                  corals_config(8, 5));
 }
 
 TEST(NuCoralsScheme, PrimeSizes) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{17, 13, 11}, core::StencilSpec::paper_3d7p(),
                                  corals_config(3, 5));
 }
 
 TEST(NuCoralsScheme, MultipleLayers) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   // tau = b/(2s) is small here, so many layers with barriers in between.
   test::expect_matches_reference(scheme, Coord{14, 12, 12}, core::StencilSpec::paper_3d7p(),
                                  corals_config(4, 17));
 }
 
 TEST(NuCoralsScheme, HighOrder2) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{20, 18, 16}, core::StencilSpec::stable_star(3, 2),
                                  corals_config(2, 4));
 }
 
 TEST(NuCoralsScheme, HighOrder3) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{24, 22, 20}, core::StencilSpec::stable_star(3, 3),
                                  corals_config(2, 3));
 }
 
 TEST(NuCoralsScheme, Banded) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{14, 12, 10}, core::StencilSpec::banded_star(3, 1),
                                  corals_config(2, 5));
 }
 
 TEST(NuCoralsScheme, TwoDimensional) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{24, 18}, core::StencilSpec::stable_star(2, 1),
                                  corals_config(3, 6));
 }
 
 TEST(NuCoralsScheme, OneDimensional) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{64}, core::StencilSpec::stable_star(1, 1),
                                  corals_config(4, 6));
 }
@@ -95,13 +93,13 @@ TEST(NuCoralsScheme, OneDimensional) {
 // (x is never decomposed, never skewed and never cut).  The 3D sweeps of
 // this path live in scheme_property_test.
 TEST(NuCoralsScheme, WideRowsTwoDimensional) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{200, 40}, core::StencilSpec::stable_star(2, 1),
                                  corals_config(3, 13));
 }
 
 TEST(NuCoralsScheme, WideRowsSteal) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   RunConfig cfg = corals_config(4, 17);
   cfg.schedule = sched::Schedule::Steal;
   test::expect_matches_reference(scheme, Coord{70, 20, 18}, core::StencilSpec::paper_3d7p(),
@@ -144,14 +142,16 @@ TEST(NuCoralsScheme, RowsStayWhole) {
 
 TEST(NuCoralsScheme, TauOverride) {
   for (long tau : {1L, 2L, 5L}) {
-    NuCoralsScheme scheme(tau);
+    schemes::CoralsParams params;
+    params.tau_override = tau;
+    const CoralsScheme scheme(true, params);
     test::expect_matches_reference(scheme, Coord{14, 12, 12}, core::StencilSpec::paper_3d7p(),
                                    corals_config(2, 6));
   }
 }
 
 TEST(NuCoralsScheme, InstrumentedLocalityMatchesPaperTarget) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   RunConfig cfg = corals_config(8, 12, /*check=*/false);
   cfg.instrument = true;
   core::Problem problem(Coord{48, 48, 48}, core::StencilSpec::paper_3d7p());
@@ -163,19 +163,19 @@ TEST(NuCoralsScheme, InstrumentedLocalityMatchesPaperTarget) {
 }
 
 TEST(CoralsScheme, MatchesReference) {
-  CoralsScheme scheme;
+  const CoralsScheme scheme(false);
   test::expect_matches_reference(scheme, Coord{16, 14, 12}, core::StencilSpec::paper_3d7p(),
                                  corals_config(4, 6));
 }
 
 TEST(CoralsScheme, MatchesReferenceManyThreads) {
-  CoralsScheme scheme;
+  const CoralsScheme scheme(false);
   test::expect_matches_reference(scheme, Coord{16, 16, 16}, core::StencilSpec::paper_3d7p(),
                                  corals_config(8, 5));
 }
 
 TEST(CoralsScheme, LocalityIsPoorAcrossSockets) {
-  CoralsScheme scheme;
+  const CoralsScheme scheme(false);
   RunConfig cfg = corals_config(16, 8, /*check=*/false);
   cfg.instrument = true;
   core::Problem problem(Coord{32, 32, 32}, core::StencilSpec::paper_3d7p());
@@ -185,7 +185,7 @@ TEST(CoralsScheme, LocalityIsPoorAcrossSockets) {
 }
 
 TEST(NuCoralsScheme, UpdateCountExact) {
-  NuCoralsScheme scheme;
+  const CoralsScheme scheme(true);
   core::Problem problem(Coord{12, 12, 12}, core::StencilSpec::paper_3d7p());
   const auto result = scheme.run(problem, corals_config(4, 9));
   EXPECT_EQ(result.updates, 12 * 12 * 12 * 9);
@@ -197,10 +197,9 @@ TEST(NuCoralsScheme, WaitsForAcrossTapsOfCellsBeyondTheBoundary) {
   // since u reads a z-neighbour at u from a later neighbour base than any
   // base under its own z range.  The wait must cover those z-axis taps.
   schemes::CoralsParams params;
-  params.name = "CORALS-engine";
   params.base_space = 2;
   params.base_time = 3;
-  const test::CoralsEngine engine(params);
+  const CoralsScheme engine(true, params);
   for (int s = 1; s <= 2; ++s) {
     for (const auto schedule : {sched::Schedule::Static, sched::Schedule::Steal}) {
       for (int rep = 0; rep < 4; ++rep) {

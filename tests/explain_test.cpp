@@ -87,13 +87,14 @@ TEST(Explain, NuCatsTileCountMatchesRun) {
     const long explained = std::stol(text.substr(at + key.size()));
     EXPECT_EQ(explained, schedule == sched::Schedule::Steal ? 8 : 4) << text;
 
+    const auto scheme = schemes::make_scheme("nuCATS");
     schemes::RunConfig cfg;
     cfg.num_threads = 4;
     cfg.timesteps = 4;
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+    cfg.boundary = scheme->default_boundary();
     cfg.schedule = schedule;
     core::Problem problem(shape, core::StencilSpec::paper_3d7p());
-    const auto run = schemes::make_scheme("nuCATS")->run(problem, cfg);
+    const auto run = scheme->run(problem, cfg);
     EXPECT_EQ(static_cast<double>(explained), run.details.at("tiles"))
         << sched::schedule_name(schedule);
   }

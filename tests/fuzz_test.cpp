@@ -12,9 +12,10 @@
 #include <vector>
 
 #include "sched/schedule.hpp"
-#include "schemes/mwd.hpp"
+#include "schemes/cats_common.hpp"
+#include "schemes/corals_common.hpp"
+#include "schemes/mwd_common.hpp"
 #include "schemes/naive.hpp"
-#include "schemes/numwd.hpp"
 #include "schemes/run_support.hpp"
 #include "schemes/scheme.hpp"
 #include "test_util.hpp"
@@ -32,6 +33,7 @@ TEST(Fuzz, RandomConfigurationsMatchReference) {
   const int trials = 300;
   for (int trial = 0; trial < trials; ++trial) {
     const std::string name = names[rng() % names.size()];
+    const auto scheme = schemes::make_scheme(name);
     // CATS/nuCATS are 3D-only by design; every other scheme takes rank 1-3.
     const int rank = name == "CATS" || name == "nuCATS" ? 3 : 1 + static_cast<int>(rng() % 3);
     const int order = name == "nuCORALS" || name == "NaiveSSE"
@@ -48,8 +50,7 @@ TEST(Fuzz, RandomConfigurationsMatchReference) {
     cfg.timesteps = 1 + static_cast<long>(rng() % 9);
     cfg.check_dependencies = true;
     cfg.seed = static_cast<unsigned>(rng());
-    if (name == "CATS" || name == "nuCATS")
-      cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+    cfg.boundary = scheme->default_boundary();
     if (name == "PLuTo" || name == "CORALS" || name == "nuCORALS") {
       // Respect the documented preconditions: decomposed tiles must be at
       // least 2s wide (x in rank 1, y/z otherwise; conservatively assume
@@ -80,7 +81,6 @@ TEST(Fuzz, RandomConfigurationsMatchReference) {
                  << " T=" << cfg.timesteps << (banded ? " banded" : "") << " "
                  << sched::schedule_name(cfg.schedule) << " kernel=" << core::to_string(cfg.kernel)
                  << " group=" << cfg.group_size << " trial=" << trial);
-    const auto scheme = schemes::make_scheme(name);
     test::expect_matches_reference(*scheme, shape, st, cfg);
     cfg.check_dependencies = false;
     test::expect_matches_reference(*scheme, shape, st, cfg);
@@ -110,7 +110,6 @@ TEST(Fuzz, CoralsGeometryMatchesReference) {
                          static_cast<int>(min_decomposed / (2 * order))));
 
     schemes::CoralsParams params;
-    params.name = "CORALS-engine";
     params.base_space = 2 + static_cast<Index>(rng() % 7);
     params.base_time = 1 + static_cast<long>(rng() % 8);
     const Index b = schemes::plan_corals(shape, threads, order, params).b;
@@ -129,7 +128,7 @@ TEST(Fuzz, CoralsGeometryMatchesReference) {
                  << " base " << params.base_space << "x" << params.base_time
                  << " tau=" << params.tau_override << " "
                  << sched::schedule_name(cfg.schedule) << " trial=" << trial);
-    const test::CoralsEngine engine(params);
+    const schemes::CoralsScheme engine(true, params);
     const core::StencilSpec st = core::StencilSpec::stable_star(rank, order);
     test::expect_matches_reference(engine, shape, st, cfg);
     cfg.check_dependencies = false;
@@ -161,7 +160,6 @@ TEST(Fuzz, CatsGeometryMatchesReference) {
 
     schemes::RunConfig cfg;
     cfg.machine = &machine;
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
     cfg.num_threads = numa_aware && rng() % 2 == 0 && 2 * max_tiles <= 8
                           ? 2 * max_tiles
                           : 1 + static_cast<int>(rng() % 8);
@@ -169,20 +167,20 @@ TEST(Fuzz, CatsGeometryMatchesReference) {
     cfg.seed = static_cast<unsigned>(rng());
     cfg.check_dependencies = true;
     if (rng() % 2 == 0) cfg.schedule = sched::Schedule::Steal;
-    const std::string name = numa_aware ? "nuCATS" : "CATS";
+    const schemes::CatsScheme scheme(numa_aware);
+    cfg.boundary = scheme.default_boundary();
     SCOPED_TRACE(::testing::Message()
-                 << name << " " << shape << " s=" << order << (banded ? " banded" : "")
+                 << scheme.name() << " " << shape << " s=" << order << (banded ? " banded" : "")
                  << " n=" << cfg.num_threads << " T=" << cfg.timesteps << " LLC "
                  << machine.caches.back().size_bytes << " "
                  << sched::schedule_name(cfg.schedule) << " trial=" << trial);
-    const auto scheme = schemes::make_scheme(name);
     const core::StencilSpec st = banded ? core::StencilSpec::banded_star(3, order)
                                         : core::StencilSpec::stable_star(3, order);
-    const auto result = test::expect_matches_reference(*scheme, shape, st, cfg);
+    const auto result = test::expect_matches_reference(scheme, shape, st, cfg);
     multi_chunk += result.details.at("chunk") < static_cast<double>(cfg.timesteps);
     z_split += result.details.at("z_segments") == 2.0;
     cfg.check_dependencies = false;
-    test::expect_matches_reference(*scheme, shape, st, cfg);
+    test::expect_matches_reference(scheme, shape, st, cfg);
   }
   EXPECT_GT(multi_chunk, trials / 5);
   EXPECT_GT(z_split, trials / 10);
@@ -227,15 +225,12 @@ TEST(Fuzz, MwdGeometryMatchesReference) {
                           cfg.timesteps, numa_aware, cfg.group_size, tau_override);
     multi_window += schemes::mwd_windows(plan.tau, cfg.timesteps) >= 3;
     idle_groups += plan.columns < plan.groups;
+    const schemes::MwdScheme scheme(numa_aware, tau_override);
     SCOPED_TRACE(::testing::Message()
-                 << (numa_aware ? "nuMWD " : "MWD ") << shape << " s=" << order
+                 << scheme.name() << " " << shape << " s=" << order
                  << " n=" << cfg.num_threads << " group=" << cfg.group_size
                  << " T=" << cfg.timesteps << " tau=" << tau_override << " "
                  << sched::schedule_name(cfg.schedule) << " trial=" << trial);
-    const schemes::MwdScheme mwd(tau_override);
-    const schemes::NuMwdScheme numwd(tau_override);
-    const schemes::Scheme& scheme = numa_aware ? static_cast<const schemes::Scheme&>(numwd)
-                                               : mwd;
     test::expect_matches_reference(scheme, shape, st, cfg);
     cfg.check_dependencies = false;
     test::expect_matches_reference(scheme, shape, st, cfg);

@@ -206,7 +206,7 @@ schemes::RunResult run_with_fake(FakeBackend& fake, trace::Trace* tr,
   cfg.timesteps = kSteps;
   cfg.instrument = true;
   cfg.machine = &machine();
-  cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+  cfg.boundary = scheme->default_boundary();
   cfg.trace = tr;
   cfg.cache_sim = sim;
   cfg.profile_spans = tr != nullptr;

@@ -2,6 +2,9 @@
 // plus the scheme factory.
 #include <gtest/gtest.h>
 
+#include <cctype>
+
+#include "common/args.hpp"
 #include "schemes/diamond.hpp"
 #include "schemes/scheme.hpp"
 #include "schemes/trapezoid.hpp"
@@ -98,6 +101,11 @@ TEST(SchemeFactory, CreatesAllNamedSchemes) {
     auto scheme = schemes::make_scheme(name);
     ASSERT_NE(scheme, nullptr);
     EXPECT_EQ(scheme->name(), name);
+    // Any spelling names the same scheme, e.g. --scheme=nucats.
+    std::string upper = name;
+    for (char& c : upper) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
+    EXPECT_EQ(schemes::make_scheme(lowercase(name))->name(), name);
+    EXPECT_EQ(schemes::make_scheme(upper)->name(), name);
   }
   EXPECT_THROW(schemes::make_scheme("nope"), Error);
 }

@@ -8,9 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "schemes/mwd.hpp"
 #include "schemes/mwd_common.hpp"
-#include "schemes/numwd.hpp"
 #include "schemes/run_support.hpp"
 #include "test_util.hpp"
 #include "trace/trace.hpp"
@@ -19,7 +17,6 @@ namespace nustencil {
 namespace {
 
 using schemes::MwdScheme;
-using schemes::NuMwdScheme;
 using schemes::RunConfig;
 
 RunConfig mwd_config(int threads, long steps, bool check = true) {
@@ -31,25 +28,25 @@ RunConfig mwd_config(int threads, long steps, bool check = true) {
 }
 
 TEST(NuMwdScheme, SingleThread3D) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{16, 12, 14}, core::StencilSpec::paper_3d7p(),
                                  mwd_config(1, 5));
 }
 
 TEST(NuMwdScheme, FourThreads3D) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{18, 16, 14}, core::StencilSpec::paper_3d7p(),
                                  mwd_config(4, 7));
 }
 
 TEST(NuMwdScheme, EightThreads3D) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{16, 16, 16}, core::StencilSpec::paper_3d7p(),
                                  mwd_config(8, 5));
 }
 
 TEST(NuMwdScheme, PrimeSizes) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{17, 13, 11}, core::StencilSpec::paper_3d7p(),
                                  mwd_config(3, 5));
 }
@@ -67,7 +64,7 @@ TEST(NuMwdScheme, SchedulesAndGroupSizes) {
       RunConfig cfg = mwd_config(4, 7);
       cfg.schedule = schedule;
       cfg.group_size = group;
-      NuMwdScheme scheme;
+      const MwdScheme scheme(true);
       test::expect_matches_reference(scheme, Coord{17, 13, 11},
                                      core::StencilSpec::paper_3d7p(), cfg);
     }
@@ -75,32 +72,32 @@ TEST(NuMwdScheme, SchedulesAndGroupSizes) {
 }
 
 TEST(NuMwdScheme, ManyWindows) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   // Deep run: many grow/shrink windows pipelined through the counters.
   test::expect_matches_reference(scheme, Coord{14, 12, 12}, core::StencilSpec::paper_3d7p(),
                                  mwd_config(4, 17));
 }
 
 TEST(NuMwdScheme, HighOrder2) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{20, 18, 16}, core::StencilSpec::stable_star(3, 2),
                                  mwd_config(2, 4));
 }
 
 TEST(NuMwdScheme, HighOrder3) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{24, 22, 20}, core::StencilSpec::stable_star(3, 3),
                                  mwd_config(2, 3));
 }
 
 TEST(NuMwdScheme, Banded) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{14, 12, 10}, core::StencilSpec::banded_star(3, 1),
                                  mwd_config(2, 5));
 }
 
 TEST(NuMwdScheme, TwoDimensional) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{24, 18}, core::StencilSpec::stable_star(2, 1),
                                  mwd_config(3, 6));
 }
@@ -116,7 +113,7 @@ TEST(NuMwdScheme, TwoDimensionalGroupWiderThanTheCrossSection) {
       RunConfig cfg = mwd_config(threads, 8);
       cfg.schedule = schedule;
       cfg.group_size = threads;
-      test::expect_matches_reference(NuMwdScheme(), Coord{ny, 12},
+      test::expect_matches_reference(MwdScheme(true), Coord{ny, 12},
                                      core::StencilSpec::stable_star(2, 1), cfg);
     }
   }
@@ -125,7 +122,7 @@ TEST(NuMwdScheme, TwoDimensionalGroupWiderThanTheCrossSection) {
 TEST(NuMwdScheme, OneDimensional) {
   // Rank 1 has no cross-section to split: surplus group members idle but
   // still participate in the per-step barriers.
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   test::expect_matches_reference(scheme, Coord{64}, core::StencilSpec::stable_star(1, 1),
                                  mwd_config(4, 6));
 }
@@ -133,7 +130,7 @@ TEST(NuMwdScheme, OneDimensional) {
 TEST(NuMwdScheme, TauOverride) {
   for (const long tau : {1L, 2L, 5L}) {
     SCOPED_TRACE("tau=" + std::to_string(tau));
-    NuMwdScheme scheme(tau);
+    const MwdScheme scheme(true, tau);
     test::expect_matches_reference(scheme, Coord{14, 12, 12}, core::StencilSpec::paper_3d7p(),
                                    mwd_config(2, 6));
   }
@@ -165,7 +162,7 @@ TEST(NuMwdScheme, StaticWindowsRunAsRingWavefront) {
     cfg.group_size = 2;
     cfg.trace = &trace;
     const auto result = test::expect_matches_reference(
-        NuMwdScheme(2), shape, core::StencilSpec::paper_3d7p(), cfg);
+        MwdScheme(true, 2), shape, core::StencilSpec::paper_3d7p(), cfg);
     ASSERT_EQ(result.details.at("columns"), 6.0);
     ASSERT_EQ(schemes::mwd_windows(2, steps), 3);
     const std::vector<int> v_grows{1, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 0};
@@ -188,7 +185,7 @@ TEST(NuMwdScheme, StaticWindowsRunAsRingWavefront) {
     cfg.group_size = 2;
     cfg.schedule = sched::Schedule::Steal;
     cfg.trace = &trace;
-    test::expect_matches_reference(NuMwdScheme(2), shape, core::StencilSpec::paper_3d7p(), cfg);
+    test::expect_matches_reference(MwdScheme(true, 2), shape, core::StencilSpec::paper_3d7p(), cfg);
     const std::vector<int> v_grows{1, 3, 2, 5, 4, 7, 6, 9, 8, 11, 10, 0};
     const std::vector<int> i_grows{0, 2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 11};
     for (int tid = 0; tid < 2; ++tid) {
@@ -209,7 +206,7 @@ TEST(NuMwdScheme, StaticWindowsRunAsRingWavefront) {
     RunConfig cfg = mwd_config(2, steps);
     cfg.group_size = 1;
     cfg.trace = &trace;
-    test::expect_matches_reference(NuMwdScheme(2), shape, core::StencilSpec::paper_3d7p(),
+    test::expect_matches_reference(MwdScheme(true, 2), shape, core::StencilSpec::paper_3d7p(),
                                    cfg);
     const std::vector<std::pair<std::vector<int>, std::vector<int>>> expected{
         {{1, 3, 2, 5, 4, 0}, {0, 2, 1, 4, 3, 5}},
@@ -239,7 +236,7 @@ TEST(NuMwdScheme, IdleGroupStealsOtherGroupsWindows) {
     cfg.group_size = 1;
     cfg.schedule = sched::Schedule::Steal;
     const auto result = test::expect_matches_reference(
-        NuMwdScheme(), Coord{24, 20, 6}, core::StencilSpec::paper_3d7p(), cfg);
+        MwdScheme(true), Coord{24, 20, 6}, core::StencilSpec::paper_3d7p(), cfg);
     ASSERT_EQ(result.details.at("columns"), 3.0);
     ASSERT_EQ(result.details.at("tau"), 1.0);
     ASSERT_EQ(result.sched.threads.size(), 4u);
@@ -249,7 +246,7 @@ TEST(NuMwdScheme, IdleGroupStealsOtherGroupsWindows) {
 }
 
 TEST(NuMwdScheme, UpdateCountExact) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   core::Problem problem(Coord{12, 12, 12}, core::StencilSpec::paper_3d7p());
   const auto result = scheme.run(problem, mwd_config(4, 9));
   EXPECT_EQ(result.updates, 12 * 12 * 12 * 9);
@@ -259,7 +256,7 @@ TEST(NuMwdScheme, UpdateCountExact) {
 }
 
 TEST(NuMwdScheme, RejectsInvalidConfigurations) {
-  NuMwdScheme scheme;
+  const MwdScheme scheme(true);
   {
     // Group size must divide the thread count.
     core::Problem p(Coord{12, 12, 12}, core::StencilSpec::paper_3d7p());
@@ -333,28 +330,28 @@ TEST(NuMwdScheme, InstrumentedLocalityBeatsSerialInitMwd) {
   RunConfig cfg = mwd_config(16, 12, /*check=*/false);
   cfg.instrument = true;
   core::Problem numa_problem(Coord{48, 48, 48}, core::StencilSpec::paper_3d7p());
-  const auto numa_result = NuMwdScheme().run(numa_problem, cfg);
+  const auto numa_result = MwdScheme(true).run(numa_problem, cfg);
   core::Problem blind_problem(Coord{48, 48, 48}, core::StencilSpec::paper_3d7p());
-  const auto blind_result = MwdScheme().run(blind_problem, cfg);
+  const auto blind_result = MwdScheme(false).run(blind_problem, cfg);
   EXPECT_GT(numa_result.traffic.locality(), 0.55);
   EXPECT_GT(numa_result.traffic.locality(), blind_result.traffic.locality() + 0.1);
   EXPECT_EQ(numa_result.details.at("groups"), 2.0);
 }
 
 TEST(MwdScheme, MatchesReference) {
-  MwdScheme scheme;
+  const MwdScheme scheme(false);
   test::expect_matches_reference(scheme, Coord{16, 14, 12}, core::StencilSpec::paper_3d7p(),
                                  mwd_config(4, 6));
 }
 
 TEST(MwdScheme, MatchesReferenceManyThreads) {
-  MwdScheme scheme;
+  const MwdScheme scheme(false);
   test::expect_matches_reference(scheme, Coord{16, 16, 16}, core::StencilSpec::paper_3d7p(),
                                  mwd_config(8, 5));
 }
 
 TEST(MwdScheme, StealingMatchesReference) {
-  MwdScheme scheme;
+  const MwdScheme scheme(false);
   RunConfig cfg = mwd_config(4, 8);
   cfg.schedule = sched::Schedule::Steal;
   cfg.group_size = 2;

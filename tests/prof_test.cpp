@@ -18,8 +18,8 @@
 #include "prof/counter_shard.hpp"
 #include "prof/flamegraph.hpp"
 #include "prof/progress.hpp"
-#include "schemes/nucats.hpp"
-#include "schemes/numwd.hpp"
+#include "schemes/cats_common.hpp"
+#include "schemes/mwd_common.hpp"
 #include "schemes/run_support.hpp"
 #include "schemes/scheme.hpp"
 #include "test_util.hpp"
@@ -58,8 +58,7 @@ schemes::RunResult run_profiled(const std::string& name,
   cfg.pin_policy = numa::PinPolicy::Scatter;
   cfg.trace = &tr;
   cfg.profile_spans = true;
-  if (name == "CATS" || name == "nuCATS")
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+  cfg.boundary = scheme->default_boundary();
   core::Problem problem(Coord{kEdge, kEdge, kEdge},
                         core::StencilSpec::paper_3d7p());
   return scheme->run(problem, cfg);
@@ -446,7 +445,7 @@ TEST(ProfProgress, RealRunFinalLineReportsTheRunTotals) {
   rc.progress = &meter;
   const std::uint64_t before = prof::ProgressMeter::threads_started();
   const schemes::RunResult result = test::expect_matches_reference(
-      schemes::NuMwdScheme{}, shape, core::StencilSpec::paper_3d7p(), rc);
+      schemes::MwdScheme(true), shape, core::StencilSpec::paper_3d7p(), rc);
   EXPECT_EQ(prof::ProgressMeter::threads_started(), before + 1);
   ASSERT_EQ(static_cast<std::uint64_t>(result.updates), total);
 
@@ -470,9 +469,10 @@ TEST(ProfProgress, RunWithoutAMeterStartsNoThread) {
   schemes::RunConfig rc;
   rc.num_threads = 2;
   rc.timesteps = 4;
-  rc.boundary[2] = core::BoundaryKind::Dirichlet;
-  test::expect_matches_reference(schemes::NuCatsScheme{}, Coord{16, 12, 14},
-                                 core::StencilSpec::paper_3d7p(), rc);
+  const schemes::CatsScheme nucats(true);
+  rc.boundary = nucats.default_boundary();
+  test::expect_matches_reference(nucats, Coord{16, 12, 14}, core::StencilSpec::paper_3d7p(),
+                                 rc);
   // No meter: no heartbeat thread (and no counter shard to read).
   EXPECT_EQ(prof::ProgressMeter::threads_started(), before);
 }

@@ -68,6 +68,20 @@ TEST_F(ReportTool, RendersSingleRunDashboard) {
   EXPECT_NE(html.find("</html>\n"), std::string::npos);
 }
 
+TEST_F(ReportTool, CliRunsCatsUnderItsBoundaryWhateverTheSpelling) {
+  // make_scheme folds case, so the boundary must come from the scheme it
+  // returns, not from the --scheme string: lower-case names get the
+  // Dirichlet z of the CATS family too.
+  for (const std::string name : {"nucats", "cats"}) {
+    const fs::path log = dir_ / (name + ".log");
+    EXPECT_EQ(run(std::string(NUSTENCIL_CLI) + " --scheme=" + name +
+                  " --shape=32x32x32 --steps=4 --threads=2 --check --verify > " +
+                  quoted(log) + " 2>&1"),
+              0)
+        << slurp(log);
+  }
+}
+
 TEST_F(ReportTool, DiffOptionFailsWithOneLineError) {
   // Comparing runs belongs to bench/regress and bench/perf_ledger.
   const fs::path err = dir_ / "err.txt";

@@ -28,6 +28,15 @@ TEST(Schedule, ParseAndName) {
   EXPECT_EQ(sched::parse_schedule("steal"), Schedule::Steal);
   EXPECT_EQ(sched::parse_schedule("steal_local"), Schedule::StealLocal);
   EXPECT_THROW(sched::parse_schedule("greedy"), Error);
+  // Case-insensitive like --scheme and --kernel; a bad value is a user
+  // error, reported without the failed expression and source location.
+  EXPECT_EQ(sched::parse_schedule("Steal_Local"), Schedule::StealLocal);
+  try {
+    sched::parse_schedule("stealing");
+    ADD_FAILURE() << "parse_schedule accepted 'stealing'";
+  } catch (const Error& e) {
+    EXPECT_STREQ(e.what(), "unknown schedule 'stealing' (expected static, steal or steal_local)");
+  }
   EXPECT_STREQ(sched::schedule_name(Schedule::Steal), "steal");
 }
 
@@ -204,20 +213,19 @@ TEST(TaskPool, TwoWorkersRetireEverythingOnce) {
 
 // --- Scheme-level guarantees -------------------------------------------
 
-schemes::RunConfig steal_config(Schedule schedule, const std::string& scheme) {
+schemes::RunConfig steal_config(Schedule schedule, const schemes::Scheme& scheme) {
   schemes::RunConfig cfg;
   cfg.num_threads = 3;
   cfg.timesteps = 5;
   cfg.schedule = schedule;
-  if (scheme == "CATS" || scheme == "nuCATS")
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+  cfg.boundary = scheme.default_boundary();
   return cfg;
 }
 
 /// Runs `scheme` on a prime-extent domain and returns the final buffer.
 std::vector<double> run_buffer(const std::string& name, Schedule schedule) {
   const auto scheme = schemes::make_scheme(name);
-  const schemes::RunConfig cfg = steal_config(schedule, name);
+  const schemes::RunConfig cfg = steal_config(schedule, *scheme);
   core::Problem problem(Coord{23, 19, 17}, core::StencilSpec::paper_3d7p());
   const schemes::RunResult r = scheme->run(problem, cfg);
   EXPECT_EQ(r.sched.enabled, schedule != Schedule::Static) << name;
@@ -257,7 +265,7 @@ class ScheduleDependencySafety : public testing::TestWithParam<std::string> {};
 // aborts the run.
 TEST_P(ScheduleDependencySafety, NoTileRunsBeforeItsPredecessors) {
   const auto scheme = schemes::make_scheme(GetParam());
-  schemes::RunConfig cfg = steal_config(Schedule::Steal, GetParam());
+  schemes::RunConfig cfg = steal_config(Schedule::Steal, *scheme);
   cfg.check_dependencies = true;
   test::expect_matches_reference(*scheme, Coord{23, 19, 17},
                                  core::StencilSpec::paper_3d7p(), cfg);

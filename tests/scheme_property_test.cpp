@@ -32,8 +32,7 @@ TEST_P(SchemeProperty, MatchesReferenceWithDependencyChecking) {
   cfg.num_threads = c.threads;
   cfg.timesteps = c.steps;
   cfg.check_dependencies = true;
-  if (c.scheme == "CATS" || c.scheme == "nuCATS")
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+  cfg.boundary = scheme->default_boundary();
   const core::StencilSpec st = c.banded
                                    ? core::StencilSpec::banded_star(c.shape.rank(), c.order)
                                    : core::StencilSpec::stable_star(c.shape.rank(), c.order);

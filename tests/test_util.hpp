@@ -6,7 +6,6 @@
 
 #include "core/executor.hpp"
 #include "core/reference.hpp"
-#include "schemes/corals_common.hpp"
 #include "schemes/scheme.hpp"
 
 namespace nustencil::test {
@@ -52,26 +51,5 @@ inline schemes::RunResult expect_matches_reference(const schemes::Scheme& scheme
   EXPECT_EQ(diff, 0.0) << scheme.name() << " diverged from the reference";
   return result;
 }
-
-/// The CORALS engine with explicit geometry parameters (base sizes, tau,
-/// decomposition), as a Scheme for expect_matches_reference.
-class CoralsEngine : public schemes::Scheme {
- public:
-  explicit CoralsEngine(schemes::CoralsParams params) : params_(std::move(params)) {}
-  std::string name() const override { return params_.name; }
-  bool numa_aware() const override { return true; }
-  schemes::RunResult run(core::Problem& problem,
-                         const schemes::RunConfig& config) const override {
-    return schemes::run_corals_like(problem, config, params_);
-  }
-  schemes::TrafficEstimate estimate_traffic(const topology::MachineSpec&, const Coord&,
-                                            const core::StencilSpec&, int,
-                                            long) const override {
-    return {};
-  }
-
- private:
-  schemes::CoralsParams params_;
-};
 
 }  // namespace nustencil::test

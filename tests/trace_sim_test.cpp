@@ -35,8 +35,7 @@ double simulated_mem_doubles(const std::string& name, Index edge, long steps,
   cfg.num_threads = threads;
   cfg.timesteps = steps;
   cfg.cache_sim = &sim;
-  if (name == "CATS" || name == "nuCATS")
-    cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+  cfg.boundary = scheme->default_boundary();
   core::Problem problem(Coord{edge, edge, edge}, core::StencilSpec::paper_3d7p());
   const auto result = scheme->run(problem, cfg);
   return static_cast<double>(sim.traffic().memory_bytes(sim.line_bytes())) /

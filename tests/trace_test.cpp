@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "schemes/nucorals.hpp"
+#include "schemes/corals_common.hpp"
 #include "schemes/scheme.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_svg.hpp"
@@ -293,7 +293,7 @@ TEST(ChromeJson, TimestampsAreExactToTheNanosecond) {
 // ---------------------------------------------------------------------
 
 schemes::RunResult traced_run(Trace* trace, bool metrics_only = false) {
-  schemes::NuCoralsScheme scheme;
+  const schemes::CoralsScheme scheme(true);
   schemes::RunConfig cfg;
   cfg.num_threads = 2;
   cfg.timesteps = 6;
@@ -430,7 +430,7 @@ TEST(TracedRun, StructureIsDeterministic) {
 }
 
 TEST(TracedRun, DisabledTraceLeavesResultEmpty) {
-  schemes::NuCoralsScheme scheme;
+  const schemes::CoralsScheme scheme(true);
   schemes::RunConfig cfg;
   cfg.num_threads = 2;
   cfg.timesteps = 4;

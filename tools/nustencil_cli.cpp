@@ -391,9 +391,8 @@ int main(int argc, char** argv) try {
     cfg.hw_mode = hw_mode;
     cfg.hw_events = hw_events;
     cfg.seed = static_cast<unsigned>(args.get_long("seed"));
-    if (args.get_flag("dirichlet")) cfg.boundary = core::Boundary::dirichlet();
-    if (args.get("scheme") == "CATS" || args.get("scheme") == "nuCATS")
-      cfg.boundary[2] = core::BoundaryKind::Dirichlet;
+    cfg.boundary = args.get_flag("dirichlet") ? core::Boundary::dirichlet()
+                                              : scheme->default_boundary();
 
     std::optional<trace::Trace> tr;
     if (want_trace) {
@@ -444,8 +443,7 @@ int main(int argc, char** argv) try {
         warm.hw_mode = hwc::Mode::Off;  // timing reps: no counter syscalls
         warm.collect_phase_metrics = true;
         core::Problem rep_problem(shape, stencil);
-        record_rep(schemes::make_scheme(args.get("scheme"))
-                       ->run(rep_problem, warm));
+        record_rep(scheme->run(rep_problem, warm));
       }
     }
 
@@ -454,7 +452,7 @@ int main(int argc, char** argv) try {
     std::optional<prof::ProgressMeter> progress;
     if (progress_interval > 0.0) {
       progress.emplace(progress_interval, std::cerr,
-                       args.get("scheme") + " t" + std::to_string(threads),
+                       scheme->name() + " t" + std::to_string(threads),
                        static_cast<std::uint64_t>(shape.product()) *
                            static_cast<std::uint64_t>(cfg.timesteps));
       cfg.progress = &*progress;
@@ -586,7 +584,7 @@ int main(int argc, char** argv) try {
     for (const std::string& col : metrics::csv_phase_columns())
       header.push_back(col);
 
-  Table table("nustencil: " + args.get("scheme") + " on " + args.get("shape") +
+  Table table("nustencil: " + results.front().scheme + " on " + args.get("shape") +
               (args.get_flag("banded") ? " (banded)" : "") + ", s=" +
               std::to_string(order) + ", " + args.get("steps") + " steps");
   table.set_header(header);
