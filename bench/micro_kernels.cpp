@@ -1,12 +1,12 @@
 // Google-benchmark microbenchmarks of the stencil kernels on this host:
 // the full kernel-engine matrix — every tap count the engine specializes
 // (7/13/19-point, 3D orders 1-3) times constant vs banded coefficients
-// times every policy (scalar / SSE2 / AVX2 / FMA / auto) — registered programmatically so no combination can silently
-// drop out of the sweep.  These measure real wall time (unlike the
-// figure benches, which model the paper machines); run with
-// --benchmark_format=json for one JSON blob per combination.  For the
-// JSON kernel record written to BENCH_kernels.json, see
-// bench/kernel_report.cpp.
+// times every policy (scalar / SSE2 / AVX2 / auto), all bit-exact —
+// registered programmatically so no combination can silently drop out of
+// the sweep.  These measure real wall time (unlike the figure benches,
+// which model the paper machines); run with --benchmark_format=json for
+// one JSON blob per combination.  For the JSON kernel record written to
+// BENCH_kernels.json, see bench/kernel_report.cpp.
 #include <benchmark/benchmark.h>
 
 #include <string>
@@ -28,9 +28,6 @@ bool policy_runnable(KernelPolicy policy) {
   switch (policy) {
     case KernelPolicy::SSE2: return core::kernel_isa_supported(KernelIsa::SSE2);
     case KernelPolicy::AVX2: return core::kernel_isa_supported(KernelIsa::AVX2);
-    case KernelPolicy::FMA:
-      return core::kernel_isa_supported(KernelIsa::AVX2) &&
-             core::CpuFeatures::host().fma;
     default: return true;
   }
 }
@@ -69,8 +66,7 @@ void run_sweep(benchmark::State& state, int order, bool banded,
 void register_matrix() {
   const std::vector<std::pair<KernelPolicy, const char*>> policies = {
       {KernelPolicy::Scalar, "Scalar"}, {KernelPolicy::SSE2, "SSE2"},
-      {KernelPolicy::AVX2, "AVX2"},     {KernelPolicy::FMA, "FMA"},
-      {KernelPolicy::Auto, "Auto"}};
+      {KernelPolicy::AVX2, "AVX2"},     {KernelPolicy::Auto, "Auto"}};
   for (const int order : {1, 2, 3}) {
     for (const bool banded : {false, true}) {
       const std::string combo = std::to_string(6 * order + 1) + "pt_" +

@@ -18,7 +18,7 @@ struct VecScalar {
   static void store(double* p, reg v) { *p = v; }
   static reg broadcast(double c) { return c; }
   static reg mul(reg a, reg b) { return a * b; }
-  static reg fmadd(reg a, reg b, reg acc) { return a * b + acc; }
+  static reg mul_add(reg a, reg b, reg acc) { return a * b + acc; }
 };
 
 }  // namespace
@@ -34,9 +34,8 @@ KernelPolicy parse_kernel_policy(const std::string& name) {
   if (lower == "scalar") return KernelPolicy::Scalar;
   if (lower == "sse2") return KernelPolicy::SSE2;
   if (lower == "avx2") return KernelPolicy::AVX2;
-  if (lower == "fma") return KernelPolicy::FMA;
   throw Error("unknown kernel policy '" + name +
-              "' (expected auto, scalar, sse2, avx2 or fma)");
+              "' (expected auto, scalar, sse2 or avx2)");
 }
 
 std::string to_string(KernelPolicy policy) {
@@ -45,7 +44,6 @@ std::string to_string(KernelPolicy policy) {
     case KernelPolicy::Scalar: return "scalar";
     case KernelPolicy::SSE2: return "sse2";
     case KernelPolicy::AVX2: return "avx2";
-    case KernelPolicy::FMA: return "fma";
   }
   return "?";
 }
@@ -67,7 +65,6 @@ const CpuFeatures& CpuFeatures::host() {
     __builtin_cpu_init();
     f.sse2 = __builtin_cpu_supports("sse2") != 0;
     f.avx2 = __builtin_cpu_supports("avx2") != 0;
-    f.fma = __builtin_cpu_supports("fma") != 0;
 #endif
     return f;
   }();
@@ -77,8 +74,7 @@ const CpuFeatures& CpuFeatures::host() {
 std::string KernelChoice::name() const {
   std::ostringstream os;
   os << to_string(isa);
-  if (fma) os << "+fma";
-  if (variant == KernelVariant::Generic) os << "+generic";
+  if (!specialized()) os << "+generic";
   if (rotated) os << "+rot";
   os << '/' << ntaps << "pt/" << (banded ? "banded" : "const");
   return os.str();
@@ -108,33 +104,26 @@ bool kernel_isa_supported(KernelIsa isa) {
   return false;
 }
 
-KernelChoice select_kernel_isa(KernelIsa isa, bool fma, int ntaps, bool banded,
-                               KernelVariant variant) {
+KernelChoice select_kernel_isa(KernelIsa isa, int ntaps, bool banded) {
   NUSTENCIL_CHECK(ntaps >= 1 && ntaps <= kMaxTaps,
                   "select_kernel_isa: tap count out of range");
   KernelChoice choice;
   choice.isa = isa;
-  choice.fma = fma && isa == KernelIsa::AVX2;
   choice.banded = banded;
   choice.ntaps = ntaps;
-  // Specialized silently degrades to Generic for tap counts without an
-  // unrolled body.
-  choice.variant = kernel_has_specialization(ntaps) ? variant
-                                                    : KernelVariant::Generic;
   switch (isa) {
     case KernelIsa::Scalar:
-      choice.fn = kernel_impl::pick_kernel<VecScalar>(ntaps, banded, choice.variant);
+      choice.fn = kernel_impl::pick_kernel<VecScalar>(ntaps, banded);
       break;
     case KernelIsa::SSE2:
-      choice.fn = detail::sse2_kernel(ntaps, banded, choice.variant);
+      choice.fn = detail::sse2_kernel(ntaps, banded);
       break;
     case KernelIsa::AVX2:
-      choice.fn = detail::avx2_kernel(ntaps, banded, choice.variant, choice.fma);
+      choice.fn = detail::avx2_kernel(ntaps, banded);
       break;
   }
-  NUSTENCIL_CHECK(choice.fn != nullptr,
-                  "kernel ISA " + to_string(isa) + (choice.fma ? "+fma" : "") +
-                      " is not compiled into this binary");
+  NUSTENCIL_CHECK(choice.fn != nullptr, "kernel ISA " + to_string(isa) +
+                                            " is not compiled into this binary");
   return choice;
 }
 
@@ -146,10 +135,9 @@ KernelIsa best_supported_isa() {
   return KernelIsa::Scalar;
 }
 
-/// Resolves a policy to (isa, fma) against the host.
+/// Resolves a policy to an ISA against the host.
 struct Resolution {
   KernelIsa isa = KernelIsa::Scalar;
-  bool fma = false;
   bool downgraded = false;  ///< the policy asked for more than the host has
 };
 
@@ -167,16 +155,6 @@ Resolution resolve_policy(KernelPolicy policy) {
       r.isa = kernel_isa_supported(KernelIsa::AVX2) ? KernelIsa::AVX2
                                                     : best_supported_isa();
       r.downgraded = r.isa != KernelIsa::AVX2;
-      break;
-    case KernelPolicy::FMA:
-      if (kernel_isa_supported(KernelIsa::AVX2) && CpuFeatures::host().fma &&
-          detail::avx2_fma_compiled()) {
-        r.isa = KernelIsa::AVX2;
-        r.fma = true;
-      } else {
-        r.isa = best_supported_isa();
-        r.downgraded = true;
-      }
       break;
     case KernelPolicy::Auto:
       r.isa = best_supported_isa();
@@ -198,14 +176,11 @@ bool rotation_eligible(const Resolution& r, const KernelRequest& q) {
 KernelChoice select_kernel(KernelPolicy policy, const KernelRequest& request) {
   const Resolution r = resolve_policy(policy);
   if (rotation_eligible(r, request)) {
-    const KernelFn fn =
-        detail::avx2_kernel_v2(request.order, request.banded, r.fma);
+    const KernelFn fn = detail::avx2_kernel_v2(request.order, request.banded);
     if (fn) {
       KernelChoice choice;
       choice.fn = fn;
       choice.isa = KernelIsa::AVX2;
-      choice.variant = KernelVariant::Specialized;
-      choice.fma = r.fma;
       choice.banded = request.banded;
       choice.rotated = true;
       choice.whole_rows = request.nx >= kWholeRowMinNx && !request.checked;
@@ -213,7 +188,7 @@ KernelChoice select_kernel(KernelPolicy policy, const KernelRequest& request) {
       return choice;
     }
   }
-  return select_kernel_isa(r.isa, r.fma, request.ntaps, request.banded);
+  return select_kernel_isa(r.isa, request.ntaps, request.banded);
 }
 
 std::string explain_kernel_choice(KernelPolicy policy,
@@ -228,14 +203,14 @@ std::string explain_kernel_choice(KernelPolicy policy,
   std::ostringstream os;
   os << "kernel engine:\n"
      << "  CPU features (cpuid)    : sse2=" << yn(cpu.sse2)
-     << " avx2=" << yn(cpu.avx2) << " fma=" << yn(cpu.fma) << '\n'
+     << " avx2=" << yn(cpu.avx2) << '\n'
      << "  compiled ISAs           : scalar"
      << (kernel_isa_compiled(KernelIsa::SSE2) ? " sse2" : "")
      << (kernel_isa_compiled(KernelIsa::AVX2) ? " avx2" : "") << '\n'
      << "  policy                  : " << to_string(policy) << '\n'
      << "  tap count               : " << ntaps << " ("
      << (banded ? "banded" : "constant") << " coefficients, "
-     << (choice.variant == KernelVariant::Specialized
+     << (choice.specialized()
              ? "fully unrolled specialization"
              : "generic runtime-taps kernel")
      << ")\n"
@@ -265,11 +240,7 @@ std::string explain_kernel_choice(KernelPolicy policy,
        << (choice.rotated ? "nx < " + std::to_string(kWholeRowMinNx)
                           : std::string("non-rotated kernel"))
        << ')';
-  os << '\n'
-     << "  bit-exact vs scalar     : " << yn(!choice.fma)
-     << (choice.fma ? " (FMA contracts mul+add; use for wall-clock runs only)"
-                    : "")
-     << '\n';
+  os << '\n';
   return os.str();
 }
 }  // namespace nustencil::core

@@ -2,24 +2,23 @@
 //
 // Every scheme funnels its cell updates through one inner-row kernel, so
 // this is the hottest code in the repo.  The engine provides that kernel
-// in three ISA flavours (scalar / SSE2 / AVX2, plus an opt-in AVX2+FMA
-// variant) times two coefficient layouts (constant star, banded matrix),
-// each fully unrolled for the paper's hot tap counts (7/13/19-point —
-// 3D orders 1..3, but keyed on the tap count alone, so e.g. the 2D
-// order-3 13-point star hits the same specialization) with a
-// runtime-`ntaps` generic fallback for everything else.
+// in three ISA flavours (scalar / SSE2 / AVX2) times two coefficient
+// layouts (constant star, banded matrix), each fully unrolled for the
+// paper's hot tap counts (7/13/19-point — 3D orders 1..3, but keyed on
+// the tap count alone, so e.g. the 2D order-3 13-point star hits the
+// same specialization) with a runtime-`ntaps` generic fallback for
+// everything else.
 //
 // The SIMD flavours live in their own translation units compiled with
 // just the ISA flags they need (not -march=native), so a baseline x86-64
 // build still contains the AVX2 kernels and picks them at *runtime* via
 // CPUID.  Selection happens once per Executor, not per row.
 //
-// Bit-exactness contract: all non-FMA variants produce bitwise-identical
+// Bit-exactness contract: every variant produces bitwise-identical
 // results to the scalar kernel (same per-cell tap summation order, no FP
 // contraction — the kernel TUs are compiled with -ffp-contract=off), so
 // scheme-vs-reference comparisons stay exact no matter which variant the
-// dispatcher picks.  The FMA variant trades that for throughput and is
-// off by default.
+// dispatcher picks.
 #pragma once
 
 #include <string>
@@ -34,17 +33,9 @@ inline constexpr int kMaxTaps = 2 * kMaxOrder * 3 + 1;
 /// User-facing kernel selection policy.
 ///   Auto        — best ISA the host supports, tap-specialized when possible
 ///   Scalar/SSE2/AVX2 — force one ISA (downgraded if unsupported)
-///   FMA         — AVX2 with fused multiply-add (NOT bit-exact vs scalar)
-enum class KernelPolicy { Auto, Scalar, SSE2, AVX2, FMA };
+enum class KernelPolicy { Auto, Scalar, SSE2, AVX2 };
 
-/// Which body a kernel uses for a given tap count.
-///   Specialized — fully unrolled tap chain; falls back to Generic when
-///                 no unrolled variant exists for the tap count
-///   Generic     — runtime tap loop, but register-blocked with hoisted
-///                 coefficients like the specialized bodies
-enum class KernelVariant { Specialized, Generic };
-
-/// Parses "auto|scalar|sse2|avx2|fma" (case-insensitive); throws Error
+/// Parses "auto|scalar|sse2|avx2" (case-insensitive); throws Error
 /// listing the valid names otherwise.
 KernelPolicy parse_kernel_policy(const std::string& name);
 std::string to_string(KernelPolicy policy);
@@ -57,7 +48,6 @@ std::string to_string(KernelIsa isa);
 struct CpuFeatures {
   bool sse2 = false;
   bool avx2 = false;
-  bool fma = false;
   static const CpuFeatures& host();
 };
 
@@ -69,11 +59,10 @@ struct KernelArgs {
   const double* coeffs = nullptr;        ///< constant case: one per tap
   const double* const* bands = nullptr;  ///< banded case: one array per tap
   int ntaps = 0;                         ///< used by the generic kernels
-  /// Row length in elements past the row base (the field's nx).  The
-  /// rotated kernels may read the centre source row anywhere in
-  /// [row, row + xcap) while computing [x0, x1); 0 (the default) means
-  /// "unknown" and confines every read to the v1 contract
-  /// ([x0 - order, x1 + order) around each tap base).
+  /// Row length in elements past the row base (the field's nx); required
+  /// by the rotated kernels, which may read the centre source row
+  /// anywhere in [row, row + xcap) while computing [x0, x1).  The other
+  /// kernels ignore it and read [x0, x1) around each tap base.
   Index xcap = 0;
   /// Whole-row request (KernelChoice::whole_rows kernels only): a call
   /// with [x0, x1) == [0, xcap) is the whole periodic row, and the
@@ -96,12 +85,13 @@ inline constexpr Index kWholeRowMinNx = 8;
 using KernelFn = void (*)(const KernelArgs& args, const Index* bases, Index db,
                           Index x0, Index x1);
 
+/// True when a fully unrolled variant exists for this tap count.
+bool kernel_has_specialization(int ntaps);
+
 /// The outcome of kernel selection, fixed once per Executor.
 struct KernelChoice {
   KernelFn fn = nullptr;
   KernelIsa isa = KernelIsa::Scalar;
-  KernelVariant variant = KernelVariant::Generic;  ///< what actually runs
-  bool fma = false;
   bool banded = false;
   /// Kernel engine v2: the unit-stride taps come from in-register
   /// rotation of one centre-row load per output vector instead of
@@ -113,7 +103,7 @@ struct KernelChoice {
   bool whole_rows = false;
   int ntaps = 0;
   /// Tap count fully unrolled?
-  bool specialized() const { return variant == KernelVariant::Specialized; }
+  bool specialized() const { return kernel_has_specialization(ntaps); }
   /// e.g. "avx2+rot/7pt/const" or "sse2+generic/9pt/banded".
   std::string name() const;
 };
@@ -130,9 +120,6 @@ struct KernelRequest {
   bool checked = false;  ///< dependency checker attached (every cell scalar)
 };
 
-/// True when a fully unrolled variant exists for this tap count.
-bool kernel_has_specialization(int ntaps);
-
 /// True when the ISA's kernels were compiled into this binary.
 bool kernel_isa_compiled(KernelIsa isa);
 
@@ -140,12 +127,12 @@ bool kernel_isa_compiled(KernelIsa isa);
 bool kernel_isa_supported(KernelIsa isa);
 
 /// Low-level selection at a fixed ISA (no host checks — the caller must
-/// only run the result on a machine that supports `isa`).
-KernelChoice select_kernel_isa(KernelIsa isa, bool fma, int ntaps, bool banded,
-                               KernelVariant variant = KernelVariant::Specialized);
+/// only run the result on a machine that supports `isa`).  The tap count
+/// decides between the unrolled and the generic body.
+KernelChoice select_kernel_isa(KernelIsa isa, int ntaps, bool banded);
 
 /// Selection against the host CPU: resolves Auto, downgrades unsupported
-/// requests (FMA -> AVX2 -> SSE2 -> Scalar), and picks the v2 rotated
+/// requests (AVX2 -> SSE2 -> Scalar), and picks the v2 rotated
 /// kernels for canonical rank-3 stars of order 1..3 on AVX2.  A request
 /// with rank unknown never rotates.  Sets KernelChoice::whole_rows.
 KernelChoice select_kernel(KernelPolicy policy, const KernelRequest& request);

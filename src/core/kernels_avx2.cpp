@@ -1,7 +1,7 @@
-// AVX2 (and AVX2+FMA) kernel flavours.
+// AVX2 kernel flavours.
 //
 // This TU is compiled with the *baseline* flags; the AVX2 code below sits
-// inside a `#pragma GCC target("avx2,fma")` region instead of a per-file
+// inside a `#pragma GCC target("avx2")` region instead of a per-file
 // -mavx2 flag, so a generic x86-64 build still carries these kernels and
 // enables them at runtime via CPUID, while everything the region does NOT
 // cover (notably shared inline helpers from common headers, which are
@@ -14,12 +14,11 @@
 //        per-tap unaligned vector loads, register-blocked along x.
 //   v2 — rotated kernels for the canonical rank-3 stars (order 1..3):
 //        the 2*order+1 unit-stride taps are produced by in-register
-//        rotation of one centre-row load per output vector and, in the
-//        FMA tier, semi-stencil-style update splitting.
+//        rotation of one centre-row load per output vector.
 //
-// The plain AVX2 variants (v1 and v2) use separate mul + add and keep the
-// strict spec-order tap chain, so they stay bit-identical to the scalar
-// kernels; only the explicit-intrinsic FMA variants contract.
+// Both use separate mul + add and keep the strict spec-order tap chain,
+// so they stay bit-identical to the scalar kernels.  The region enables
+// AVX2 only, not FMA, so no kernel here can emit a fused instruction.
 #include "core/kernels_detail.hpp"
 
 #if (defined(__x86_64__) || defined(__i386__)) && \
@@ -36,11 +35,11 @@
 #include "core/kernels.hpp"
 
 #if defined(__clang__)
-#pragma clang attribute push(__attribute__((target("avx2,fma"))), \
+#pragma clang attribute push(__attribute__((target("avx2"))), \
                              apply_to = function)
 #else
 #pragma GCC push_options
-#pragma GCC target("avx2,fma")
+#pragma GCC target("avx2")
 #endif
 
 // The v1 template bodies are included *inside* the region: they are only
@@ -55,7 +54,6 @@ using nustencil::Index;
 using nustencil::round_up;
 using nustencil::core::KernelArgs;
 using nustencil::core::KernelFn;
-using nustencil::core::KernelVariant;
 
 struct VecAvx2 {
   using reg = __m256d;
@@ -64,14 +62,8 @@ struct VecAvx2 {
   static void store(double* p, reg v) { _mm256_storeu_pd(p, v); }
   static reg broadcast(double c) { return _mm256_set1_pd(c); }
   static reg mul(reg a, reg b) { return _mm256_mul_pd(a, b); }
-  static reg fmadd(reg a, reg b, reg acc) {
+  static reg mul_add(reg a, reg b, reg acc) {
     return _mm256_add_pd(_mm256_mul_pd(a, b), acc);
-  }
-};
-
-struct VecAvx2Fma : VecAvx2 {
-  static reg fmadd(reg a, reg b, reg acc) {
-    return _mm256_fmadd_pd(a, b, acc);
   }
 };
 
@@ -110,12 +102,11 @@ inline __m256d shift(__m256d a, __m256d b) {
 /// [row, row + KernelArgs::xcap).  A whole-row call
 /// (KernelArgs::whole_rows) wraps the x taps in registers: the row's
 /// first and last vectors stand in for the cells past either end.
-/// FMA additionally splits the update
-/// semi-stencil-style into independent axis/off-axis chains (NOT
-/// bit-exact — FMA-tier only).
-template <int ORDER, bool BANDED, bool FMA>
-void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
-                   Index x0, Index x1) {
+/// [[gnu::flatten]] inlines every lambda below: left out of line, each
+/// tap chain would run as a call per output vector.
+template <int ORDER, bool BANDED>
+[[gnu::flatten]] void kernel_row_v2(const KernelArgs& k, const Index* bases,
+                                    Index db, Index x0, Index x1) {
   constexpr int W = 4;
   constexpr int NT = 6 * ORDER + 1;
   double* __restrict dst = k.dst;
@@ -148,12 +139,8 @@ void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
     dst[db + x] = acc;
   };
 
-  // One output vector at x, taps supplied by `tap(IC<p>{})`.  Non-FMA:
-  // one serial chain in strict spec order (bit-exact vs scalar).  FMA,
-  // order >= 2: the unit-stride half and the off-axis half accumulate in
-  // independent chains — half the serial fmadd latency of the 13/19-point
-  // updates — and combine at the end.  Only the FMA tier may reorder the
-  // summation like that; the bit-exactness contract forbids it elsewhere.
+  // One output vector at x, taps supplied by `tap(IC<p>{})`: one serial
+  // chain in strict spec order (bit-exact vs scalar).
   const auto accumulate = [&](Index x, auto&& tap) -> __m256d {
     const auto coeff = [&](auto pc) -> __m256d {
       constexpr int P = decltype(pc)::value;
@@ -163,25 +150,13 @@ void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
         return creg[P];
     };
     const auto step = [&](auto pc, __m256d acc) -> __m256d {
-      if constexpr (FMA)
-        return _mm256_fmadd_pd(coeff(pc), tap(pc), acc);
-      else
-        return _mm256_add_pd(_mm256_mul_pd(coeff(pc), tap(pc)), acc);
+      return _mm256_add_pd(_mm256_mul_pd(coeff(pc), tap(pc)), acc);
     };
-    const auto chain = [&]<int FIRST, int COUNT>(IC<FIRST>, IC<COUNT>) {
-      __m256d acc = _mm256_mul_pd(coeff(IC<FIRST>{}), tap(IC<FIRST>{}));
-      [&]<std::size_t... P>(std::index_sequence<P...>) {
-        ((acc = step(IC<FIRST + 1 + static_cast<int>(P)>{}, acc)), ...);
-      }(std::make_index_sequence<COUNT - 1>{});
-      return acc;
-    };
-    if constexpr (FMA && ORDER >= 2) {
-      const __m256d axis = chain(IC<0>{}, IC<2 * ORDER + 1>{});
-      const __m256d rest = chain(IC<2 * ORDER + 1>{}, IC<NT - 2 * ORDER - 1>{});
-      return _mm256_add_pd(axis, rest);
-    } else {
-      return chain(IC<0>{}, IC<NT>{});
-    }
+    __m256d acc = _mm256_mul_pd(coeff(IC<0>{}), tap(IC<0>{}));
+    [&]<std::size_t... P>(std::index_sequence<P...>) {
+      ((acc = step(IC<static_cast<int>(P) + 1>{}, acc)), ...);
+    }(std::make_index_sequence<NT - 1>{});
+    return acc;
   };
 
   // Rotated update: the x-dimension taps come from shifting the rolling
@@ -209,9 +184,8 @@ void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
   };
 
   // Per-tap-load update, the v1 read pattern: used near the row end when
-  // the rolling next-block read would cross xcap, and for callers that
-  // did not provide xcap.  Reads stay within the v1 contract
-  // ([x0 - ORDER, x1 + ORDER) around each tap base).
+  // the rolling next-block read would cross xcap.  Reads stay within
+  // [x0 - ORDER, x1 + ORDER) around each tap base.
   const auto update_per_tap = [&](Index x) -> __m256d {
     const auto tap = [&](auto pc) -> __m256d {
       constexpr int P = decltype(pc)::value;
@@ -253,7 +227,7 @@ void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
     store_edge(0, update_rotated(0, last, first, cur));
     x = W;
     rolling = true;
-  } else if (xcap > 0) {
+  } else {
     // Peel scalar cells up to the next multiple of W, so the centre-row
     // loads are 32B-aligned whenever the row base is, and always past
     // the first W cells, so the rolling window's prev load at
@@ -312,30 +286,23 @@ void kernel_row_v2(const KernelArgs& k, const Index* bases, Index db,
 
 // In-region selection wrappers: taking the template addresses *here*
 // forces every instantiation to happen inside the target region.
-KernelFn pick_v1_avx2(int ntaps, bool banded, KernelVariant variant,
-                      bool fma) {
-  using namespace nustencil::core;
-  if (fma) return kernel_impl::pick_kernel<VecAvx2Fma>(ntaps, banded, variant);
-  return kernel_impl::pick_kernel<VecAvx2>(ntaps, banded, variant);
+KernelFn pick_v1_avx2(int ntaps, bool banded) {
+  return nustencil::core::kernel_impl::pick_kernel<VecAvx2>(ntaps, banded);
 }
 
 template <int ORDER>
-KernelFn pick_v2_order(bool banded, bool fma) {
-  if (banded)
-    return fma ? &kernel_row_v2<ORDER, true, true>
-               : &kernel_row_v2<ORDER, true, false>;
-  return fma ? &kernel_row_v2<ORDER, false, true>
-             : &kernel_row_v2<ORDER, false, false>;
+KernelFn pick_v2_order(bool banded) {
+  return banded ? &kernel_row_v2<ORDER, true> : &kernel_row_v2<ORDER, false>;
 }
 
-KernelFn pick_v2_avx2(int order, bool banded, bool fma) {
+KernelFn pick_v2_avx2(int order, bool banded) {
   switch (order) {
     case 1:
-      return pick_v2_order<1>(banded, fma);
+      return pick_v2_order<1>(banded);
     case 2:
-      return pick_v2_order<2>(banded, fma);
+      return pick_v2_order<2>(banded);
     case 3:
-      return pick_v2_order<3>(banded, fma);
+      return pick_v2_order<3>(banded);
     default:
       return nullptr;
   }
@@ -351,16 +318,15 @@ KernelFn pick_v2_avx2(int order, bool banded, bool fma) {
 
 namespace nustencil::core::detail {
 
-KernelFn avx2_kernel(int ntaps, bool banded, KernelVariant variant, bool fma) {
-  return pick_v1_avx2(ntaps, banded, variant, fma);
+KernelFn avx2_kernel(int ntaps, bool banded) {
+  return pick_v1_avx2(ntaps, banded);
 }
 
-KernelFn avx2_kernel_v2(int order, bool banded, bool fma) {
-  return pick_v2_avx2(order, banded, fma);
+KernelFn avx2_kernel_v2(int order, bool banded) {
+  return pick_v2_avx2(order, banded);
 }
 
 bool avx2_compiled() { return true; }
-bool avx2_fma_compiled() { return true; }
 
 }  // namespace nustencil::core::detail
 
@@ -368,10 +334,9 @@ bool avx2_fma_compiled() { return true; }
 
 namespace nustencil::core::detail {
 
-KernelFn avx2_kernel(int, bool, KernelVariant, bool) { return nullptr; }
-KernelFn avx2_kernel_v2(int, bool, bool) { return nullptr; }
+KernelFn avx2_kernel(int, bool) { return nullptr; }
+KernelFn avx2_kernel_v2(int, bool) { return nullptr; }
 bool avx2_compiled() { return false; }
-bool avx2_fma_compiled() { return false; }
 
 }  // namespace nustencil::core::detail
 

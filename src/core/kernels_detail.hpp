@@ -8,21 +8,17 @@
 
 namespace nustencil::core::detail {
 
-KernelFn sse2_kernel(int ntaps, bool banded, KernelVariant variant);
+KernelFn sse2_kernel(int ntaps, bool banded);
 bool sse2_compiled();
 
-/// `fma == true` selects the fused-multiply-add variants (not bit-exact
-/// against the scalar kernels); requires host AVX2 *and* FMA.
-KernelFn avx2_kernel(int ntaps, bool banded, KernelVariant variant, bool fma);
+KernelFn avx2_kernel(int ntaps, bool banded);
 
 /// Kernel engine v2: in-register rotation over the unit-stride taps of
-/// the canonical rank-3 star of `order` (1..3) and, for the FMA tier,
-/// semi-stencil-style update splitting.  Rotation needs a valid
+/// the canonical rank-3 star of `order` (1..3).  Rotation needs
 /// KernelArgs::xcap from the caller.  Returns nullptr for unsupported
 /// orders or when the ISA is not compiled in.
-KernelFn avx2_kernel_v2(int order, bool banded, bool fma);
+KernelFn avx2_kernel_v2(int order, bool banded);
 
 bool avx2_compiled();
-bool avx2_fma_compiled();
 
 }  // namespace nustencil::core::detail

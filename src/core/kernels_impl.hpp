@@ -14,13 +14,12 @@
 //   static void store(double* p, reg v);
 //   static reg  broadcast(double c);
 //   static reg  mul(reg a, reg b);
-//   static reg  fmadd(reg a, reg b, reg acc);   // a*b + acc; the non-FMA
-//                                               // traits expand to
-//                                               // add(mul(a, b), acc)
+//   static reg  mul_add(reg a, reg b, reg acc); // add(mul(a, b), acc),
+//                                               // never fused
 //
 // Bit-exactness: per cell the taps are summed strictly in spec order
 // (acc = c0*s0; acc += c1*s1; ...), identically in every lane, in the
-// vector remainder and in the scalar tail, so all non-FMA variants agree
+// vector remainder and in the scalar tail, so every variant agrees
 // bitwise with the scalar kernel.
 #pragma once
 
@@ -31,9 +30,11 @@
 namespace nustencil::core::kernel_impl {
 
 /// NTAPS > 0: fully unrolled specialization; NTAPS == 0: runtime ntaps.
+/// [[gnu::flatten]] inlines every lambda and traits call below, so the
+/// unrolled tap chains compile to straight-line code, not calls.
 template <class V, int NTAPS, bool BANDED>
-void kernel_row(const KernelArgs& k, const Index* bases, Index db, Index x0,
-                Index x1) {
+[[gnu::flatten]] void kernel_row(const KernelArgs& k, const Index* bases,
+                                 Index db, Index x0, Index x1) {
   using reg = typename V::reg;
   constexpr int W = V::width;
   const int nt = NTAPS > 0 ? NTAPS : k.ntaps;
@@ -84,10 +85,10 @@ void kernel_row(const KernelArgs& k, const Index* bases, Index db, Index x0,
       a2 = V::mul(V::load(bp[0] + x + 2 * W), V::load(src + base[0] + x + 2 * W));
       a3 = V::mul(V::load(bp[0] + x + 3 * W), V::load(src + base[0] + x + 3 * W));
       for_each_tap([&](int p) {
-        a0 = V::fmadd(V::load(bp[p] + x), V::load(src + base[p] + x), a0);
-        a1 = V::fmadd(V::load(bp[p] + x + W), V::load(src + base[p] + x + W), a1);
-        a2 = V::fmadd(V::load(bp[p] + x + 2 * W), V::load(src + base[p] + x + 2 * W), a2);
-        a3 = V::fmadd(V::load(bp[p] + x + 3 * W), V::load(src + base[p] + x + 3 * W), a3);
+        a0 = V::mul_add(V::load(bp[p] + x), V::load(src + base[p] + x), a0);
+        a1 = V::mul_add(V::load(bp[p] + x + W), V::load(src + base[p] + x + W), a1);
+        a2 = V::mul_add(V::load(bp[p] + x + 2 * W), V::load(src + base[p] + x + 2 * W), a2);
+        a3 = V::mul_add(V::load(bp[p] + x + 3 * W), V::load(src + base[p] + x + 3 * W), a3);
       });
     } else {
       a0 = V::mul(creg[0], V::load(src + base[0] + x));
@@ -95,10 +96,10 @@ void kernel_row(const KernelArgs& k, const Index* bases, Index db, Index x0,
       a2 = V::mul(creg[0], V::load(src + base[0] + x + 2 * W));
       a3 = V::mul(creg[0], V::load(src + base[0] + x + 3 * W));
       for_each_tap([&](int p) {
-        a0 = V::fmadd(creg[p], V::load(src + base[p] + x), a0);
-        a1 = V::fmadd(creg[p], V::load(src + base[p] + x + W), a1);
-        a2 = V::fmadd(creg[p], V::load(src + base[p] + x + 2 * W), a2);
-        a3 = V::fmadd(creg[p], V::load(src + base[p] + x + 3 * W), a3);
+        a0 = V::mul_add(creg[p], V::load(src + base[p] + x), a0);
+        a1 = V::mul_add(creg[p], V::load(src + base[p] + x + W), a1);
+        a2 = V::mul_add(creg[p], V::load(src + base[p] + x + 2 * W), a2);
+        a3 = V::mul_add(creg[p], V::load(src + base[p] + x + 3 * W), a3);
       });
     }
     V::store(dst + db + x, a0);
@@ -113,15 +114,15 @@ void kernel_row(const KernelArgs& k, const Index* bases, Index db, Index x0,
       a0 = V::mul(V::load(bp[0] + x), V::load(src + base[0] + x));
       a1 = V::mul(V::load(bp[0] + x + W), V::load(src + base[0] + x + W));
       for_each_tap([&](int p) {
-        a0 = V::fmadd(V::load(bp[p] + x), V::load(src + base[p] + x), a0);
-        a1 = V::fmadd(V::load(bp[p] + x + W), V::load(src + base[p] + x + W), a1);
+        a0 = V::mul_add(V::load(bp[p] + x), V::load(src + base[p] + x), a0);
+        a1 = V::mul_add(V::load(bp[p] + x + W), V::load(src + base[p] + x + W), a1);
       });
     } else {
       a0 = V::mul(creg[0], V::load(src + base[0] + x));
       a1 = V::mul(creg[0], V::load(src + base[0] + x + W));
       for_each_tap([&](int p) {
-        a0 = V::fmadd(creg[p], V::load(src + base[p] + x), a0);
-        a1 = V::fmadd(creg[p], V::load(src + base[p] + x + W), a1);
+        a0 = V::mul_add(creg[p], V::load(src + base[p] + x), a0);
+        a1 = V::mul_add(creg[p], V::load(src + base[p] + x + W), a1);
       });
     }
     V::store(dst + db + x, a0);
@@ -133,12 +134,12 @@ void kernel_row(const KernelArgs& k, const Index* bases, Index db, Index x0,
     if constexpr (BANDED) {
       a0 = V::mul(V::load(bp[0] + x), V::load(src + base[0] + x));
       for_each_tap([&](int p) {
-        a0 = V::fmadd(V::load(bp[p] + x), V::load(src + base[p] + x), a0);
+        a0 = V::mul_add(V::load(bp[p] + x), V::load(src + base[p] + x), a0);
       });
     } else {
       a0 = V::mul(creg[0], V::load(src + base[0] + x));
       for_each_tap([&](int p) {
-        a0 = V::fmadd(creg[p], V::load(src + base[p] + x), a0);
+        a0 = V::mul_add(creg[p], V::load(src + base[p] + x), a0);
       });
     }
     V::store(dst + db + x, a0);
@@ -160,20 +161,17 @@ void kernel_row(const KernelArgs& k, const Index* bases, Index db, Index x0,
 /// The variant table of one traits class: specialized for the hot tap
 /// counts (3D 7/13/19-point stars and tap-count twins), generic otherwise.
 template <class V>
-KernelFn pick_kernel(int ntaps, bool banded, KernelVariant variant) {
-  if (variant == KernelVariant::Specialized) {
-    switch (ntaps) {
-      case 7:
-        return banded ? &kernel_row<V, 7, true> : &kernel_row<V, 7, false>;
-      case 13:
-        return banded ? &kernel_row<V, 13, true> : &kernel_row<V, 13, false>;
-      case 19:
-        return banded ? &kernel_row<V, 19, true> : &kernel_row<V, 19, false>;
-      default:
-        break;
-    }
+KernelFn pick_kernel(int ntaps, bool banded) {
+  switch (ntaps) {
+    case 7:
+      return banded ? &kernel_row<V, 7, true> : &kernel_row<V, 7, false>;
+    case 13:
+      return banded ? &kernel_row<V, 13, true> : &kernel_row<V, 13, false>;
+    case 19:
+      return banded ? &kernel_row<V, 19, true> : &kernel_row<V, 19, false>;
+    default:
+      return banded ? &kernel_row<V, 0, true> : &kernel_row<V, 0, false>;
   }
-  return banded ? &kernel_row<V, 0, true> : &kernel_row<V, 0, false>;
 }
 
 }  // namespace nustencil::core::kernel_impl

@@ -30,7 +30,6 @@
 namespace {
 
 using nustencil::core::KernelFn;
-using nustencil::core::KernelVariant;
 
 struct VecSse2 {
   using reg = __m128d;
@@ -39,16 +38,15 @@ struct VecSse2 {
   static void store(double* p, reg v) { _mm_storeu_pd(p, v); }
   static reg broadcast(double c) { return _mm_set1_pd(c); }
   static reg mul(reg a, reg b) { return _mm_mul_pd(a, b); }
-  static reg fmadd(reg a, reg b, reg acc) {
+  static reg mul_add(reg a, reg b, reg acc) {
     return _mm_add_pd(_mm_mul_pd(a, b), acc);
   }
 };
 
 // In-region wrapper so every template instantiation happens inside the
 // target region.
-KernelFn pick_sse2(int ntaps, bool banded, KernelVariant variant) {
-  return nustencil::core::kernel_impl::pick_kernel<VecSse2>(ntaps, banded,
-                                                            variant);
+KernelFn pick_sse2(int ntaps, bool banded) {
+  return nustencil::core::kernel_impl::pick_kernel<VecSse2>(ntaps, banded);
 }
 
 }  // namespace
@@ -61,9 +59,7 @@ KernelFn pick_sse2(int ntaps, bool banded, KernelVariant variant) {
 
 namespace nustencil::core::detail {
 
-KernelFn sse2_kernel(int ntaps, bool banded, KernelVariant variant) {
-  return pick_sse2(ntaps, banded, variant);
-}
+KernelFn sse2_kernel(int ntaps, bool banded) { return pick_sse2(ntaps, banded); }
 
 bool sse2_compiled() { return true; }
 
@@ -73,7 +69,7 @@ bool sse2_compiled() { return true; }
 
 namespace nustencil::core::detail {
 
-KernelFn sse2_kernel(int, bool, KernelVariant) { return nullptr; }
+KernelFn sse2_kernel(int, bool) { return nullptr; }
 bool sse2_compiled() { return false; }
 
 }  // namespace nustencil::core::detail

@@ -257,14 +257,15 @@ TEST(ArgParser, KernelPolicyOptionIsCaseInsensitive) {
         << spelling;
   }
   ArgParser p = make_kernel_parser();
-  ASSERT_TRUE(parse(p, {"--kernel=FMA"}));
+  ASSERT_TRUE(parse(p, {"--kernel=SSE2"}));
   EXPECT_EQ(core::parse_kernel_policy(p.get("kernel")),
-            core::KernelPolicy::FMA);
+            core::KernelPolicy::SSE2);
 }
 
 TEST(ArgParser, BadKernelPolicyListsValidValues) {
-  // "generic" and "stream" name no kernel policy either.
-  for (const char* bad : {"avx512", "generic", "stream"}) {
+  // "generic" and "stream" name no kernel policy either, and the FMA
+  // tier is gone: every kernel is bit-exact.
+  for (const char* bad : {"avx512", "generic", "stream", "fma"}) {
     ArgParser p = make_kernel_parser();
     ASSERT_TRUE(parse(p, {"--kernel", bad}));
     try {
@@ -277,8 +278,9 @@ TEST(ArgParser, BadKernelPolicyListsValidValues) {
       EXPECT_EQ(what.find('\n'), std::string::npos) << what;
       EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos)
           << what;
-      for (const char* valid : {"auto", "scalar", "sse2", "avx2", "fma"})
-        EXPECT_NE(what.find(valid), std::string::npos) << valid;
+      EXPECT_NE(what.find("(expected auto, scalar, sse2 or avx2)"),
+                std::string::npos)
+          << what;
     }
   }
 }

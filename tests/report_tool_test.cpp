@@ -82,6 +82,18 @@ TEST_F(ReportTool, CliRunsCatsUnderItsBoundaryWhateverTheSpelling) {
   }
 }
 
+TEST_F(ReportTool, CliRejectsTheRemovedFmaKernelPolicy) {
+  // Every kernel is bit-exact; --kernel=fma is an unknown policy.
+  const fs::path err = dir_ / "err.txt";
+  EXPECT_EQ(run(std::string(NUSTENCIL_CLI) +
+                " --scheme NaiveSSE --shape 16x16x16 --steps 1 --kernel=fma"
+                " > /dev/null 2> " + quoted(err)),
+            2);
+  EXPECT_EQ(slurp(err),
+            "error: unknown kernel policy 'fma' (expected auto, scalar, sse2 "
+            "or avx2)\n");
+}
+
 TEST_F(ReportTool, DiffOptionFailsWithOneLineError) {
   // Comparing runs belongs to bench/regress and bench/perf_ledger.
   const fs::path err = dir_ / "err.txt";

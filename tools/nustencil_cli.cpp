@@ -257,7 +257,7 @@ int main(int argc, char** argv) try {
                   "page-faults count even without a PMU)",
                   "");
   args.add_option("kernel",
-                  "row-kernel policy: auto, scalar, sse2, avx2, or fma (not "
+                  "row-kernel policy: auto, scalar, sse2 or avx2 (all "
                   "bit-exact)",
                   "auto");
   args.add_flag("banded", "variable coefficients (7-band matrix for s=1)");
