@@ -10,7 +10,6 @@
 #include <iostream>
 
 #include "common/table.hpp"
-#include "core/executor.hpp"
 #include "core/reference.hpp"
 #include "schemes/scheme.hpp"
 
@@ -63,18 +62,7 @@ int main(int argc, char** argv) try {
         dirichlet_ref =
             std::make_unique<core::Problem>(Coord{edge, edge, edge}, stencil);
         dirichlet_ref->initialize();
-        const core::Box interior =
-            core::updatable_box(dirichlet_ref->shape(), stencil, config.boundary);
-        double* u0 = dirichlet_ref->buffer(0).data();
-        double* u1 = dirichlet_ref->buffer(1).data();
-        for (Index z = 0; z < edge; ++z)
-          for (Index y = 0; y < edge; ++y)
-            for (Index x = 0; x < edge; ++x) {
-              const Index i = x + edge * (y + edge * z);
-              if (z < interior.lo[2] || z >= interior.hi[2]) u1[i] = u0[i];
-            }
-        core::Executor exec(*dirichlet_ref);
-        for (long t = 0; t < steps; ++t) exec.update_box(interior, t, 0);
+        core::reference_run(*dirichlet_ref, steps, config.boundary);
       }
       diff = core::max_rel_diff(problem.buffer(steps), dirichlet_ref->buffer(steps));
     }

@@ -5,8 +5,9 @@
 // so absolute counts never match.  What *should* survive the modelling
 // gap is the ordering: a span the simulator calls miss-heavy should
 // measure miss-heavy too.  Spearman rank correlation captures exactly
-// that, which is why it — not a ratio — is the headline of
-// bench/validate_model and the dashboard's measured-vs-simulated panel.
+// that, which is why it — not a ratio — is the headline of the run
+// report's hw.validation section (`nustencil --report --trace
+// --hw-counters=auto`) and the dashboard's measured-vs-simulated panel.
 #pragma once
 
 #include <cstddef>

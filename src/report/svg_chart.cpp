@@ -91,81 +91,6 @@ void write_svg(const ChartSpec& spec, const std::string& path) {
   NUSTENCIL_CHECK(out.good(), "write_svg: write failed for " + path);
 }
 
-std::string render_timeline_svg(const TimelineSpec& spec) {
-  NUSTENCIL_CHECK(!spec.track_labels.empty(),
-                  "render_timeline_svg: need at least one track");
-  for (const TimelineSpan& s : spec.spans) {
-    NUSTENCIL_CHECK(s.track >= 0 &&
-                        s.track < static_cast<int>(spec.track_labels.size()),
-                    "render_timeline_svg: span track out of range");
-    NUSTENCIL_CHECK(s.cls >= 0 &&
-                        s.cls < static_cast<int>(spec.class_labels.size()),
-                    "render_timeline_svg: span class out of range");
-  }
-
-  double t_end = spec.t_end;
-  for (const TimelineSpan& s : spec.spans) t_end = std::max(t_end, s.t1);
-  if (t_end <= 0.0) t_end = 1.0;
-
-  const int ntracks = static_cast<int>(spec.track_labels.size());
-  const double ml = 90, mr = 170, mt = 46, mb = 50;
-  const double th = spec.track_height;
-  const double w = spec.width;
-  const double pw = w - ml - mr;
-  const double ph = th * ntracks;
-  const double h = mt + ph + mb;
-
-  const auto xpos = [&](double t) { return ml + pw * t / t_end; };
-
-  std::ostringstream os;
-  svg_begin(os, w, h);
-  svg_title(os, ml + pw / 2, spec.title);
-
-  // Track lanes + labels.
-  for (int k = 0; k < ntracks; ++k) {
-    const double y = mt + th * k;
-    svg_rect(os, ml, y, pw, th, k % 2 ? "#f6f6f6" : "#fdfdfd");
-    svg_text(os, ml - 8, y + th / 2 + 4, "end", 11,
-             spec.track_labels[static_cast<std::size_t>(k)]);
-  }
-
-  // Spans (in input order: structural spans first draw underneath).
-  for (const TimelineSpan& s : spec.spans) {
-    const double x0 = xpos(std::max(0.0, s.t0));
-    const double x1 = xpos(std::min(t_end, s.t1));
-    // Keep even sub-pixel spans visible: Perfetto does the same.
-    const double wpx = std::max(0.4, x1 - x0);
-    const double y = mt + th * s.track + 3;
-    svg_rect(os, x0, y, wpx, th - 6,
-             palette_color(static_cast<std::size_t>(s.cls)));
-  }
-
-  // Time axis.
-  const double step = nice_step(t_end, 8);
-  for (double t = 0.0; t <= t_end + 1e-12; t += step) {
-    const double x = xpos(t);
-    svg_line(os, x, mt + ph, x, mt + ph + 5, "black");
-    svg_text(os, x, mt + ph + 20, "middle", 11, fmt_num(t));
-  }
-  svg_line(os, ml, mt + ph, ml + pw, mt + ph, "black");
-  axis_labels(os, ml, pw, h, mt, ph, spec.x_label, "");
-
-  // Legend.
-  for (std::size_t k = 0; k < spec.class_labels.size(); ++k) {
-    legend_entry(os, ml + pw + 14, mt + 10 + static_cast<double>(k) * 18,
-                 palette_color(k), spec.class_labels[k], /*line=*/false);
-  }
-  svg_end(os);
-  return os.str();
-}
-
-void write_timeline_svg(const TimelineSpec& spec, const std::string& path) {
-  std::ofstream out(path);
-  NUSTENCIL_CHECK(out.good(), "write_timeline_svg: cannot open " + path);
-  out << render_timeline_svg(spec);
-  NUSTENCIL_CHECK(out.good(), "write_timeline_svg: write failed for " + path);
-}
-
 std::string render_heatmap_svg(const HeatmapSpec& spec) {
   const std::size_t cols = spec.x_ticks.size();
   const std::size_t rows = spec.y_ticks.size();

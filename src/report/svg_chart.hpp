@@ -31,36 +31,6 @@ std::string render_svg(const ChartSpec& spec);
 /// Renders and writes to `path` (throws Error on I/O failure).
 void write_svg(const ChartSpec& spec, const std::string& path);
 
-/// One horizontal bar on a timeline: [t0, t1) seconds on track `track`,
-/// coloured by `cls` (an index into TimelineSpec::class_labels).
-struct TimelineSpan {
-  double t0 = 0.0;
-  double t1 = 0.0;
-  int track = 0;
-  int cls = 0;
-};
-
-/// A Gantt-style timeline: one horizontal track per label (e.g. per
-/// thread), spans coloured by class, a seconds axis, and a legend.
-/// Spans may nest; later spans draw on top of earlier ones within a
-/// track, so emit structural (enclosing) spans first.
-struct TimelineSpec {
-  std::string title;
-  std::string x_label = "seconds";
-  std::vector<std::string> track_labels;
-  std::vector<std::string> class_labels;  ///< legend; colour = palette[cls]
-  std::vector<TimelineSpan> spans;
-  double t_end = 0.0;  ///< axis end; 0 = max span end
-  int width = 960;
-  int track_height = 26;
-};
-
-/// Renders the timeline as a standalone SVG document.
-std::string render_timeline_svg(const TimelineSpec& spec);
-
-/// Renders and writes to `path` (throws Error on I/O failure).
-void write_timeline_svg(const TimelineSpec& spec, const std::string& path);
-
 /// A matrix heatmap (e.g. the node-to-node traffic matrix): one coloured
 /// cell per (row, column) with the value printed inside, a white-to-blue
 /// ramp scaled to the maximum, row/column tick labels and axis titles.

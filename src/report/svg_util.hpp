@@ -1,8 +1,8 @@
-// Shared SVG building blocks for the chart, timeline and dashboard
-// renderers: escaping, number formatting, the categorical palette,
-// tick-step selection, and the header/axis/legend fragments every chart
-// emits.  Kept in one place so the figure charts, the trace timeline and
-// the run-report panels agree on style.
+// Shared SVG building blocks for the chart and dashboard renderers:
+// escaping, number formatting, the categorical palette, tick-step
+// selection, and the header/axis/legend fragments every chart emits.
+// Kept in one place so the figure charts and the run-report panels agree
+// on style.
 #pragma once
 
 #include <cstddef>

@@ -273,18 +273,15 @@ void Trace::write_chrome_json_file(const std::string& path) const {
 }
 
 std::string describe_observability(const std::string& trace_path,
-                                   const std::string& svg_path,
                                    bool phase_metrics,
                                    std::size_t events_per_thread) {
   std::ostringstream os;
   os << "observability:\n";
   os << "  chrome trace            : "
      << (trace_path.empty() ? "off" : "on -> " + trace_path) << '\n';
-  os << "  timeline svg            : "
-     << (svg_path.empty() ? "off" : "on -> " + svg_path) << '\n';
   os << "  event ring              : " << events_per_thread
      << " events/thread";
-  if (!trace_path.empty() || !svg_path.empty())
+  if (!trace_path.empty())
     os << " (" << events_per_thread * sizeof(Event) / 1024 << " KiB/thread)";
   os << '\n';
   os << "  phase metrics           : " << (phase_metrics ? "on" : "off")

@@ -448,7 +448,6 @@ class Trace {
 
 /// Human-readable observability configuration for `nustencil --explain`.
 std::string describe_observability(const std::string& trace_path,
-                                   const std::string& svg_path,
                                    bool phase_metrics,
                                    std::size_t events_per_thread);
 

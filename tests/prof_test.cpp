@@ -1,22 +1,21 @@
 // Per-span performance attribution: the exactness invariant (per-span
-// counter deltas sum to the run-wide instrumentation totals), the
-// flamegraph export (parse-back + determinism), the straggler verdicts
-// and the --progress heartbeat thread.
+// counter deltas sum to the run-wide instrumentation totals, in the event
+// rings and in the exported Chrome trace), the straggler verdicts and the
+// --progress heartbeat thread.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <iomanip>
-#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "cachesim/shared.hpp"
 #include "common/error.hpp"
+#include "metrics/json.hpp"
 #include "numa/traffic.hpp"
 #include "prof/attribution.hpp"
 #include "prof/counter_shard.hpp"
-#include "prof/flamegraph.hpp"
 #include "prof/progress.hpp"
 #include "schemes/cats_common.hpp"
 #include "schemes/mwd_common.hpp"
@@ -83,6 +82,24 @@ trace::CounterSet sum_counter_totals(const trace::Trace& tr) {
   return sum;
 }
 
+/// Sum of the counter args of the "X" (complete) events in the Chrome
+/// trace the run exports: the per-span weights a trace viewer reads.
+trace::CounterSet sum_chrome_span_args(const trace::Trace& tr) {
+  std::ostringstream os;
+  tr.write_chrome_json(os);
+  const metrics::JsonValue doc = metrics::parse_json(os.str());
+  trace::CounterSet sum;
+  for (const metrics::JsonValue& e : doc.at("traceEvents").array) {
+    if (e.at("ph").str() != "X") continue;
+    const metrics::JsonValue& args = e.at("args");
+    for (int i = 0; i < trace::kNumSpanCounters; ++i)
+      if (const metrics::JsonValue* arg =
+              args.find(trace::span_counter_name(static_cast<trace::SpanCounter>(i))))
+        sum.v[static_cast<std::size_t>(i)] += static_cast<std::uint64_t>(arg->num());
+  }
+  return sum;
+}
+
 TEST(ProfAttribution, SpanDeltasSumExactlyToRunTotals) {
   for (const std::string name : {"NaiveSSE", "nuCATS", "nuCORALS"}) {
     for (const auto schedule :
@@ -120,6 +137,11 @@ TEST(ProfAttribution, SpanDeltasSumExactlyToRunTotals) {
         EXPECT_EQ(totals.level_misses(l), ht.level[l].misses) << "L" << l + 1;
       }
 
+      // The exported Chrome trace carries the same deltas as span args
+      // (updates, local/remote/unowned bytes, l*_hits, l*_misses), so they
+      // parse back to the same run totals.
+      EXPECT_EQ(sum_chrome_span_args(tr).v, totals.v);
+
       // The summary in RunResult carries the same exact totals.
       ASSERT_TRUE(run.prof.enabled);
       EXPECT_EQ(run.prof.totals.v, totals.v);
@@ -145,100 +167,6 @@ TEST(ProfAttribution, OnlyTileAndInitSpansCarryCounters) {
     }
   }
   EXPECT_GT(carrying, 0u);
-}
-
-/// Parses "stack weight" folded lines; fails the test on malformed input.
-std::map<std::string, std::uint64_t> parse_folded(const std::string& text) {
-  std::map<std::string, std::uint64_t> out;
-  std::istringstream is(text);
-  std::string line;
-  while (std::getline(is, line)) {
-    const std::size_t space = line.rfind(' ');
-    EXPECT_NE(space, std::string::npos) << line;
-    if (space == std::string::npos) continue;
-    const std::string stack = line.substr(0, space);
-    const std::uint64_t weight = std::stoull(line.substr(space + 1));
-    EXPECT_FALSE(stack.empty());
-    EXPECT_GT(weight, 0u) << "zero-weight lines must be skipped: " << line;
-    EXPECT_EQ(out.count(stack), 0u) << "duplicate stack: " << stack;
-    out[stack] = weight;
-  }
-  return out;
-}
-
-TEST(ProfFlamegraph, RemoteWeightsParseBackToTheExactTotal) {
-  trace::Trace tr;
-  cachesim::SharedHierarchy sim(machine(), kThreads);
-  const schemes::RunResult run =
-      run_profiled("NaiveSSE", sched::Schedule::Static, tr, sim);
-  ASSERT_GT(run.traffic.remote_bytes, 0u)
-      << "scatter pinning must generate remote traffic";
-
-  std::ostringstream os;
-  prof::write_flamegraph(os, tr, "NaiveSSE", prof::FlameWeight::RemoteBytes);
-  const auto folded = parse_folded(os.str());
-  ASSERT_FALSE(folded.empty());
-  std::uint64_t total = 0;
-  for (const auto& [stack, weight] : folded) {
-    EXPECT_EQ(stack.rfind("NaiveSSE;worker:", 0), 0u) << stack;
-    total += weight;
-  }
-  // Remote bytes only accrue inside counter-carrying spans, so the
-  // folded weights reproduce the run total exactly.
-  EXPECT_EQ(total, run.traffic.remote_bytes);
-}
-
-TEST(ProfFlamegraph, TimeWeightCoversEveryThread) {
-  trace::Trace tr;
-  cachesim::SharedHierarchy sim(machine(), kThreads);
-  run_profiled("nuCORALS", sched::Schedule::Static, tr, sim);
-  std::ostringstream os;
-  prof::write_flamegraph(os, tr, "nuCORALS", prof::FlameWeight::Time);
-  const auto folded = parse_folded(os.str());
-  ASSERT_FALSE(folded.empty());
-  for (int tid = 0; tid < kThreads; ++tid) {
-    const std::string frame =
-        "nuCORALS;worker:" + std::to_string(tid);
-    bool seen = false;
-    for (const auto& [stack, weight] : folded)
-      seen = seen || stack.rfind(frame, 0) == 0;
-    EXPECT_TRUE(seen) << "no stacks for thread " << tid;
-  }
-}
-
-TEST(ProfFlamegraph, CounterWeightedOutputIsDeterministic) {
-  // Two identical static runs must fold to byte-identical output for the
-  // counter weightings (wall-time weights are inherently noisy).  Remote
-  // bytes are thread-private and deterministic at any thread count; the
-  // cache-miss weights are only deterministic single-threaded, because
-  // shared levels (the Xeon's per-socket L3) make each core's hit/miss
-  // outcome depend on how the threads' accesses interleave.
-  const auto fold = [](prof::FlameWeight w, int threads) {
-    trace::Trace tr;
-    cachesim::SharedHierarchy sim(machine(), threads);
-    run_profiled("nuCORALS", sched::Schedule::Static, tr, sim, threads);
-    std::ostringstream os;
-    prof::write_flamegraph(os, tr, "nuCORALS", w);
-    return os.str();
-  };
-  EXPECT_EQ(fold(prof::FlameWeight::RemoteBytes, kThreads),
-            fold(prof::FlameWeight::RemoteBytes, kThreads));
-  EXPECT_EQ(fold(prof::FlameWeight::CacheMisses, 1),
-            fold(prof::FlameWeight::CacheMisses, 1));
-}
-
-TEST(ProfFlamegraph, WeightNamesRoundTrip) {
-  using prof::FlameWeight;
-  for (const auto w : {FlameWeight::Time, FlameWeight::RemoteBytes,
-                       FlameWeight::CacheMisses})
-    EXPECT_EQ(prof::parse_flame_weight(prof::flame_weight_name(w)), w);
-  EXPECT_THROW(prof::parse_flame_weight("cycles"), Error);
-  try {
-    prof::parse_flame_weight("cycles");
-    FAIL() << "expected Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("cycles"), std::string::npos);
-  }
 }
 
 prof::SpanRecord tile_span(std::int64_t dur_ns, std::int64_t exclude_ns) {

@@ -94,6 +94,32 @@ TEST_F(ReportTool, CliRejectsTheRemovedFmaKernelPolicy) {
             "or avx2)\n");
 }
 
+TEST_F(ReportTool, CliRejectsMalformedShapes) {
+  // Each extent and each thread count must be a whole decimal integer:
+  // "16,16,16" is not a 1-D shape of 16, "2;4" is not 2 threads, and no
+  // failed-check text or source location leaks into the message.
+  const struct {
+    const char* args;
+    const char* prefix;
+  } cases[] = {
+      {"--shape 16,16,16", "error: --shape "},
+      {"--sweep-threads '2;4'", "error: --sweep-threads "},
+      {"--shape 1e2x16x16", "error: --shape "},
+      {"--shape 16x16x16x16", "error: --shape "},
+  };
+  const fs::path err = dir_ / "err.txt";
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.args);
+    EXPECT_EQ(run(std::string(NUSTENCIL_CLI) + " --scheme NaiveSSE --steps 1 " +
+                  c.args + " > /dev/null 2> " + quoted(err)),
+              2);
+    const std::string text = slurp(err);
+    EXPECT_EQ(text.rfind(c.prefix, 0), 0u) << text;
+    EXPECT_EQ(text.find('\n'), text.size() - 1) << text;
+    EXPECT_EQ(text.find("(failed:"), std::string::npos) << text;
+  }
+}
+
 TEST_F(ReportTool, DiffOptionFailsWithOneLineError) {
   // Comparing runs belongs to bench/regress and bench/perf_ledger.
   const fs::path err = dir_ / "err.txt";

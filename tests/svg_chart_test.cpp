@@ -104,46 +104,6 @@ TEST(SvgChart, AllZeroSeriesStillRenders) {
   EXPECT_NO_THROW(render_svg(c));
 }
 
-TimelineSpec timeline_demo() {
-  TimelineSpec t;
-  t.title = "timeline";
-  t.track_labels = {"worker 0", "worker 1"};
-  t.class_labels = {"compute", "wait"};
-  t.spans = {{0.0, 0.5, 0, 0}, {0.5, 0.8, 0, 1}, {0.1, 0.9, 1, 0}};
-  t.t_end = 1.0;
-  return t;
-}
-
-TEST(SvgTimeline, OneRectPerSpanAndTrackLabels) {
-  const std::string svg = render_timeline_svg(timeline_demo());
-  EXPECT_EQ(svg.rfind("<svg", 0), 0u);
-  EXPECT_NE(svg.find("</svg>"), std::string::npos);
-  EXPECT_NE(svg.find("worker 0"), std::string::npos);
-  EXPECT_NE(svg.find("worker 1"), std::string::npos);
-  EXPECT_NE(svg.find("compute"), std::string::npos);  // legend entry
-}
-
-TEST(SvgTimeline, OutOfRangeSpanThrows) {
-  TimelineSpec bad = timeline_demo();
-  bad.spans.push_back({0.0, 0.1, 5, 0});  // track 5 does not exist
-  EXPECT_THROW(render_timeline_svg(bad), nustencil::Error);
-  TimelineSpec bad_cls = timeline_demo();
-  bad_cls.spans.push_back({0.0, 0.1, 0, 9});  // class 9 does not exist
-  EXPECT_THROW(render_timeline_svg(bad_cls), nustencil::Error);
-}
-
-TEST(SvgTimeline, EmptyTracksThrow) {
-  TimelineSpec t = timeline_demo();
-  t.track_labels.clear();
-  EXPECT_THROW(render_timeline_svg(t), nustencil::Error);
-}
-
-TEST(SvgTimeline, NoSpansStillRenders) {
-  TimelineSpec t = timeline_demo();
-  t.spans.clear();
-  EXPECT_NO_THROW(render_timeline_svg(t));
-}
-
 HeatmapSpec heatmap_demo() {
   HeatmapSpec h;
   h.title = "traffic";

@@ -1,7 +1,7 @@
 // Space-time tracing: recorder semantics, ring overflow, phase totals,
 // span nesting/ordering invariants on a real traced run, Chrome JSON
 // validity (parsed back with a minimal JSON reader), structural
-// determinism across runs, and the timeline SVG.
+// determinism across runs, and the --explain observability summary.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -14,7 +14,6 @@
 #include "schemes/corals_common.hpp"
 #include "schemes/scheme.hpp"
 #include "trace/trace.hpp"
-#include "trace/trace_svg.hpp"
 
 namespace nustencil::trace {
 namespace {
@@ -448,31 +447,11 @@ TEST(TracedRun, MetricsOnlyModeFillsPhasesWithoutTrace) {
   for (const auto& t : result.phases.threads) EXPECT_EQ(t.dropped, 0u);
 }
 
-// ---------------------------------------------------------------------
-// Timeline SVG.
-// ---------------------------------------------------------------------
-
-TEST(TimelineSvg, RendersOneTrackPerThread) {
-  Trace trace;
-  traced_run(&trace);
-  const report::TimelineSpec spec = timeline_spec(trace, "test run");
-  EXPECT_EQ(spec.track_labels.size(), 2u);
-  EXPECT_EQ(spec.class_labels.size(), static_cast<std::size_t>(kNumPhases));
-  EXPECT_GT(spec.spans.size(), 0u);
-  const std::string svg = report::render_timeline_svg(spec);
-  EXPECT_EQ(svg.rfind("<svg", 0), 0u);
-  EXPECT_NE(svg.find("</svg>"), std::string::npos);
-  EXPECT_NE(svg.find("test run"), std::string::npos);
-  EXPECT_NE(svg.find("worker 0"), std::string::npos);
-  EXPECT_NE(svg.find("worker 1"), std::string::npos);
-}
-
 TEST(DescribeObservability, MentionsEveryChannel) {
-  const std::string text = describe_observability("t.json", "t.svg", true, 1024);
+  const std::string text = describe_observability("t.json", true, 1024);
   EXPECT_NE(text.find("t.json"), std::string::npos);
-  EXPECT_NE(text.find("t.svg"), std::string::npos);
   EXPECT_NE(text.find("1024"), std::string::npos);
-  const std::string off = describe_observability("", "", false, 1024);
+  const std::string off = describe_observability("", false, 1024);
   EXPECT_NE(off.find("off"), std::string::npos);
 }
 

@@ -7,21 +7,21 @@
 //   nustencil --scheme nuCORALS --shape 128x128x128 --steps 100 --threads 8
 //   nustencil --scheme nuCATS --banded --order 2 --verify --instrument
 //   nustencil --sweep-threads 1,2,4,8 --csv results.csv
-//   nustencil --scheme nuCORALS --phase-metrics --trace=trace.json --trace-svg=trace.svg
+//   nustencil --scheme nuCORALS --phase-metrics --trace=trace.json
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <set>
-#include <sstream>
 
 #include "common/args.hpp"
 #include "common/provenance.hpp"
 #include "hwc/backend.hpp"
 #include "hwc/events.hpp"
 #include "hwc/group.hpp"
-#include "prof/flamegraph.hpp"
 #include "prof/progress.hpp"
 #include "schemes/explain.hpp"
 #include "topology/machine_file.hpp"
@@ -33,33 +33,42 @@
 #include "perf/model.hpp"
 #include "schemes/scheme.hpp"
 #include "trace/trace.hpp"
-#include "trace/trace_svg.hpp"
 
 namespace {
 
 using namespace nustencil;
 
+/// Splits `text` at `sep` into at most `max_parts` whole decimal integers.
+/// Anything else ("1e2", "2;4", an empty part, too many parts) is a
+/// user's mistake: a plain Error with `usage`, no source location.
+std::vector<Index> parse_int_list(
+    const std::string& text, char sep, const std::string& usage,
+    std::size_t max_parts = std::numeric_limits<std::size_t>::max()) {
+  std::vector<Index> out;
+  for (std::size_t begin = 0;; ) {
+    const std::size_t end = std::min(text.find(sep, begin), text.size());
+    const char* first = text.data() + begin;
+    const char* last = text.data() + end;
+    Index value = 0;
+    const auto [ptr, ec] = std::from_chars(first, last, value);
+    if (ec != std::errc() || ptr != last || out.size() == max_parts)
+      throw Error(usage + ", got '" + text + "'");
+    out.push_back(value);
+    if (end == text.size()) return out;
+    begin = end + 1;
+  }
+}
+
 Coord parse_shape(const std::string& text) {
-  Coord shape;
-  std::vector<Index> dims;
-  std::stringstream ss(text);
-  std::string part;
-  while (std::getline(ss, part, 'x')) dims.push_back(std::atol(part.c_str()));
-  NUSTENCIL_CHECK(!dims.empty() && dims.size() <= 3,
-                  "--shape expects up to three 'x'-separated extents, e.g. 128x128x128");
+  const std::vector<Index> dims = parse_int_list(
+      text, 'x',
+      "--shape expects one to three 'x'-separated integer extents, e.g. 128x128x128",
+      3);
   switch (dims.size()) {
     case 1: return Coord{dims[0]};
     case 2: return Coord{dims[0], dims[1]};
     default: return Coord{dims[0], dims[1], dims[2]};
   }
-}
-
-std::vector<int> parse_int_list(const std::string& text) {
-  std::vector<int> out;
-  std::stringstream ss(text);
-  std::string part;
-  while (std::getline(ss, part, ',')) out.push_back(std::atoi(part.c_str()));
-  return out;
 }
 
 const topology::MachineSpec* machine_by_name(const std::string& name,
@@ -84,26 +93,7 @@ double verify_against_reference(core::Problem& actual, const Coord& shape,
                                 const schemes::RunConfig& cfg) {
   core::Problem expected(shape, stencil);
   expected.initialize(cfg.seed);
-  if (cfg.boundary.all_periodic(shape.rank())) {
-    core::reference_run(expected, cfg.timesteps);
-  } else {
-    const core::Box interior = core::updatable_box(shape, stencil, cfg.boundary);
-    double* u0 = expected.buffer(0).data();
-    double* u1 = expected.buffer(1).data();
-    Coord pos = Coord::filled(shape.rank(), 0);
-    for (Index i = 0; i < expected.volume(); ++i) {
-      bool inside = true;
-      for (int d = 0; d < shape.rank(); ++d)
-        inside = inside && pos[d] >= interior.lo[d] && pos[d] < interior.hi[d];
-      if (!inside) u1[i] = u0[i];
-      for (int d = 0; d < shape.rank(); ++d) {
-        if (++pos[d] < shape[d]) break;
-        pos[d] = 0;
-      }
-    }
-    core::Executor exec(expected);
-    for (long t = 0; t < cfg.timesteps; ++t) exec.update_box(interior, t, 0);
-  }
+  core::reference_run(expected, cfg.timesteps, cfg.boundary);
   return core::max_rel_diff(actual.buffer(cfg.timesteps),
                             expected.buffer(cfg.timesteps));
 }
@@ -216,18 +206,7 @@ int main(int argc, char** argv) try {
                   "write a Chrome trace-event JSON (Perfetto-loadable) of the "
                   "run to this file (one track per thread)",
                   "");
-  args.add_option("trace-svg", "render the per-thread span timeline to this SVG file",
-                  "");
   args.add_option("trace-buffer", "trace event ring capacity per thread", "65536");
-  args.add_option("flamegraph",
-                  "write the run's span stacks in collapsed/folded format "
-                  "to this file (load with speedscope or flamegraph.pl)",
-                  "");
-  args.add_option("flamegraph-weight",
-                  "flamegraph frame weight: time (self wall time), remote "
-                  "(remote traffic bytes) or misses (deepest-level cache "
-                  "misses)",
-                  "time");
   args.add_option("progress",
                   "print a live heartbeat (layer, updates/s, locality %) to "
                   "stderr every SECONDS seconds",
@@ -286,8 +265,11 @@ int main(int argc, char** argv) try {
       machine_by_name(args.get("machine"), machine_storage);
 
   std::vector<int> thread_counts;
-  for (const int t : parse_int_list(args.get("sweep-threads")))
-    thread_counts.push_back(ArgParser::validate_thread_count(t, machine->cores()));
+  if (const std::string sweep = args.get("sweep-threads"); !sweep.empty())
+    for (const Index t : parse_int_list(sweep, ',',
+                                        "--sweep-threads expects comma-separated "
+                                        "integer thread counts, e.g. 1,2,4,8"))
+      thread_counts.push_back(ArgParser::validate_thread_count(t, machine->cores()));
   if (thread_counts.empty())
     thread_counts.push_back(ArgParser::validate_thread_count(
         args.get_long("threads"), machine->cores()));
@@ -328,13 +310,8 @@ int main(int argc, char** argv) try {
   kernel_request.checked = args.get_flag("check");
 
   const std::string trace_path = args.get("trace");
-  const std::string trace_svg_path = args.get("trace-svg");
   const std::string report_path = args.get("report");
-  const std::string flame_path = args.get("flamegraph");
-  const prof::FlameWeight flame_weight =
-      prof::parse_flame_weight(args.get("flamegraph-weight"));
-  const bool want_trace =
-      !trace_path.empty() || !trace_svg_path.empty() || !flame_path.empty();
+  const bool want_trace = !trace_path.empty();
   const bool want_report = !report_path.empty();
   const bool want_cache_sim = want_report && !args.get_flag("no-cache-sim");
   const int reps = static_cast<int>(
@@ -362,7 +339,7 @@ int main(int argc, char** argv) try {
                          : ArgParser::validate_group_size(group_size_raw,
                                                           thread_counts.front()))
               << core::explain_kernel_choice(kernel_policy, kernel_request)
-              << trace::describe_observability(trace_path, trace_svg_path,
+              << trace::describe_observability(trace_path,
                                                args.get_flag("phase-metrics"),
                                                trace_buffer)
               << hwc::describe_hw(hw_mode, hw_events, hwc::real_backend())
@@ -483,26 +460,11 @@ int main(int argc, char** argv) try {
                             ? verify_against_reference(problem, shape, stencil, cfg)
                             : std::nan("");
 
-    if (tr && !trace_path.empty()) {
+    if (tr) {
       const std::string path = per_run_path(trace_path, threads, sweeping);
       tr->write_chrome_json_file(path);
       std::cout << "wrote Chrome trace to " << path
                 << " (load at https://ui.perfetto.dev or chrome://tracing)\n";
-    }
-    if (tr && !trace_svg_path.empty()) {
-      const std::string path = per_run_path(trace_svg_path, threads, sweeping);
-      trace::write_timeline_svg(*tr,
-                                result.scheme + ", " + args.get("shape") + ", " +
-                                    std::to_string(threads) + " thread(s)",
-                                path);
-      std::cout << "wrote timeline SVG to " << path << '\n';
-    }
-    if (tr && !flame_path.empty()) {
-      const std::string path = per_run_path(flame_path, threads, sweeping);
-      prof::write_flamegraph_file(path, *tr, result.scheme, flame_weight);
-      std::cout << "wrote " << prof::flame_weight_name(flame_weight)
-                << "-weighted flamegraph to " << path
-                << " (load at https://speedscope.app or with flamegraph.pl)\n";
     }
     if (want_report) {
       metrics::RunReport rep;
@@ -563,7 +525,8 @@ int main(int argc, char** argv) try {
 
     results.push_back(result);
     diffs.push_back(diff);
-    if (args.get_flag("verify") && !(diff <= 1e-12)) {
+    // Every kernel is bit-exact, so any difference is a bug.
+    if (args.get_flag("verify") && !(diff == 0.0)) {
       std::cerr << "VERIFICATION FAILED: max relative difference " << diff << '\n';
       return 1;
     }
